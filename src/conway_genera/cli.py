@@ -121,12 +121,12 @@ def cmd_compute(args, data) -> int:
 
 
 def _suite_eta(data, orders):
-    return [genera.verify_eta_identity(rec, orders or 8)
+    return [genera.verify_eta_identity(rec, orders)
             for rec in data.classes.values()]
 
 
 def _suite_theta(data, orders):
-    return modforms.verify_theta_identities(24 * (orders or 4))
+    return modforms.verify_theta_identities(24 * orders)
 
 
 def _suite_decomposition(data, orders):
@@ -134,21 +134,20 @@ def _suite_decomposition(data, orders):
     for rec in data.classes.values():
         signs = (1,) if rec.d_magnitude[2].is_zero else (1, -1)
         for sign in signs:
-            out.append(genera.verify_decomposition(rec, sign, orders or 5))
+            out.append(genera.verify_decomposition(rec, sign, orders))
     return out
 
 
 def _suite_k3(data, orders):
-    n = orders or 5
-    k3 = genera.k3_elliptic_genus(n)
-    phi_e = genera.phi_g(data.record("1A"), 1, n)
+    k3 = genera.k3_elliptic_genus(orders)
+    phi_e = genera.phi_g(data.record("1A"), 1, orders)
     reports = [CheckReport.from_deviation(
         "k3-genus[equals identity-class genus]",
-        first_difference(k3, phi_e, 24 * n))]
+        first_difference(k3, phi_e, 24 * orders))]
     z0 = k3.specialize_z0()
     ok = all((v == 24) if k == 0 else v.is_zero for k, v in z0.coeffs.items())
     reports.append(CheckReport("k3-genus[z=0 value 24]", "pass" if ok else "fail"))
-    f_e = genera.f_g(data.record("1A"), 1, max(n, 10))
+    f_e = genera.f_g(data.record("1A"), 1, max(orders, 10))
     reports.append(CheckReport(
         "k3-genus[weight-2 multiplier vanishes]",
         "pass" if f_e.is_zero else "fail"))
@@ -161,7 +160,7 @@ def _suite_higher(data, orders):
         for rec in data.for_lambency(ell):
             signs = (1,) if rec.d_magnitude[ell].is_zero else (1, -1)
             for sign in signs:
-                req = genera.GenusRequest(rec, sign, ell, orders or 4)
+                req = genera.GenusRequest(rec, sign, ell, orders)
                 out.append(genera.verify_decomposition_ell(req))
     return out
 
@@ -172,7 +171,7 @@ def _suite_jacobi(data, orders):
         for rec in data.for_lambency(ell):
             signs = (1,) if rec.d_magnitude[ell].is_zero else (1, -1)
             for sign in signs:
-                req = genera.GenusRequest(rec, sign, ell, orders or 6)
+                req = genera.GenusRequest(rec, sign, ell, orders)
                 phi = genera.phi_g_ell(req)
                 name = f"jacobi-invariance[{rec.co0_name}, ell {ell}, D sign {sign:+d}]"
                 out.append(genera.verify_jacobi_invariance(phi, ell - 1, name))
@@ -180,7 +179,7 @@ def _suite_jacobi(data, orders):
 
 
 def _suite_coincidences(data, orders):
-    return genera.verify_coincidences(data, orders or 5)
+    return genera.verify_coincidences(data, orders)
 
 
 def _suite_constants(data, orders):
@@ -201,18 +200,17 @@ def _suite_constants(data, orders):
 
 
 def _suite_fourier(data, orders):
-    n = orders or 8
     out = []
-    ts_e = genera.ts_g(data.record("1A"), "g", "chi", n)
+    ts_e = genera.ts_g(data.record("1A"), "g", "chi", orders)
     lead = ts_e.coeff(-12) == 1 and ts_e.coeff(0).is_zero
     out.append(CheckReport("fourier[identity-class leading shape]",
                            "pass" if lead else "fail"))
     for rec in data.classes.values():
-        tw = genera.ts_g(rec, "g_tw", "chi", n)
-        expected = QSeries({0: -rec.chi}, 24 * n)
+        tw = genera.ts_g(rec, "g_tw", "chi", orders)
+        expected = QSeries({0: -rec.chi}, 24 * orders)
         ok = tw == expected
-        direct = genera.ts_g(rec, "g_tw", "direct", n)
-        ok = ok and direct.agrees_with(expected, 24 * n)
+        direct = genera.ts_g(rec, "g_tw", "direct", orders)
+        ok = ok and direct.agrees_with(expected, 24 * orders)
         out.append(CheckReport(f"fourier[twisted constant, {rec.co0_name}]",
                                "pass" if ok else "fail"))
     return out
@@ -270,30 +268,39 @@ def _brute_matches_jacobi(brute: dict, series: JacobiSeries) -> bool:
 
 
 def _suite_sigma(data, orders):
-    return sigma.verify_sigma_isomorphism(orders or 6)
+    return sigma.verify_sigma_isomorphism(orders)
 
 
+#: name -> (suite, default q-orders, least q-orders accepted by --prec).
+#: constants and oracle run at a fixed precision and ignore --prec.
 _SUITES = {
-    "eta-identity": _suite_eta,
-    "theta": _suite_theta,
-    "decomposition": _suite_decomposition,
-    "k3": _suite_k3,
-    "higher-lambency": _suite_higher,
-    "jacobi": _suite_jacobi,
-    "coincidences": _suite_coincidences,
-    "constants": _suite_constants,
-    "fourier": _suite_fourier,
-    "oracle": _suite_oracle,
-    "sigma": _suite_sigma,
+    "eta-identity": (_suite_eta, 8, 1),
+    "theta": (_suite_theta, 4, 2),
+    "decomposition": (_suite_decomposition, 5, 1),
+    "k3": (_suite_k3, 5, 1),
+    "higher-lambency": (_suite_higher, 4, 1),
+    "jacobi": (_suite_jacobi, 6, 1),
+    "coincidences": (_suite_coincidences, 5, 1),
+    "constants": (_suite_constants, None, 1),
+    "fourier": (_suite_fourier, 8, 1),
+    "oracle": (_suite_oracle, None, 1),
+    "sigma": (_suite_sigma, 6, 1),
 }
 
 
 def cmd_verify(args, data) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    for name in names:
+        least = _SUITES[name][2]
+        if args.prec is not None and args.prec < least:
+            print(f"error: suite {name} needs --prec of at least {least} q-orders, "
+                  f"got {args.prec}", file=sys.stderr)
+            return EXIT_USAGE
     suites = []
     for name in names:
+        run, default, _ = _SUITES[name]
         suite = Suite(name)
-        suite.extend(_SUITES[name](data, args.prec))
+        suite.extend(run(data, default if args.prec is None else args.prec))
         suites.append(suite)
     if args.format == "json":
         print(json.dumps([s.to_json() for s in suites], sort_keys=True, indent=2))

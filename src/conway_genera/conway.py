@@ -331,8 +331,12 @@ def load_class_data(directory: str | None = None) -> ClassData:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read class data: {exc}") from exc
 
+    try:
+        entries = raw["classes"]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"class data has no 'classes' list: {exc!r}") from exc
     classes: dict[str, ConwayClassRecord] = {}
-    for entry in raw["classes"]:
+    for entry in entries:
         try:
             rec = ConwayClassRecord(
                 co0_name=entry["co0"],
@@ -346,8 +350,9 @@ def load_class_data(directory: str | None = None) -> ClassData:
                 gamma_neg_g=entry["gamma_neg_g"],
                 level=entry.get("level"),
             )
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"row {entry.get('co0', '?')}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            name = entry.get("co0", "?") if isinstance(entry, dict) else "?"
+            raise DataError(f"row {name}: {exc}") from exc
         _validate_record(rec)
         if rec.co0_name in classes:
             raise DataError(f"row {rec.co0_name}: duplicate class name")
@@ -358,23 +363,31 @@ def load_class_data(directory: str | None = None) -> ClassData:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read coincidence data: {exc}") from exc
 
+    try:
+        entries = raw_rel["relations"]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"coincidence data has no 'relations' list: {exc!r}") from exc
     relations = []
-    for entry in raw_rel["relations"]:
-        kind = entry["kind"]
+    for entry in entries:
+        try:
+            kind = entry["kind"]
+            rhs = tuple(
+                (Fraction(item["coeff"]), item["class"], int(item["sign"]))
+                for item in entry.get("rhs", ()))
+            rel = CoincidenceRelation(
+                lambency=int(entry["lambency"]),
+                lhs_class=entry["lhs"]["class"],
+                lhs_sign=int(entry["lhs"]["sign"]),
+                kind=kind,
+                rhs=rhs,
+                source=entry.get("source", ""),
+                level=entry.get("level"),
+            )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DataError(f"coincidence row {entry}: missing or malformed field {exc!r}") \
+                from exc
         if kind not in ("internal", "anchor", "external"):
             raise DataError(f"coincidence row {entry}: unknown kind {kind!r}")
-        rhs = tuple(
-            (Fraction(item["coeff"]), item["class"], int(item["sign"]))
-            for item in entry.get("rhs", ()))
-        rel = CoincidenceRelation(
-            lambency=int(entry["lambency"]),
-            lhs_class=entry["lhs"]["class"],
-            lhs_sign=int(entry["lhs"]["sign"]),
-            kind=kind,
-            rhs=rhs,
-            source=entry.get("source", ""),
-            level=entry.get("level"),
-        )
         if rel.lhs_class not in classes:
             raise DataError(f"coincidence row references unknown class {rel.lhs_class}")
         for _, name, _ in rel.rhs:

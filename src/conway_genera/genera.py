@@ -2,16 +2,28 @@
 
 For a class record with Frame shapes pi(g), pi(-g), twisted-trace
 constant C(-g) and index multiplier D, the weight-0 index-(ell-1) genus
-is assembled from theta quotients, eta products and half-argument
-ratios:
+is linear in four class q-series:
 
-    phi = -1/2 (Q4^(ell-1) r_g - Q3^(ell-1) r_{-g})
-          + 1/2 ((-1)^ell Q1^(ell-1) D eta_g - Q2^(ell-1) C(-g) eta_{-g})
+    phi^(ell) = sum_i kappa_i B_i^(ell) S_i
+
+      i   B_i^(ell)        S_i        kappa_i
+      1   Q4^(ell-1)       r_g        -1/2
+      2   Q3^(ell-1)       r_{-g}     +1/2
+      3   Q1^(ell-1)       eta_g      (-1)^ell D/2
+      4   Q2^(ell-1)       eta_{-g}   -C(-g)/2
 
 with r_h the half-argument ratio of eta_h, Q2/Q3/Q4 the normalized
-squared theta quotients and Q1 = theta_1^2/eta^6.  The companion
-weight-2j forms F_{2j} multiply phi_{0,1}/phi_{-2,1} monomials in the
-binomial decomposition checked by verify_decomposition_ell.
+squared theta quotients and Q1 = theta_1^2/eta^6.  The B_i do not depend
+on the class: each power is built once per process as integer rows over
+a power-of-two denominator (series.IntRows) and shared by every class,
+sign and lambency.  The S_i have integer coefficients, and each product
+B_i S_i is taken in integers, one y-row at a time.  The radicals of
+Q(sqrt 2, sqrt 3, sqrt 5) enter only through the constants kappa_i, once
+per output coefficient, in series.combine.
+
+The companion weight-2j forms F_{2j} are built per class over the field
+and multiply phi_{0,1}^a (theta_1^2/eta^6)^b monomials, shared the same
+way, in the binomial decomposition checked by verify_decomposition_ell.
 
 Precision arguments here count integer q-orders; grid indices are used
 internally.
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 from . import modforms
@@ -28,7 +41,7 @@ from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShap
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
 from .scalars import RadicalScalar, format_radical
-from .series import JacobiSeries, QSeries, first_difference
+from .series import IntRows, JacobiSeries, QSeries, combine, first_difference
 
 #: grid head-room so that min-rule truncation still covers the target
 _MARGIN = 48
@@ -40,6 +53,8 @@ TABLE_D_ORIENTATION = 1
 
 
 def _grid(orders: int) -> int:
+    if orders < 1:
+        raise ValueError("precision must be at least one q-order")
     return 24 * orders
 
 
@@ -127,6 +142,30 @@ def verify_eta_identity(rec: ConwayClassRecord, orders: int = 8) -> CheckReport:
 # -- genera ---------------------------------------------------------------
 
 
+#: selector of phi_{0,1} among the shared forms
+_PHI01 = "phi01"
+
+
+@lru_cache(maxsize=None)
+def _shared_power(kind: str, power: int, work: int) -> IntRows:
+    """A theta quotient, or phi_{0,1}, to a power, as integer rows.
+
+    Class-independent, so built once per (kind, power, work) per process.
+    """
+    if power == 0:
+        return IntRows.one(work)
+    if power == 1:
+        base = modforms.phi01(work) if kind == _PHI01 else modforms.theta_quotient(kind, work)
+        return IntRows.from_jacobi(base)
+    return _shared_power(kind, power - 1, work) * _shared_power(kind, 1, work)
+
+
+@lru_cache(maxsize=None)
+def _monomial(a: int, b: int, work: int) -> IntRows:
+    """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b."""
+    return _shared_power(_PHI01, a, work) * _shared_power(THETA1SQ, b, work)
+
+
 def phi_g_ell(req: GenusRequest) -> JacobiSeries:
     """The weight-0, index-(ell-1) genus attached to a table row."""
     rec, ell = req.rec, req.ell
@@ -134,17 +173,15 @@ def phi_g_ell(req: GenusRequest) -> JacobiSeries:
     prec = _grid(req.orders)
     work = prec + _MARGIN
     power = ell - 1
-    q2 = modforms.theta_quotient(THETA2, work) ** power
-    q3 = modforms.theta_quotient(THETA3, work) ** power
-    q4 = modforms.theta_quotient(THETA4, work) ** power
-    q1 = modforms.theta_quotient(THETA1SQ, work) ** power
-    d_val = effective_d(rec, ell, req.d_sign)
     sign_ell = -1 if ell % 2 else 1
-    total = (q4 * _ratio_g(rec, work) - q3 * _ratio_neg(rec, work)) * Fraction(-1, 2)
-    total = total + q1 * modforms.eta_product(rec.fs_g, work) \
-        * (d_val * Fraction(sign_ell, 2))
-    total = total - q2 * modforms.eta_product(rec.fs_neg_g, work) \
-        * (rec.c_neg_g * Fraction(1, 2))
+    total = combine([
+        (Fraction(-1, 2), _shared_power(THETA4, power, work), _ratio_g(rec, work)),
+        (Fraction(1, 2), _shared_power(THETA3, power, work), _ratio_neg(rec, work)),
+        (effective_d(rec, ell, req.d_sign) * Fraction(sign_ell, 2),
+         _shared_power(THETA1SQ, power, work), modforms.eta_product(rec.fs_g, work)),
+        (rec.c_neg_g * Fraction(-1, 2),
+         _shared_power(THETA2, power, work), modforms.eta_product(rec.fs_neg_g, work)),
+    ])
     if total.trunc < prec:
         raise ValueError("internal truncation shortfall in phi_g_ell")
     total = total.truncate(prec)
@@ -236,17 +273,14 @@ def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
     rec, ell = req.rec, req.ell
     prec = _grid(req.orders)
     work = prec + _MARGIN
-    p01 = modforms.phi01(work)
-    pm21 = modforms.phi_minus21(work)
-    d_val = effective_d(rec, ell, req.d_sign)
-    rhs = (pm21 ** (ell - 1)) * modforms.eta_product(rec.fs_g, work) \
-        * (d_val * Fraction(-1, 2))
+    sign_ell = -1 if ell % 2 else 1
+    terms = [(effective_d(rec, ell, req.d_sign) * Fraction(sign_ell, 2),
+              _shared_power(THETA1SQ, ell - 1, work), modforms.eta_product(rec.fs_g, work))]
     for j in range(ell):
-        coeff = Fraction((-1) ** j, 2) * Fraction(
-            comb(ell - 1, j), 12 ** (ell - j - 1))
-        piece = (p01 ** (ell - j - 1)) * (pm21 ** j) \
-            * f_2j_g(rec, j, req.orders + 2) * coeff
-        rhs = rhs + piece
+        # (-1)^j from phi_{-2,1}^j = (-1)^j (theta_1^2/eta^6)^j cancels the binomial sign
+        terms.append((Fraction(comb(ell - 1, j), 2 * 12 ** (ell - j - 1)),
+                      _monomial(ell - j - 1, j, work), f_2j_g(rec, j, req.orders + 2)))
+    rhs = combine(terms)
     lhs = phi_g_ell(req)
     name = f"decomposition[{rec.co0_name}, ell {ell}, D sign {req.d_sign:+d}]"
     return CheckReport.from_deviation(name, first_difference(lhs, rhs, prec))
@@ -332,9 +366,9 @@ def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> Check
     plus = phi_g_ell(GenusRequest(rec, 1, ell, orders))
     minus = phi_g_ell(GenusRequest(rec, -1, ell, orders))
     sign_ell = -1 if ell % 2 else 1
-    mag = effective_d(rec, ell, 1)
-    expected = (modforms.theta_quotient(THETA1SQ, work) ** (ell - 1)) \
-        * modforms.eta_product(rec.fs_g, work) * (mag * sign_ell)
+    expected = combine([(effective_d(rec, ell, 1) * sign_ell,
+                         _shared_power(THETA1SQ, ell - 1, work),
+                         modforms.eta_product(rec.fs_g, work))])
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
     return CheckReport.from_deviation(
         name, first_difference(plus - minus, expected.truncate(prec), prec))

@@ -4,7 +4,10 @@ QSeries is a one-variable series in q with exponents on the (1/24)Z
 grid: the coefficient of q^(n/24) is stored under the integer grid index
 n, and all indices >= trunc are unknown.  JacobiSeries adds a second
 variable y with exponents on the (1/2)Z grid (stored as half-indices)
-and finite y-support at each q order.
+and finite y-support at each q order.  IntRows holds a rational
+two-variable series as rows of Python ints over one denominator; its
+product is the integer kernel, and `combine` applies field constants to
+such products, one multiplier per output coefficient.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -15,6 +18,7 @@ immutable; operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import RadicalScalar, format_radical
 
@@ -382,6 +386,121 @@ class JacobiSeries:
     def __repr__(self):
         n = len(self.coeffs)
         return f"JacobiSeries(<{n} terms>, trunc={self.trunc})"
+
+
+class IntRows:
+    """A rational two-variable series held as integer rows over one denominator.
+
+    `rows` maps a y half-index to {q grid index: nonzero int}; the series
+    is (1/den) * sum rows[ry][kq] q^(kq/24) y^(ry/2), known below trunc.
+    A one-variable series is the single row 0.  Multiplication is the
+    integer kernel behind every genus: it runs one q-series product per
+    pair of rows and truncates exactly as JacobiSeries.__mul__ does.
+    """
+
+    __slots__ = ("rows", "den", "trunc")
+
+    def __init__(self, rows: dict[int, dict[int, int]], den: int, trunc: int):
+        self.rows = rows
+        self.den = den
+        self.trunc = trunc
+
+    @classmethod
+    def one(cls, trunc: int) -> "IntRows":
+        return cls({0: {0: 1}}, 1, trunc)
+
+    @classmethod
+    def from_jacobi(cls, f: JacobiSeries) -> "IntRows":
+        """The rows of a series with rational coefficients."""
+        values = {key: v.rational_value() for key, v in f.coeffs.items()}
+        den = lcm(*(v.denominator for v in values.values()))
+        rows: dict[int, dict[int, int]] = {}
+        for (kq, ry), v in values.items():
+            rows.setdefault(ry, {})[kq] = v.numerator * (den // v.denominator)
+        return cls(rows, den, f.trunc)
+
+    @classmethod
+    def split(cls, f: QSeries) -> dict[int, "IntRows"]:
+        """{d: part} with f = sum_d sqrt(d) * part and every part rational.
+
+        A zero series gives the single empty part {1: 0}, which keeps the
+        truncation a product with f would have.
+        """
+        by_radical: dict[int, dict[int, Fraction]] = {}
+        for k, v in f.coeffs.items():
+            for d, a in v.parts.items():
+                by_radical.setdefault(d, {})[k] = a
+        if not by_radical:
+            return {1: cls({}, 1, f.trunc)}
+        out = {}
+        for d, values in by_radical.items():
+            den = lcm(*(a.denominator for a in values.values()))
+            row = {k: a.numerator * (den // a.denominator) for k, a in values.items()}
+            out[d] = cls({0: row}, den, f.trunc)
+        return out
+
+    def _min_bound(self) -> int:
+        keys = [min(row) for row in self.rows.values() if row]
+        return min(keys) if keys else self.trunc
+
+    def product_trunc(self, other: "IntRows") -> int:
+        """The truncation index of self * other, by the min rule."""
+        return min(self.trunc + other._min_bound(), other.trunc + self._min_bound())
+
+    def __mul__(self, other: "IntRows") -> "IntRows":
+        trunc = self.product_trunc(other)
+        rows: dict[int, dict[int, int]] = {}
+        for yb, row_b in other.rows.items():
+            items_b = sorted(row_b.items())
+            for ya, row_a in self.rows.items():
+                out = rows.setdefault(ya + yb, {})
+                for ka, va in row_a.items():
+                    bound = trunc - ka
+                    for kb, vb in items_b:
+                        if kb >= bound:
+                            break
+                        k = ka + kb
+                        out[k] = out.get(k, 0) + va * vb
+        cleaned = {}
+        for ry, row in rows.items():
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                cleaned[ry] = row
+        return IntRows(cleaned, self.den * other.den, trunc)
+
+    def to_jacobi(self) -> JacobiSeries:
+        return JacobiSeries({(kq, ry): Fraction(v, self.den)
+                             for ry, row in self.rows.items() for kq, v in row.items()},
+                            self.trunc)
+
+
+def combine(terms) -> JacobiSeries:
+    """sum_i kappa_i * B_i * f_i for integer rows B_i and q-series f_i.
+
+    Each f_i is split into its sqrt(d) parts and multiplied by B_i in
+    integers.  The field enters only here: kappa_i * sqrt(d) / den
+    becomes integer multipliers over one common denominator, applied
+    once per output coefficient.  The truncation is the least over all
+    products, as for the same sum of JacobiSeries products.
+    """
+    products, truncs = [], []
+    for kappa, rows, f in terms:
+        for d, part in IntRows.split(f).items():
+            truncs.append(rows.product_trunc(part))
+            scale = _coeff(kappa) * RadicalScalar({d: Fraction(1, rows.den * part.den)})
+            if scale:
+                products.append((scale, rows * part))
+    common = lcm(*(a.denominator for scale, _ in products for a in scale.parts.values()))
+    acc: dict[tuple[int, int], dict[int, int]] = {}
+    for scale, prod in products:
+        mults = [(d, a.numerator * (common // a.denominator)) for d, a in scale.parts.items()]
+        for ry, row in prod.rows.items():
+            for kq, n in row.items():
+                slot = acc.setdefault((kq, ry), {})
+                for d, m in mults:
+                    slot[d] = slot.get(d, 0) + m * n
+    return JacobiSeries({key: RadicalScalar({d: Fraction(v, common) for d, v in slot.items()})
+                         for key, slot in acc.items()}, min(truncs))
 
 
 def first_difference(a, b, through: int | None = None):

@@ -1,8 +1,10 @@
-"""Independent brute-force expansions used as test oracles.
+"""Independent brute-force expansions and reference paths used as test oracles.
 
-Everything here works on plain dicts {grid index: Fraction} with grid
+The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
-the package's series classes.
+the package's series classes.  The reference genus at the end keeps the
+field-arithmetic evaluation of the product formula that the package
+replaced with shared integer forms.
 """
 
 from __future__ import annotations
@@ -70,3 +72,36 @@ def brute_delta2_over_delta(limit: int) -> dict:
         out = pmul(out, factor, limit)
         n += 1
     return {k + 24: v for k, v in out.items() if k + 24 < limit}
+
+
+# -- reference genus over the coefficient field ------------------------------
+#
+# The product formula evaluated term by term with the package's
+# JacobiSeries/RadicalScalar arithmetic: every theta-quotient power is
+# rebuilt over the field for each class and sign.  The package builds the
+# same genus from shared integer rows (genera.phi_g_ell); the two must
+# agree coefficient for coefficient.
+
+
+def radical_phi_g_ell(req):
+    """The genus of a GenusRequest, computed over Q(sqrt 2, sqrt 3, sqrt 5)."""
+    from conway_genera import genera, modforms
+    from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
+
+    rec, ell = req.rec, req.ell
+    prec = 24 * req.orders
+    work = prec + genera._MARGIN
+    power = ell - 1
+    q2 = modforms.theta_quotient(THETA2, work) ** power
+    q3 = modforms.theta_quotient(THETA3, work) ** power
+    q4 = modforms.theta_quotient(THETA4, work) ** power
+    q1 = modforms.theta_quotient(THETA1SQ, work) ** power
+    d_val = genera.effective_d(rec, ell, req.d_sign)
+    sign_ell = -1 if ell % 2 else 1
+    total = (q4 * modforms.eta_ratio_half(rec.fs_g, work)
+             - q3 * modforms.eta_ratio_half(rec.fs_neg_g, work)) * Fraction(-1, 2)
+    total = total + q1 * modforms.eta_product(rec.fs_g, work) \
+        * (d_val * Fraction(sign_ell, 2))
+    total = total - q2 * modforms.eta_product(rec.fs_neg_g, work) \
+        * (rec.c_neg_g * Fraction(1, 2))
+    return total.truncate(prec)

@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
 
+import pytest
+
+import conway_genera
 from conway_genera import cli
+
+BUNDLED = Path(conway_genera.__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -97,3 +103,44 @@ def test_env_data_dir_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "list-classes")
     assert code == 3
     assert "data error" in err
+
+
+@pytest.mark.parametrize("suite, prec", [("theta", "1"), ("k3", "-1"), ("sigma", "0"),
+                                         ("all", "1"), ("oracle", "0")])
+def test_verify_bad_precision_is_a_usage_error(capsys, suite, prec):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--prec", prec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ["phi", "ts", "ts-tw", "f"])
+@pytest.mark.parametrize("prec", ["0", "-2"])
+def test_compute_nonpositive_precision_is_a_usage_error(capsys, what, prec):
+    code, out, err = run(capsys, "compute", "--class", "2B", "--what", what,
+                         "--prec", prec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _data_dir(tmp_path, classes, coincidences):
+    (tmp_path / "classes.json").write_text(json.dumps(classes))
+    (tmp_path / "coincidences.json").write_text(json.dumps(coincidences))
+    return str(tmp_path)
+
+
+def _bundled(name):
+    return json.loads((BUNDLED / name).read_text())
+
+
+def test_classes_without_class_list_is_a_data_error(tmp_path, capsys):
+    path = _data_dir(tmp_path, {"rows": []}, _bundled("coincidences.json"))
+    code, _, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and err.startswith("data error:")
+
+
+def test_coincidence_row_without_lambency_is_a_data_error(tmp_path, capsys):
+    coincidences = _bundled("coincidences.json")
+    del coincidences["relations"][0]["lambency"]
+    path = _data_dir(tmp_path, _bundled("classes.json"), coincidences)
+    code, _, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and err.startswith("data error:")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import brute
 from conway_genera import genera, modforms
 from conway_genera.genera import GenusRequest
 from conway_genera.scalars import RadicalScalar
@@ -110,6 +111,18 @@ def test_decomposition_higher_lambency_rows(data):
     for name, ell, sign in cases:
         req = GenusRequest(data.record(name), sign, ell, 3)
         assert genera.verify_decomposition_ell(req).ok, (name, ell, sign)
+
+
+def test_phi_matches_radical_reference_for_every_tabulated_genus(data):
+    count = 0
+    for ell in (2, 3, 4, 5, 7):
+        for rec in data.for_lambency(ell):
+            for sign in ((1,) if rec.d_magnitude[ell].is_zero else (1, -1)):
+                req = GenusRequest(rec, sign, ell, 3)
+                assert genera.phi_g_ell(req) == brute.radical_phi_g_ell(req), \
+                    (rec.co0_name, sign, ell)
+                count += 1
+    assert count == 92
 
 
 def test_phi_ell2_reduces_to_phi(data):

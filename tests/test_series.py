@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import brute
 from conway_genera import modforms
 from conway_genera.scalars import RadicalScalar
-from conway_genera.series import (GridError, JacobiSeries, QSeries,
-                                  first_difference)
+from conway_genera.series import (GridError, IntRows, JacobiSeries, QSeries,
+                                  combine, first_difference)
 
 
 def as_dict(series):
@@ -153,3 +153,48 @@ def test_inverse_is_two_sided(f):
     inv = f.inverse()
     assert first_difference(f * inv, QSeries.one((f * inv).trunc)) is None
     assert first_difference(inv * f, QSeries.one((inv * f).trunc)) is None
+
+
+# -- the integer kernel against the field arithmetic ---------------------------
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+radicals = st.builds(lambda a, b, c: RadicalScalar({1: a, 2: b, 5: c}),
+                     fractions, st.sampled_from([0, 1, Fraction(-3, 2)]), fractions)
+# exponents on the (1/2)Z grid from q^(-1/2), as for eta_ratio_half
+jacobi_rational = st.builds(
+    lambda coeffs, t: JacobiSeries({(12 * k, 2 * r): v for (k, r), v in coeffs.items()},
+                                   12 * t),
+    st.dictionaries(st.tuples(st.integers(-1, 8), st.integers(-3, 3)), fractions,
+                    max_size=8),
+    st.integers(1, 12))
+
+
+def qseries_over(values):
+    return st.builds(lambda coeffs, t: QSeries({12 * k: v for k, v in coeffs.items()}, 12 * t),
+                     st.dictionaries(st.integers(-1, 8), values, max_size=6),
+                     st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(jacobi_rational, qseries_over(fractions))
+def test_integer_rows_times_rational_series_is_jacobi_mul(j, f):
+    (part,) = IntRows.split(f).values()
+    assert (IntRows.from_jacobi(j) * part).to_jacobi() == j * f
+
+
+@settings(max_examples=80, deadline=None)
+@given(jacobi_rational, qseries_over(radicals), radicals,
+       jacobi_rational, qseries_over(fractions), radicals)
+def test_combine_is_the_field_sum_of_jacobi_products(j1, f1, k1, j2, f2, k2):
+    got = combine([(k1, IntRows.from_jacobi(j1), f1), (k2, IntRows.from_jacobi(j2), f2)])
+    assert got == j1 * f1 * k1 + j2 * f2 * k2
+
+
+@settings(max_examples=60, deadline=None)
+@given(jacobi_rational, st.integers(0, 4))
+def test_integer_kernel_powers_match_jacobi_pow(j, n):
+    rows = IntRows.from_jacobi(j)
+    power = IntRows.one(j.trunc)
+    for _ in range(n):
+        power = power * rows
+    assert power.to_jacobi() == j ** n
