@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import genera, modforms, oracle, sigma
-from .conway import DataError, bundled_data, load_class_data
+from .conway import DataError, _validate_record, bundled_data, load_class_data
 from .report import CheckReport, Suite
 from .scalars import format_radical
 from .series import JacobiSeries, QSeries, first_difference
@@ -183,17 +183,13 @@ def _suite_coincidences(data, orders):
 
 
 def _suite_constants(data, orders):
-    from .conway import c_squared_oracle, d_squared_oracle
-    from .scalars import RadicalScalar
     out = []
     for rec in data.classes.values():
-        ok = rec.c_neg_g * rec.c_neg_g == RadicalScalar.from_rational(
-            c_squared_oracle(rec.fs_g))
-        ok = ok and rec.fs_g.negate() == rec.fs_neg_g
-        ok = ok and rec.fs_neg_g.negate() == rec.fs_g
-        for ell, mag in rec.d_magnitude.items():
-            ok = ok and mag * mag == RadicalScalar.from_rational(
-                d_squared_oracle(rec.fs_g, ell))
+        try:
+            _validate_record(rec)
+            ok = rec.fs_neg_g.negate() == rec.fs_g
+        except DataError:
+            ok = False
         out.append(CheckReport(f"constants[{rec.co0_name}]",
                                "pass" if ok else "fail"))
     return out

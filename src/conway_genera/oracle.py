@@ -1,10 +1,20 @@
 """Brute-force graded traces on the fermionic module and its twist.
 
 This is a test fixture, deliberately independent of the closed product
-formulas: states are enumerated monomial by monomial, the lifted class
-representative acts through explicit eigenvalue data in a cyclotomic
-field, and traces are accumulated exactly.  Agreement with the series
-produced by the genera module at low degree validates both sides.
+formulas: states are enumerated from explicit subsets of mode labels,
+the lifted class representative acts through explicit eigenvalue data in
+a cyclotomic field, and traces are accumulated exactly.  Agreement with
+the series produced by the genera module at low degree validates both
+sides.
+
+Enumeration.  Every k-subset of the mode labels is walked one by one,
+and subsets with the same (eigenvalue exponent, charge) profile are
+merged into one histogram row with its multiplicity, and the levels of
+the mode tower are combined the same way.  Traces are then integer
+counts per (degree, charge, parity, exponent), reduced into the
+cyclotomic field once per coefficient.  Each sector is enumerated once
+per assembled trace; its plain and involution-inserted traces differ
+only in the parity weights of the same counts.
 
 Conventions.  A class with eigenvalue pairs (lambda_i, lambda_i^{-1}),
 i = 1..12, acts on each mode label by its eigenvalue; the central
@@ -19,6 +29,7 @@ convention is not re-derived at this scale.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,17 +83,15 @@ class CycloNumber:
     __slots__ = ("order", "vec")
 
     def __init__(self, order: int, vec):
-        phi = cyclotomic_poly(order)
-        deg = len(phi) - 1
-        v = [Fraction(x) for x in vec]
+        deg = len(cyclotomic_poly(order)) - 1
+        v = list(vec)
         if len(v) > deg:
-            v = self._reduce(order, v)
-        v += [Fraction(0)] * (deg - len(v))
+            v = self._reduce(order, v)  # before conversion: ints reduce faster
         self.order = order
-        self.vec = tuple(v)
+        self.vec = tuple(Fraction(x) for x in v) + (Fraction(0),) * (deg - len(v))
 
     @staticmethod
-    def _reduce(order: int, v: list[Fraction]) -> list[Fraction]:
+    def _reduce(order: int, v: list) -> list:
         phi = cyclotomic_poly(order)
         deg = len(phi) - 1
         v = list(v)
@@ -394,7 +403,7 @@ class EigenSystem:
         return sigma, exp % self.order, marked // 2
 
 
-# -- basis enumeration -------------------------------------------------------
+# -- mode enumeration ----------------------------------------------------------
 
 
 def _check_bound(degree_bound) -> Fraction:
@@ -406,20 +415,27 @@ def _check_bound(degree_bound) -> Fraction:
     return bound
 
 
-def _subsets_by_level(labels, cap: int, weight_of, collect) -> None:
-    """Walk all mode monomials with total weight <= cap, level by level."""
+def _walk_levels(cap: int, weight_of, start, extend) -> dict:
+    """{(weight, state): multiplicity} over all mode monomials of weight <= cap.
 
-    def rec(n: int, remaining: int, state):
-        w = weight_of(n)
-        if w > remaining or w <= 0:
-            collect(state)
-            return
-        rec(n + 1, remaining, state)
-        for k in range(1, remaining // w + 1):
-            for combo in itertools.combinations(labels, k):
-                rec(n + 1, remaining - k * w, state + tuple((lab, n) for lab in combo))
-
-    rec(1, cap, ())
+    Modes at level n = 1, 2, ... weigh weight_of(n), which increases with
+    n.  A state with room for k more modes at level n grows into every
+    (state', multiplicity) that extend(state, n, k) returns; taking no mode
+    of a level leaves it unchanged.  Equal states are merged, adding their
+    multiplicities.
+    """
+    states = {(0, start): 1}
+    n = 1
+    while (w := weight_of(n)) <= cap:
+        grown = dict(states)
+        for (weight, state), mult in states.items():
+            for k in range(1, (cap - weight) // w + 1):
+                for new, m in extend(state, n, k):
+                    key = (weight + k * w, new)
+                    grown[key] = grown.get(key, 0) + mult * m
+        states = grown
+        n += 1
+    return states
 
 
 def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
@@ -431,24 +447,22 @@ def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
     """
     bound = _check_bound(degree_bound)
     labels = [(i, s) for i in range(12) for s in (1, -1)]
-    out: list[tuple] = []
+
+    def extend(monomial, n, k):
+        return [(monomial + tuple((i, s, n) for i, s in combo), 1)
+                for combo in itertools.combinations(labels, k)]
+
     if sector == "untwisted":
         cap = int(2 * bound) + 1  # ground at -1/2; modes weigh 2n-1
-
-        def collect(state):
-            out.append(tuple((i, s, n) for (i, s), n in state))
-
-        if cap >= 0:
-            _subsets_by_level(labels, cap, lambda n: 2 * n - 1, collect)
-        return out
+        if cap < 0:
+            return []
+        return [m for _, m in _walk_levels(cap, lambda n: 2 * n - 1, (), extend)]
     if sector == "twisted":
         if bound < 1:
             return []
         cap = int(bound) - 1  # ground at +1; modes weigh n
-        mode_sets: list[tuple] = []
-        _subsets_by_level(labels, cap, lambda n: n,
-                          lambda state: mode_sets.append(
-                              tuple((i, s, n) for (i, s), n in state)))
+        mode_sets = [m for _, m in _walk_levels(cap, lambda n: n, (), extend)]
+        out: list[tuple] = []
         for k in range(13):
             for zs in itertools.combinations(range(12), k):
                 base = tuple((i, -1, 0) for i in zs)
@@ -460,51 +474,50 @@ def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
 # -- trace accumulation --------------------------------------------------------
 
 
-def _profiles_per_size(labels: list[tuple[int, int]], order: int,
-                       max_k: int) -> dict[int, list[tuple[int, int]]]:
-    """(exponent mod order, charge) sums over k-subsets, for k <= max_k."""
-    table: dict[int, list[tuple[int, int]]] = {}
+def _subset_histogram(labels: list[tuple[int, int]], order: int,
+                      max_k: int) -> list[Counter]:
+    """Entry k: {(exponent mod order, charge): number of k-subsets}.
+
+    Every k-subset of the labels, k <= max_k, is enumerated; subsets with
+    equal exponent and charge sums are merged into one entry.  Exponents
+    lie in [0, order).
+    """
+    # (e, c) packs into e + c * base; base exceeds every exponent sum, so
+    # divmod recovers the charge and exponent sums of a subset from one sum
+    base = order * len(labels) + 1
+    packed = [e + c * base for e, c in labels]
+    table = []
     for k in range(max_k + 1):
-        rows = []
-        for combo in itertools.combinations(labels, k):
-            e = sum(x[0] for x in combo) % order
-            c = sum(x[1] for x in combo)
-            rows.append((e, c))
-        table[k] = rows
+        rows: Counter = Counter()
+        for total, count in Counter(map(sum, itertools.combinations(packed, k))).items():
+            charge, exp = divmod(total, base)
+            rows[(exp % order, charge)] += count
+        table.append(rows)
     return table
 
 
-def _mode_profiles(labels, order: int, cap: int, weight_of):
-    """(weight, exponent, charge, mode count) over all mode monomials."""
-    if cap < 0:
-        return []
-    table = _profiles_per_size(labels, order, cap)
-    out: list[tuple[int, int, int, int]] = []
+def _mode_histogram(labels, order: int, cap: int, weight_of) -> dict:
+    """{(weight, (exponent, charge, parity)): count} over all mode monomials."""
+    table = _subset_histogram(labels, order, cap)
 
-    def rec(n: int, remaining: int, weight: int, exp: int, charge: int, count: int):
-        w = weight_of(n)
-        if w > remaining or w <= 0:
-            out.append((weight, exp % order, charge, count))
-            return
-        rec(n + 1, remaining, weight, exp, charge, count)
-        for k in range(1, remaining // w + 1):
-            for e, c in table[k]:
-                rec(n + 1, remaining - k * w, weight + k * w,
-                    exp + e, charge + c, count + k)
+    def extend(state, n, k):
+        exp, charge, parity = state
+        return [(((exp + e) % order, charge + c, (parity + k) % 2), m)
+                for (e, c), m in table[k].items()]
 
-    rec(1, cap, 0, 0, 0, 0)
-    return out
+    return _walk_levels(cap, weight_of, (0, 0, 0), extend)
 
 
 def _untwisted_buckets(system: EigenSystem, bound: Fraction) -> dict:
     """counts[(deg2, charge, parity)][exponent]; deg2 = twice the grading."""
     cap = int(2 * bound) + 1
     buckets: dict[tuple[int, int, int], dict[int, int]] = {}
-    for weight, exp, charge, count in _mode_profiles(
-            system.mode_labels(), system.order, cap, lambda n: 2 * n - 1):
-        key = (weight - 1, charge, count % 2)
-        slot = buckets.setdefault(key, {})
-        slot[exp] = slot.get(exp, 0) + 1
+    if cap < 0:
+        return buckets
+    for (weight, (exp, charge, parity)), count in _mode_histogram(
+            system.mode_labels(), system.order, cap, lambda n: 2 * n - 1).items():
+        slot = buckets.setdefault((weight - 1, charge, parity), {})
+        slot[exp] = slot.get(exp, 0) + count
     return buckets
 
 
@@ -515,40 +528,50 @@ def _twisted_buckets(system: EigenSystem, bound: Fraction) -> dict:
     cap = int(bound) - 1
     if cap < 0:
         return {}
-    zero_profiles: list[tuple[int, int, int]] = [(0, 0, 0)]
-    for exp, charge in system.zero_mode_labels():
-        zero_profiles += [((e + exp) % order, c + charge, p + 1)
-                          for e, c, p in zero_profiles]
-    mode_profiles = _mode_profiles(system.mode_labels(), order, cap, lambda n: n)
+    zero_labels = system.zero_mode_labels()
+    zero_table = _subset_histogram(zero_labels, order, len(zero_labels))
+    modes = _mode_histogram(system.mode_labels(), order, cap, lambda n: n)
     buckets: dict[tuple[int, int, int], dict[int, int]] = {}
-    for z_exp, z_charge, z_par in zero_profiles:
-        for weight, m_exp, m_charge, m_count in mode_profiles:
-            key = (1 + weight, ground_charge + z_charge + m_charge,
-                   (z_par + m_count) % 2)
-            exp = (nu_exp + z_exp + m_exp) % order
-            slot = buckets.setdefault(key, {})
-            slot[exp] = slot.get(exp, 0) + sigma
+    for z_count, rows in enumerate(zero_table):
+        for (z_exp, z_charge), z_mult in rows.items():
+            for (weight, (m_exp, m_charge, m_par)), m_mult in modes.items():
+                key = (1 + weight, ground_charge + z_charge + m_charge,
+                       (z_count + m_par) % 2)
+                exp = (nu_exp + z_exp + m_exp) % order
+                slot = buckets.setdefault(key, {})
+                slot[exp] = slot.get(exp, 0) + sigma * z_mult * m_mult
     return buckets
 
 
-def _bucket_series(buckets: dict, order: int, insert_z: bool, j_weight: bool,
-                   twisted: bool) -> dict:
-    """Collapse buckets to {grid key: value} ({grid: {charge: value}} weighted)."""
-    flat: dict = {}
-    for (deg_unit, charge, parity), exps in buckets.items():
-        grid = deg_unit * (24 if twisted else 12)
-        sign = -1 if (insert_z and parity) else 1
-        vec_key = (grid, charge) if j_weight else grid
-        acc = flat.get(vec_key, CycloNumber.zero(order))
-        for e, count in exps.items():
-            if count:
-                acc = acc + CycloNumber.root(order, e) * (sign * count)
-        flat[vec_key] = acc
+#: sector -> (bucket builder, grid index step of one bucket degree unit)
+_SECTORS = {"untwisted": (_untwisted_buckets, 12), "twisted": (_twisted_buckets, 24)}
+
+
+def _trace(system: EigenSystem, bound: Fraction, weights: dict,
+           j_weight: bool) -> dict:
+    """Weighted sum of sector traces as {grid key: CycloNumber}.
+
+    weights maps a sector to the (even, odd) weights of its bucket counts
+    by mode-count parity.  The counts of each key are added into one
+    integer vector over the exponents, which is reduced once into
+    Q(zeta_N).  Every bucket key appears, with value zero where its
+    weight vanishes.  With j_weight the result is {grid: {charge: value}}.
+    """
+    order = system.order
+    vectors: dict = {}
+    for sector, (even, odd) in weights.items():
+        build, step = _SECTORS[sector]
+        for (deg, charge, parity), exps in build(system, bound).items():
+            vec = vectors.setdefault((deg * step, charge) if j_weight else deg * step,
+                                     [0] * order)
+            w = odd if parity else even
+            for e, count in exps.items():
+                vec[e] += w * count
     if not j_weight:
-        return flat
+        return {grid: CycloNumber(order, vec) for grid, vec in vectors.items()}
     nested: dict[int, dict[int, CycloNumber]] = {}
-    for (grid, charge), val in flat.items():
-        nested.setdefault(grid, {})[charge] = val
+    for (grid, charge), vec in vectors.items():
+        nested.setdefault(grid, {})[charge] = CycloNumber(order, vec)
     return nested
 
 
@@ -576,14 +599,10 @@ def brute_trace(rec: ConwayClassRecord, sector: str, z_insertion: bool = True,
     """
     bound = _check_bound(degree_bound)
     system = build_system(rec, j_weight=j_weight, d_sign=d_sign, ell=ell)
-    if sector == "untwisted":
-        buckets = _untwisted_buckets(system, bound)
-    elif sector == "twisted":
-        buckets = _twisted_buckets(system, bound)
-    else:
+    if sector not in _SECTORS:
         raise ValueError("sector must be 'untwisted' or 'twisted'")
-    return _bucket_series(buckets, system.order, z_insertion, j_weight,
-                          twisted=(sector == "twisted"))
+    return _trace(system, bound, {sector: (1, -1) if z_insertion else (1, 1)},
+                  j_weight)
 
 
 def cm_ground_trace(fs: FrameShape, with_z: bool = True,
@@ -599,56 +618,36 @@ def cm_ground_trace(fs: FrameShape, with_z: bool = True,
 
 # -- assembled module traces ---------------------------------------------------
 
+# Each half of the module is the average of a sector's plain and
+# involution-inserted traces, which keeps the states of one mode-count
+# parity.  So every assembled trace weighs the bucket counts of each
+# sector by parity: (even, odd).
 
-def _combine(maps_signs, order: int, j_weight: bool, scale: Fraction) -> dict:
-    zero = CycloNumber.zero(order)
-    if not j_weight:
-        out: dict[int, CycloNumber] = {}
-        for m, s in maps_signs:
-            for k, v in m.items():
-                out[k] = out.get(k, zero) + v * (s * scale)
-        return out
-    out2: dict[int, dict[int, CycloNumber]] = {}
-    for m, s in maps_signs:
-        for k, charges in m.items():
-            slot = out2.setdefault(k, {})
-            for charge, v in charges.items():
-                slot[charge] = slot.get(charge, zero) + v * (s * scale)
-    return out2
+#: ts_g: even untwisted minus odd twisted; its twist: even twisted minus
+#: odd untwisted
+_TS_WEIGHTS = {"g": {"untwisted": (1, 0), "twisted": (0, -1)},
+               "g_tw": {"untwisted": (0, -1), "twisted": (1, 0)}}
+
+#: the genus is minus the trace over odd untwisted plus even twisted
+#: states, with the involution inserted
+_PHI_WEIGHTS = {"untwisted": (0, 1), "twisted": (-1, 0)}
 
 
 def brute_ts(rec: ConwayClassRecord, which: str = "g", degree_bound=2) -> dict:
     """Brute counterpart of ts_g, keyed by grid index.
 
     The module splits into the parity-even untwisted and parity-odd
-    twisted halves (or the complementary pair for the twisted trace);
-    each half is the average of the plain and involution-inserted
-    sector traces.
+    twisted halves (or the complementary pair for the twisted trace).
     """
-    system = build_system(rec)
-    order = system.order
-    unt_z = brute_trace(rec, "untwisted", True, False, degree_bound)
-    unt = brute_trace(rec, "untwisted", False, False, degree_bound)
-    tw_z = brute_trace(rec, "twisted", True, False, degree_bound)
-    tw = brute_trace(rec, "twisted", False, False, degree_bound)
-    if which == "g":
-        parts = [(unt_z, 1), (unt, 1), (tw_z, 1), (tw, -1)]
-    elif which == "g_tw":
-        parts = [(unt_z, 1), (unt, -1), (tw_z, 1), (tw, 1)]
-    else:
+    bound = _check_bound(degree_bound)
+    if which not in _TS_WEIGHTS:
         raise ValueError("which must be 'g' or 'g_tw'")
-    return _combine(parts, order, False, Fraction(1, 2))
+    return _trace(build_system(rec), bound, _TS_WEIGHTS[which], False)
 
 
 def brute_phi(rec: ConwayClassRecord, d_sign: int = 1, ell: int = 2,
               degree_bound=2) -> dict:
     """Brute counterpart of the genus: minus the charge-weighted trace."""
+    bound = _check_bound(degree_bound)
     system = build_system(rec, j_weight=True, d_sign=d_sign, ell=ell)
-    order = system.order
-    unt_z = brute_trace(rec, "untwisted", True, True, degree_bound, d_sign, ell)
-    unt = brute_trace(rec, "untwisted", False, True, degree_bound, d_sign, ell)
-    tw_z = brute_trace(rec, "twisted", True, True, degree_bound, d_sign, ell)
-    tw = brute_trace(rec, "twisted", False, True, degree_bound, d_sign, ell)
-    # module = odd untwisted + even twisted; genus = -(trace)
-    parts = [(unt_z, -1), (unt, 1), (tw_z, -1), (tw, -1)]
-    return _combine(parts, order, True, Fraction(1, 2))
+    return _trace(system, bound, _PHI_WEIGHTS, True)

@@ -144,3 +144,16 @@ def test_coincidence_row_without_lambency_is_a_data_error(tmp_path, capsys):
     path = _data_dir(tmp_path, _bundled("classes.json"), coincidences)
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
     assert code == 3 and err.startswith("data error:")
+
+
+def test_constants_suite_fails_a_record_the_loader_rejects():
+    from dataclasses import replace
+
+    from conway_genera.conway import ClassData, bundled_data
+    data = bundled_data()
+    good = data.record("1A")
+    bad = replace(data.record("3C"), c_neg_g=data.record("3C").c_neg_g + 1)
+    reports = cli._suite_constants(
+        ClassData(classes={"1A": good, "3C": bad}, relations=[]), None)
+    assert [(r.name, r.status) for r in reports] == [
+        ("constants[1A]", "pass"), ("constants[3C]", "fail")]

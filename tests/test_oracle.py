@@ -1,11 +1,19 @@
+import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conway_genera import genera, oracle
-from conway_genera.conway import FrameShape
+from conway_genera.conway import FrameShape, bundled_data
 from conway_genera.oracle import CycloNumber, OracleError
 from conway_genera.scalars import RadicalScalar
+
+CLASSES = tuple(bundled_data().classes.values())
+
+#: every eigenvalue order of the bundled classes
+ORDERS = sorted({oracle.EigenSystem(rec.fs_g).order for rec in CLASSES})
 
 
 def test_cyclotomic_polynomials():
@@ -14,6 +22,37 @@ def test_cyclotomic_polynomials():
     assert oracle.cyclotomic_poly(4) == (1, 0, 1)
     assert oracle.cyclotomic_poly(6) == (1, -1, 1)
     assert oracle.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in ORDERS:
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert oracle.cyclotomic_poly(n) == tuple(int(c) for c in want), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cyclo_reduction_and_product_match_sympy_rem(draw):
+    sympy = pytest.importorskip("sympy")
+    n = draw.draw(st.sampled_from(ORDERS))
+    deg = len(oracle.cyclotomic_poly(n)) - 1
+    vectors = st.lists(st.integers(-50, 50), min_size=deg + 1, max_size=n + deg)
+    u, w = draw.draw(vectors), draw.draw(vectors)
+    x = sympy.symbols("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+
+    def poly(vec):
+        return sympy.Poly(list(reversed(vec)), x)
+
+    def reduced(p):
+        low = [Fraction(int(c)) for c in reversed(sympy.rem(p, phi).all_coeffs())]
+        return tuple(low + [Fraction(0)] * (deg - len(low)))
+
+    a, b = CycloNumber(n, u), CycloNumber(n, w)
+    assert a.vec == reduced(poly(u))
+    assert (a * b).vec == reduced(poly(u) * poly(w))
 
 
 def test_cyclo_number_roots():
@@ -142,17 +181,88 @@ def _assert_brute_matches_jacobi(brute, series):
         assert want == have, f"deviation at grid {grid}, y half-index {ry}"
 
 
-REQUIRED = (("1A", 1), ("2B", 1), ("2D", 1), ("3D", 1), ("4D", 1), ("4D", -1))
-
-
-@pytest.mark.parametrize("name,sign", REQUIRED)
-def test_brute_traces_match_closed_forms(data, name, sign):
+@pytest.mark.parametrize("name", [rec.co0_name for rec in CLASSES])
+def test_brute_ts_matches_closed_forms(data, name):
     rec = data.record(name)
     for which in ("g", "g_tw"):
         _assert_brute_matches_q(oracle.brute_ts(rec, which, 2),
                                 genera.ts_g(rec, which, "chi", 3))
+
+
+def _phi_case(rec, sign):
+    marks = ()
+    if rec.co0_name == "5C":
+        marks = pytest.mark.xfail(strict=True,
+                                  reason="ROADMAP item 4: 5C D-sign discrepancy")
+    return pytest.param(rec.co0_name, sign, marks=marks)
+
+
+@pytest.mark.parametrize("name,sign", [
+    _phi_case(rec, sign) for rec in CLASSES
+    for sign in ((1,) if rec.d_magnitude[2].is_zero else (1, -1))])
+def test_brute_traces_match_closed_forms(data, name, sign):
+    rec = data.record(name)
     _assert_brute_matches_jacobi(oracle.brute_phi(rec, sign, 2, 2),
                                  genera.phi_g(rec, sign, 3))
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return {(sector, bound): oracle.enumerate_basis(sector, bound)
+            for sector, bound in (("untwisted", 1), ("untwisted", 2), ("twisted", 1))}
+
+
+def _tally(system, monomials, twisted):
+    """(degree, charge, parity) -> {exponent: count}, one monomial at a time."""
+    labels = system.mode_labels()
+    zero = system.zero_mode_labels()
+    sigma, ground_exp, ground_charge = system.ground_data() if twisted else (1, 0, 0)
+    buckets = {}
+    for monomial in monomials:
+        exp, charge = ground_exp, ground_charge
+        for i, side, n in monomial:
+            e, c = zero[i] if n == 0 else labels[2 * i + (side == -1)]
+            exp += e
+            charge += c
+        if twisted:
+            degree = 1 + sum(n for _, _, n in monomial)
+        else:
+            degree = -1 + sum(2 * n - 1 for _, _, n in monomial)
+        slot = buckets.setdefault((degree, charge, len(monomial) % 2), {})
+        exp %= system.order
+        slot[exp] = slot.get(exp, 0) + sigma
+    return buckets
+
+
+@pytest.mark.parametrize("name,j_weight,sign", [
+    ("1A", False, 1), ("4D", True, 1), ("4D", True, -1), ("5C", False, 1),
+    ("5C", True, 1), ("15D", False, 1)])
+def test_histogram_buckets_match_literal_enumeration(data, bases, name, j_weight, sign):
+    system = oracle.build_system(data.record(name), j_weight=j_weight, d_sign=sign)
+    for sector, bound in bases:
+        twisted = sector == "twisted"
+        build = oracle._twisted_buckets if twisted else oracle._untwisted_buckets
+        assert build(system, Fraction(bound)) \
+            == _tally(system, bases[(sector, bound)], twisted), (sector, bound)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rec: oracle.brute_ts(rec, "g", 2),
+    lambda rec: oracle.brute_phi(rec, 1, 2, 2),
+    lambda rec: oracle.brute_trace(rec, "twisted", True, True, 2),
+    lambda rec: oracle.enumerate_basis("untwisted", 1),
+    lambda rec: oracle.enumerate_basis("twisted", 2),
+], ids=["brute_ts", "brute_phi", "brute_trace", "enumerate_untwisted",
+        "enumerate_twisted"])
+def test_oracle_leaves_no_reference_cycles(data, call):
+    rec = data.record("2B")
+    gc.collect()
+    gc.disable()
+    try:
+        call(rec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_twisted_ground_dimension(data):
@@ -163,8 +273,13 @@ def test_brute_twisted_ground_dimension(data):
 
 
 def test_brute_trace_guard(data):
+    rec = data.record("1A")
     with pytest.raises(ValueError, match="desk-scale"):
-        oracle.brute_trace(data.record("1A"), "twisted", degree_bound=5)
+        oracle.brute_trace(rec, "twisted", degree_bound=5)
+    with pytest.raises(ValueError, match="desk-scale"):
+        oracle.brute_ts(rec, "g", 4)
+    with pytest.raises(ValueError, match="desk-scale"):
+        oracle.brute_phi(rec, 1, 2, 4)
 
 
 def test_normalization_follows_requested_sign(data):
