@@ -8,6 +8,14 @@ ratios, the four Jacobi theta functions with their normalized quotients,
 the standard weak Jacobi forms phi_{0,1} and phi_{-2,1}, and the order-2
 Hecke operator.
 
+Every product of (1 +- q^a) factors -- Euler products, eta and Delta,
+the eta products of Frame shapes and their half-argument ratios, the
+theta-quotient denominators and the fermion characters of the sigma
+module -- is one call of `power_product`, an integer recurrence on the
+logarithmic derivative of prod (1 - q^a)^e.  A plus sign enters as
+1 + x = (1 - x^2)/(1 - x) and an inverse as a negative exponent, so no
+series power or inverse is taken for any of them.
+
 All constructors take a truncation index `prec` on the (1/24)Z grid and
 return a series truncated at exactly that index.  Results are cached;
 series are immutable, so sharing cached objects is safe.
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .report import CheckReport
 from .series import GridError, JacobiSeries, QSeries, first_difference
@@ -28,10 +37,6 @@ THETA4 = "theta4"
 THETA1SQ = "theta1sq"
 
 _QUOTIENT_KINDS = (THETA2, THETA3, THETA4, THETA1SQ)
-
-# grid head-room used when assembling eta products from their factors
-_ETA_MARGIN = 36
-
 
 def sigma1(n: int) -> int:
     """Divisor sum of n."""
@@ -46,32 +51,74 @@ def sigma1(n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _euler_product(prec: int, step: int, sign: int = -1) -> QSeries:
-    """prod_{n>0} (1 + sign*q^(step*n/24)), truncated at grid index prec."""
-    out = QSeries.one(prec)
-    n = 1
-    while step * n < prec:
-        out = out * QSeries({0: 1, step * n: sign}, prec)
-        n += 1
-    return out
+def power_product(exponents: dict[int, int], prec: int) -> QSeries:
+    """prod_a (1 - q^(a/24))^e over a finite {a: e}, truncated at grid index prec.
+
+    Every a must be positive; every e is an integer of either sign.  The
+    product is expanded in x = q^(g/24), g the gcd of the a below prec,
+    by its logarithmic derivative: with c_N = sum_{b | N} b e_{bg},
+    N f_N = -sum_{i=1..N} c_i f_{N-i}.  All f_N are integers, so a
+    division that leaves a remainder raises ValueError.
+    """
+    if any(a <= 0 for a in exponents):
+        raise ValueError("power_product needs positive factor exponents")
+    live = {a: e for a, e in exponents.items() if e and a < prec}
+    if not live:
+        return QSeries.one(prec)
+    step = gcd(*live)
+    top = (prec - 1) // step  # the last N with N * step < prec
+    c = [0] * (top + 1)
+    for a, e in live.items():
+        b = a // step
+        for n in range(b, top + 1, b):
+            c[n] += b * e
+    terms = [(i, ci) for i, ci in enumerate(c) if ci]
+    f = [1] + [0] * top
+    for n in range(1, top + 1):
+        total = 0
+        for i, ci in terms:
+            if i > n:
+                break
+            total += ci * f[n - i]
+        f[n], rem = divmod(-total, n)
+        if rem:
+            raise ValueError(
+                f"inexact recurrence step at q^{Fraction(n * step, 24)} in power_product")
+    return QSeries({n * step: v for n, v in enumerate(f) if v}, prec)
+
+
+def _add_modes(exponents: dict[int, int], first: int, step: int, prec: int,
+               sign: int, power: int) -> dict[int, int]:
+    """Add prod_{n>=0} (1 + sign*q^((first + n*step)/24))^power to an {a: e} map.
+
+    Only factors below grid index prec are added; the others are 1 there.
+    A plus sign enters through 1 + x = (1 - x^2) / (1 - x).
+    """
+    for a in range(first, prec, step):
+        if sign < 0:
+            exponents[a] = exponents.get(a, 0) + power
+        else:
+            exponents[a] = exponents.get(a, 0) - power
+            exponents[2 * a] = exponents.get(2 * a, 0) + power
+    return exponents
 
 
 @lru_cache(maxsize=None)
-def _half_odd_product(prec: int, step: int, sign: int = -1) -> QSeries:
-    """prod_{n>0} (1 + sign*q^(step*(2n-1)/48)), truncated at prec.
+def _euler_product(prec: int, step: int, sign: int = -1, power: int = 1) -> QSeries:
+    """prod_{n>0} (1 + sign*q^(step*n/24))^power, truncated at grid index prec."""
+    return power_product(_add_modes({}, step, step, prec, sign, power), prec)
+
+
+@lru_cache(maxsize=None)
+def _half_odd_product(prec: int, step: int, sign: int = -1, power: int = 1) -> QSeries:
+    """prod_{n>0} (1 + sign*q^(step*(2n-1)/48))^power, truncated at prec.
 
     step is measured in whole-q units times 24, so the factor exponents
     are step*(2n-1)/2 grid indices; they must land on the integer grid.
     """
     if step % 2 != 0:
         raise GridError("grid violation: half-odd product steps off the (1/24)Z grid")
-    out = QSeries.one(prec)
-    n = 1
-    while (step // 2) * (2 * n - 1) < prec:
-        out = out * QSeries({0: 1, (step // 2) * (2 * n - 1): sign}, prec)
-        n += 1
-    return out
+    return power_product(_add_modes({}, step // 2, step, prec, sign, power), prec)
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +137,8 @@ def eta_scaled(m: int, prec: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def delta(prec: int) -> QSeries:
-    """Ramanujan Delta = eta^24."""
-    return (eta(prec + 23) ** 24).truncate(prec)
+    """Ramanujan Delta = eta^24 = q prod_{n>0} (1 - q^n)^24."""
+    return _euler_product(max(prec - 24, 0), 24, -1, 24).shift(24).truncate(prec)
 
 
 @lru_cache(maxsize=None)
@@ -140,17 +187,12 @@ def eta_product(fs, prec: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _eta_product_cached(factors: tuple, prec: int) -> QSeries:
-    work = prec + _ETA_MARGIN
-    out = QSeries.one(work)
+    lead = sum(m * k for m, k in factors)
+    work = max(prec - lead, 0)
+    exponents: dict[int, int] = {}
     for m, k in factors:
-        leaf = eta_scaled(m, work)
-        piece = leaf ** abs(k)
-        if k < 0:
-            piece = piece.inverse()
-        out = out * piece
-    if out.trunc < prec:
-        raise ValueError("internal truncation shortfall in eta_product")
-    return out.truncate(prec)
+        _add_modes(exponents, 24 * m, 24 * m, work, -1, k)
+    return power_product(exponents, work).shift(lead).truncate(prec)
 
 
 def eta_ratio_half(fs, prec: int) -> QSeries:
@@ -165,18 +207,11 @@ def eta_ratio_half(fs, prec: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _eta_ratio_cached(factors: tuple, prec: int) -> QSeries:
-    work = prec + 12 + _ETA_MARGIN
-    out = QSeries.one(work)
+    work = prec + 12
+    exponents: dict[int, int] = {}
     for m, k in factors:
-        leaf = _half_odd_product(work, 24 * m)
-        piece = leaf ** abs(k)
-        if k < 0:
-            piece = piece.inverse()
-        out = out * piece
-    out = out.shift(-12)
-    if out.trunc < prec:
-        raise ValueError("internal truncation shortfall in eta_ratio_half")
-    return out.truncate(prec)
+        _add_modes(exponents, 12 * m, 24 * m, work, -1, k)
+    return power_product(exponents, work).shift(-12)
 
 
 # -- Jacobi theta functions ---------------------------------------------
@@ -240,20 +275,20 @@ def theta_quotient(kind: str, prec: int) -> JacobiSeries:
         ground = JacobiSeries(
             {(0, 2): Fraction(1, 4), (0, 0): Fraction(1, 2), (0, -2): Fraction(1, 4)}, prec)
         num = _pair_product(prec, +1, half=False)
-        den = _euler_product(prec, 24, +1) ** 4
+        den_inv = _euler_product(prec, 24, +1, -4)
     elif kind == THETA3:
         ground = JacobiSeries.one(prec)
         num = _pair_product(prec, +1, half=True)
-        den = _half_odd_product(prec, 24, +1) ** 4
+        den_inv = _half_odd_product(prec, 24, +1, -4)
     elif kind == THETA4:
         ground = JacobiSeries.one(prec)
         num = _pair_product(prec, -1, half=True)
-        den = _half_odd_product(prec, 24, -1) ** 4
+        den_inv = _half_odd_product(prec, 24, -1, -4)
     else:  # THETA1SQ = theta_1^2 / eta^6 = -(y - 2 + 1/y) * prod(...)
         ground = JacobiSeries({(0, 2): -1, (0, 0): 2, (0, -2): -1}, prec)
         num = _pair_product(prec, -1, half=False)
-        den = _euler_product(prec, 24, -1) ** 4
-    return (ground * num * den.inverse()).truncate(prec)
+        den_inv = _euler_product(prec, 24, -1, -4)
+    return (ground * num * den_inv).truncate(prec)
 
 
 def theta_quotient_from_sums(i: int, prec: int) -> JacobiSeries:

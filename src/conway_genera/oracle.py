@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import floor, gcd
 
 from .conway import ConwayClassRecord, FrameShape
 from .scalars import RADICAL_BASIS, RadicalScalar
@@ -453,7 +453,7 @@ def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
                 for combo in itertools.combinations(labels, k)]
 
     if sector == "untwisted":
-        cap = int(2 * bound) + 1  # ground at -1/2; modes weigh 2n-1
+        cap = floor(2 * bound) + 1  # ground at -1/2; modes weigh 2n-1
         if cap < 0:
             return []
         return [m for _, m in _walk_levels(cap, lambda n: 2 * n - 1, (), extend)]
@@ -510,7 +510,7 @@ def _mode_histogram(labels, order: int, cap: int, weight_of) -> dict:
 
 def _untwisted_buckets(system: EigenSystem, bound: Fraction) -> dict:
     """counts[(deg2, charge, parity)][exponent]; deg2 = twice the grading."""
-    cap = int(2 * bound) + 1
+    cap = floor(2 * bound) + 1
     buckets: dict[tuple[int, int, int], dict[int, int]] = {}
     if cap < 0:
         return buckets

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from . import modforms
@@ -48,19 +49,29 @@ def _in_coset(m: tuple[int, int, int, int], label: str) -> bool:
     raise ValueError(f"unknown coset {label!r}")
 
 
+#: coset -> (parity of the doubled coordinates, their sum mod 4)
+_COSET_CLASS = {"0": (0, 0), "1": (0, 2), "omega": (1, 0), "omegabar": (1, 2)}
+
+
+def _coordinates(radius: int, parity: int) -> list[int]:
+    """Doubled coordinates of one parity with absolute value at most radius."""
+    return [m for m in range(-radius, radius + 1) if m % 2 == parity]
+
+
 @lru_cache(maxsize=None)
 def d4_coset_theta(label: str, prec: int) -> QSeries:
     """Theta series of one dual-lattice coset, sum over q^(|v|^2/2).
 
     Exponent grid: |v|^2/2 = sum(m^2)/8 for doubled coordinates m, i.e.
-    grid index 3*sum(m^2).
+    grid index 3*sum(m^2).  Only coordinates of the coset's parity are
+    visited; the coordinate sum mod 4 then separates the two cosets of
+    each parity.
     """
     if label not in COSETS:
         raise ValueError(f"unknown coset {label!r}")
-    bound = prec // 3  # need 3*sum(m^2) < prec
-    radius = isqrt(bound)
+    parity, residue = _COSET_CLASS[label]
+    rng = _coordinates(isqrt(prec // 3), parity)  # need 3*sum(m^2) < prec
     counts: dict[int, int] = {}
-    rng = range(-radius, radius + 1)
     for m1 in rng:
         s1 = m1 * m1
         if 3 * s1 >= prec:
@@ -73,33 +84,27 @@ def d4_coset_theta(label: str, prec: int) -> QSeries:
                 s3 = s2 + m3 * m3
                 if 3 * s3 >= prec:
                     continue
+                t3 = m1 + m2 + m3
                 for m4 in rng:
-                    s4 = s3 + m4 * m4
-                    key = 3 * s4
-                    if key >= prec:
-                        continue
-                    if _in_coset((m1, m2, m3, m4), label):
+                    key = 3 * (s3 + m4 * m4)
+                    if key < prec and (t3 + m4) % 4 == residue:
                         counts[key] = counts.get(key, 0) + 1
     return QSeries(counts, prec)
 
 
 def dual_lattice_theta(prec: int) -> QSeries:
-    """Theta series of the full dual lattice, enumerated independently."""
-    bound = prec // 3
-    radius = isqrt(bound)
+    """Theta series of the full dual lattice, enumerated independently.
+
+    The dual lattice is every doubled vector whose coordinates are all
+    even or all odd, so it is the union of those two boxes.
+    """
+    radius = isqrt(prec // 3)
     counts: dict[int, int] = {}
-    rng = range(-radius, radius + 1)
-    for m1 in rng:
-        for m2 in rng:
-            for m3 in rng:
-                for m4 in rng:
-                    m = (m1, m2, m3, m4)
-                    parities = {x % 2 for x in m}
-                    if len(parities) != 1:
-                        continue
-                    key = 3 * sum(x * x for x in m)
-                    if key < prec:
-                        counts[key] = counts.get(key, 0) + 1
+    for parity in (0, 1):
+        for m in product(_coordinates(radius, parity), repeat=4):
+            key = 3 * sum(x * x for x in m)
+            if key < prec:
+                counts[key] = counts.get(key, 0) + 1
     return QSeries(counts, prec)
 
 
@@ -110,7 +115,7 @@ def _fermion_char(dim: int, prec: int, insert_z: bool = False) -> QSeries:
     every mode factor.
     """
     sign = -1 if insert_z else 1
-    prod = modforms._half_odd_product(prec + dim // 2, 24, sign) ** dim
+    prod = modforms._half_odd_product(prec + dim // 2, 24, sign, dim)
     return prod.shift(-dim // 2).truncate(prec)
 
 
@@ -123,7 +128,7 @@ def _twisted_fermion_char(dim: int, prec: int, insert_z: bool = False) -> QSerie
     ground_key = dim  # 24 * dim/24
     if insert_z:
         return QSeries.zero(prec)
-    prod = modforms._euler_product(max(prec - ground_key, 0), 24, +1) ** dim
+    prod = modforms._euler_product(max(prec - ground_key, 0), 24, +1, dim)
     return (prod * (2 ** (dim // 2))).shift(ground_key).truncate(prec)
 
 
@@ -168,7 +173,7 @@ def verify_sigma_isomorphism(orders: int = 6) -> list[CheckReport]:
     reports: list[CheckReport] = []
 
     thetas = {label: d4_coset_theta(label, work) for label in COSETS}
-    eta4_inv = (modforms.eta(work + 4) ** 4).inverse()
+    eta4_inv = modforms._euler_product(work, 24, -1, -4).shift(-4)
     u = u_characters(work)
 
     for label in COSETS:

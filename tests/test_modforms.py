@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from conway_genera import modforms as mf
+from conway_genera import sigma
 from conway_genera.conway import FrameShape
 from conway_genera.series import GridError, QSeries, first_difference
 
@@ -27,6 +30,86 @@ def test_eta_times_inverted_euler_product_is_pure_power():
     unit = mf._euler_product(prec, 24).inverse()
     product = mf.eta(prec) * unit
     assert first_difference(product, QSeries({1: 1}, product.trunc)) is None
+
+
+def test_eta_matches_euler_pentagonal_series():
+    # prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k
+    orders = 30
+    prec = 24 * orders
+    expected = {}
+    k = 0
+    while k * (3 * k - 1) // 2 < orders:
+        for j in {k, -k}:
+            n = j * (3 * j - 1) // 2
+            if n < orders:
+                expected[24 * n + 1] = (-1) ** k
+        k += 1
+    assert mf.eta(prec) == QSeries(expected, prec)
+
+
+#: {a: e} maps over a few grid steps, so that the gcd step varies
+_EXPONENT_KEYS = st.integers(1, 40).map(lambda a: 6 * a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(_EXPONENT_KEYS, st.integers(0, 5), max_size=6), st.integers(1, 200))
+def test_power_product_matches_brute_expansion(exponents, prec):
+    got = mf.power_product(exponents, prec)
+    expected = brute.product_one_minus(sorted(exponents.items()), prec)
+    assert got.trunc == prec
+    assert {k: v.rational_value() for k, v in got.coeffs.items()} == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(_EXPONENT_KEYS, st.integers(-6, 6), max_size=6), st.integers(1, 200))
+def test_power_product_of_negated_exponents_is_inverse(exponents, prec):
+    negated = {a: -e for a, e in exponents.items()}
+    product = mf.power_product(exponents, prec) * mf.power_product(negated, prec)
+    assert product == QSeries.one(prec)
+
+
+def test_power_product_rejects_inexact_steps_and_bad_exponents():
+    # a half-integer exponent forges a step with a remainder at once
+    with pytest.raises(ValueError, match="inexact"):
+        mf.power_product({24: Fraction(1, 2)}, 48)
+    with pytest.raises(ValueError, match="positive"):
+        mf.power_product({0: 1}, 48)
+
+
+def test_products_use_no_series_power_inverse_or_product(data, monkeypatch):
+    for module in (mf, sigma):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    calls = {"mul": 0, "pow": 0, "inverse": 0}
+    mul, pow_, inverse = QSeries.__mul__, QSeries.__pow__, QSeries.inverse
+
+    def counting_mul(self, other):
+        calls["mul"] += isinstance(other, QSeries)
+        return mul(self, other)
+
+    def counting_pow(self, n):
+        calls["pow"] += 1
+        return pow_(self, n)
+
+    def counting_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(QSeries, "__rmul__", counting_mul)
+    monkeypatch.setattr(QSeries, "__pow__", counting_pow)
+    monkeypatch.setattr(QSeries, "inverse", counting_inverse)
+    prec = 24 * 8
+    for rec in (data.record("1A"), data.record("5C"), data.record("12L")):
+        for fs in (rec.fs_g, rec.fs_neg_g):
+            mf.eta_product(fs, prec)
+            mf.eta_ratio_half(fs, prec)
+    mf.delta(prec)
+    for kind in (mf.THETA2, mf.THETA3, mf.THETA4, mf.THETA1SQ):
+        mf.theta_quotient(kind, prec)
+    sigma.u_characters(prec)
+    assert calls == {"mul": 0, "pow": 0, "inverse": 0}
 
 
 def test_eisenstein_e2():

@@ -116,6 +116,9 @@ def test_enumerate_basis_counts():
     # twisted ground level: 2^12 zero-mode monomials
     assert len(oracle.enumerate_basis("twisted", 1)) == 4096
     assert oracle.enumerate_basis("twisted", 0) == []
+    # below the first half-mode only the vacuum, and below -1/2 nothing
+    assert oracle.enumerate_basis("untwisted", Fraction(-1, 4)) == [()]
+    assert oracle.enumerate_basis("untwisted", Fraction(-3, 4)) == []
 
 
 def test_enumerate_basis_guard():
@@ -209,7 +212,9 @@ def test_brute_traces_match_closed_forms(data, name, sign):
 @pytest.fixture(scope="module")
 def bases():
     return {(sector, bound): oracle.enumerate_basis(sector, bound)
-            for sector, bound in (("untwisted", 1), ("untwisted", 2), ("twisted", 1))}
+            for sector, bound in (("untwisted", 1), ("untwisted", 2), ("twisted", 1),
+                                  ("untwisted", Fraction(-1, 4)),
+                                  ("untwisted", Fraction(-3, 4)))}
 
 
 def _tally(system, monomials, twisted):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 from conway_genera import genera, modforms, sigma
 from conway_genera.series import QSeries, first_difference
@@ -24,6 +26,19 @@ def test_nontrivial_cosets_share_theta():
     tw = sigma.d4_coset_theta("omega", prec)
     twb = sigma.d4_coset_theta("omegabar", prec)
     assert t1 == tw == twb
+
+
+def test_coset_thetas_match_filtered_full_box():
+    prec = 24 * 3
+    radius = isqrt(prec // 3)
+    box = list(product(range(-radius, radius + 1), repeat=4))
+    for label in sigma.COSETS:
+        counts = {}
+        for m in box:
+            key = 3 * sum(x * x for x in m)
+            if key < prec and sigma._in_coset(m, label):
+                counts[key] = counts.get(key, 0) + 1
+        assert sigma.d4_coset_theta(label, prec) == QSeries(counts, prec), label
 
 
 def test_coset_partition():
