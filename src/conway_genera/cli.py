@@ -96,7 +96,17 @@ def _emit_series(series, fmt: str, out) -> None:
             writer.writerow([row["q_exp"], row["y_exp"], row["coeff"]])
 
 
+def _prec_above_bound(prec) -> bool:
+    if prec is not None and prec > MAX_ORDERS:
+        print(f"error: --prec may be at most {MAX_ORDERS} q-orders, got {prec}",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_compute(args, data) -> int:
+    if _prec_above_bound(args.prec):
+        return EXIT_USAGE
     try:
         rec = data.record(args.class_name)
     except KeyError:
@@ -283,8 +293,15 @@ _SUITES = {
     "sigma": (_suite_sigma, 6, 1),
 }
 
+#: the greatest --prec that compute and verify accept, in q-orders: twice
+#: the deepest precision the package is benchmarked at.  Series grow with
+#: the precision, so an unbounded one runs until memory runs out.
+MAX_ORDERS = 48
+
 
 def cmd_verify(args, data) -> int:
+    if _prec_above_bound(args.prec):
+        return EXIT_USAGE
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         least = _SUITES[name][2]

@@ -21,9 +21,14 @@ B_i S_i is taken in integers, one y-row at a time.  The radicals of
 Q(sqrt 2, sqrt 3, sqrt 5) enter only through the constants kappa_i, once
 per output coefficient, in series.combine.
 
-The companion weight-2j forms F_{2j} are built per class over the field
-and multiply phi_{0,1}^a (theta_1^2/eta^6)^b monomials, shared the same
-way, in the binomial decomposition checked by verify_decomposition_ell.
+The companion weight-2j forms F_{2j} (and F at index 1) are the
+independent route: they come from the weight-2 forms Lambda_2(tau/2),
+Lambda_2(tau/2 + 1/2) and -2 Lambda_2(tau) and from the eta ratios, never
+from the theta quotients.  The powers of those three forms are shared
+integer rows too, and each F_{2j} is one integer combination of three
+class series, read back from its single y^0 row.  They multiply the
+phi_{0,1}^a (theta_1^2/eta^6)^b monomials, shared the same way, in the
+binomial decomposition checked by verify_decomposition_ell.
 
 Precision arguments here count integer q-orders; grid indices are used
 internally.
@@ -144,19 +149,36 @@ def verify_eta_identity(rec: ConwayClassRecord, orders: int = 8) -> CheckReport:
 
 #: selector of phi_{0,1} among the shared forms
 _PHI01 = "phi01"
+#: selectors of the weight-2 forms Lambda_2(tau/2), Lambda_2(tau/2 + 1/2)
+#: and -2 Lambda_2(tau) among the shared forms
+_L2_PLAIN = "lambda2_plain"
+_L2_SHIFTED = "lambda2_shifted"
+_L2_NEG2 = "lambda2_neg2"
+
+
+def _shared_base(kind: str, work: int) -> IntRows:
+    """The first power of a shared form, as integer rows."""
+    if kind == _PHI01:
+        return IntRows.from_jacobi(modforms.phi01(work))
+    if kind == _L2_PLAIN:
+        return IntRows.from_qseries(modforms.lambda2_half("plain", work))
+    if kind == _L2_SHIFTED:
+        return IntRows.from_qseries(modforms.lambda2_half("shifted", work))
+    if kind == _L2_NEG2:
+        return IntRows.from_qseries(modforms.lambda_n(2, work) * -2)
+    return IntRows.from_jacobi(modforms.theta_quotient(kind, work))
 
 
 @lru_cache(maxsize=None)
 def _shared_power(kind: str, power: int, work: int) -> IntRows:
-    """A theta quotient, or phi_{0,1}, to a power, as integer rows.
+    """A theta quotient, phi_{0,1} or a weight-2 form to a power, as integer rows.
 
     Class-independent, so built once per (kind, power, work) per process.
     """
     if power == 0:
         return IntRows.one(work)
     if power == 1:
-        base = modforms.phi01(work) if kind == _PHI01 else modforms.theta_quotient(kind, work)
-        return IntRows.from_jacobi(base)
+        return _shared_base(kind, work)
     return _shared_power(kind, power - 1, work) * _shared_power(kind, 1, work)
 
 
@@ -195,6 +217,11 @@ def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSer
     return phi_g_ell(GenusRequest(rec, d_sign, 2, orders))
 
 
+def _row0(total: JacobiSeries) -> QSeries:
+    """The q-series of a combination whose every term lives on y^0."""
+    return QSeries({kq: v for (kq, _ry), v in total.coeffs.items()}, total.trunc)
+
+
 def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     """Weight-2 multiplier of phi_{-2,1} in the index-1 decomposition.
 
@@ -204,14 +231,14 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     _assert_fixed_four(rec)
     prec = _grid(orders)
     work = prec + _MARGIN
-    d_val = effective_d(rec, 2, d_sign)
-    total = (modforms.lambda2_half("plain", work) * _ratio_g(rec, work)
-             - modforms.lambda2_half("shifted", work) * _ratio_neg(rec, work)) \
-        * Fraction(1, 2)
-    total = total - modforms.eta_product(rec.fs_g, work) * (d_val * Fraction(1, 2))
-    total = total - modforms.lambda_n(2, work) \
-        * modforms.eta_product(rec.fs_neg_g, work) * rec.c_neg_g
-    total = total.truncate(prec)
+    total = _row0(combine([
+        (Fraction(1, 2), _shared_power(_L2_PLAIN, 1, work), _ratio_g(rec, work)),
+        (Fraction(-1, 2), _shared_power(_L2_SHIFTED, 1, work), _ratio_neg(rec, work)),
+        (effective_d(rec, 2, d_sign) * Fraction(-1, 2),
+         IntRows.one(work), modforms.eta_product(rec.fs_g, work)),
+        (rec.c_neg_g * Fraction(1, 2),
+         _shared_power(_L2_NEG2, 1, work), modforms.eta_product(rec.fs_neg_g, work)),
+    ])).truncate(prec)
     if any(k % 24 for k in total.coeffs):
         raise ValueError(f"F_g for {rec.co0_name} is not on the integer grid")
     return total
@@ -224,11 +251,12 @@ def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
     _assert_fixed_four(rec)
     prec = _grid(orders)
     work = prec + _MARGIN
-    total = (-(modforms.lambda2_half("plain", work) ** j)) * _ratio_g(rec, work)
-    total = total + (modforms.lambda2_half("shifted", work) ** j) * _ratio_neg(rec, work)
-    total = total - ((modforms.lambda_n(2, work) * (-2)) ** j) \
-        * modforms.eta_product(rec.fs_neg_g, work) * rec.c_neg_g
-    total = total.truncate(prec)
+    total = _row0(combine([
+        (-1, _shared_power(_L2_PLAIN, j, work), _ratio_g(rec, work)),
+        (1, _shared_power(_L2_SHIFTED, j, work), _ratio_neg(rec, work)),
+        (-rec.c_neg_g, _shared_power(_L2_NEG2, j, work),
+         modforms.eta_product(rec.fs_neg_g, work)),
+    ])).truncate(prec)
     if any(k % 24 for k in total.coeffs):
         raise ValueError(f"F_{{2j}} for {rec.co0_name} is not on the integer grid")
     if j == 0:

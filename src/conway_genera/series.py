@@ -420,6 +420,11 @@ class IntRows:
         return cls(rows, den, f.trunc)
 
     @classmethod
+    def from_qseries(cls, f: QSeries) -> "IntRows":
+        """The single row 0 of a rational q-series."""
+        return cls.from_jacobi(JacobiSeries.from_qseries(f))
+
+    @classmethod
     def split(cls, f: QSeries) -> dict[int, "IntRows"]:
         """{d: part} with f = sum_d sqrt(d) * part and every part rational.
 

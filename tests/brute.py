@@ -2,8 +2,8 @@
 
 The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
-the package's series classes.  The reference genus at the end keeps the
-field-arithmetic evaluation of the product formula that the package
+the package's series classes.  The reference genus and weight-2j forms
+at the end keep the field-arithmetic evaluations that the package
 replaced with shared integer forms.
 """
 
@@ -38,6 +38,18 @@ def product_one_minus(steps: list[tuple[int, int]], limit: int) -> dict:
     out = {0: Fraction(1)}
     for step, power in steps:
         out = pmul(out, binomial_factor(step, power, limit), limit)
+    return out
+
+
+def pentagonal_eta(limit: int) -> dict:
+    """eta = sum_k (-1)^k q^((6k - 1)^2 / 24) over all integers k (Euler)."""
+    out = {}
+    k = 0
+    while (6 * k - 1) ** 2 < limit:
+        for j in {k, -k}:
+            if (6 * j - 1) ** 2 < limit:
+                out[(6 * j - 1) ** 2] = Fraction((-1) ** k)
+        k += 1
     return out
 
 
@@ -104,4 +116,43 @@ def radical_phi_g_ell(req):
         * (d_val * Fraction(sign_ell, 2))
     total = total - q2 * modforms.eta_product(rec.fs_neg_g, work) \
         * (rec.c_neg_g * Fraction(1, 2))
+    return total.truncate(prec)
+
+
+# -- reference weight-2j forms over the coefficient field ---------------------
+#
+# F and F_{2j} evaluated term by term with QSeries/RadicalScalar arithmetic,
+# the powers of the weight-2 forms rebuilt for each class.  The package
+# takes the same sums as one integer combination over shared powers
+# (genera.f_g, genera.f_2j_g).
+
+
+def radical_f_g(rec, d_sign=1, orders=5):
+    """The weight-2 multiplier F of a class, computed over the field."""
+    from conway_genera import genera, modforms
+
+    prec = 24 * orders
+    work = prec + genera._MARGIN
+    d_val = genera.effective_d(rec, 2, d_sign)
+    total = (modforms.lambda2_half("plain", work) * modforms.eta_ratio_half(rec.fs_g, work)
+             - modforms.lambda2_half("shifted", work)
+             * modforms.eta_ratio_half(rec.fs_neg_g, work)) * Fraction(1, 2)
+    total = total - modforms.eta_product(rec.fs_g, work) * (d_val * Fraction(1, 2))
+    total = total - modforms.lambda_n(2, work) \
+        * modforms.eta_product(rec.fs_neg_g, work) * rec.c_neg_g
+    return total.truncate(prec)
+
+
+def radical_f_2j_g(rec, j, orders=5):
+    """The weight-2j form F_{2j} of a class, computed over the field."""
+    from conway_genera import genera, modforms
+
+    prec = 24 * orders
+    work = prec + genera._MARGIN
+    total = (-(modforms.lambda2_half("plain", work) ** j)) \
+        * modforms.eta_ratio_half(rec.fs_g, work)
+    total = total + (modforms.lambda2_half("shifted", work) ** j) \
+        * modforms.eta_ratio_half(rec.fs_neg_g, work)
+    total = total - ((modforms.lambda_n(2, work) * (-2)) ** j) \
+        * modforms.eta_product(rec.fs_neg_g, work) * rec.c_neg_g
     return total.truncate(prec)

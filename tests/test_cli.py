@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import conway_genera
 from conway_genera import cli
+from conway_genera.series import IntRows, JacobiSeries, QSeries
 
 BUNDLED = Path(conway_genera.__file__).parent / "data"
 
@@ -120,6 +124,34 @@ def test_compute_nonpositive_precision_is_a_usage_error(capsys, what, prec):
                          "--prec", prec)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--class", "2B", "--prec", "100000"),
+    ("compute", "--class", "2B", "--what", "f", "--prec", "49"),
+    ("verify", "--suite", "jacobi", "--prec", "100000"),
+    ("verify", "--suite", "all", "--prec", "49"),
+])
+def test_precision_above_the_bound_fails_before_any_series_is_built(
+        capsys, monkeypatch, argv):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    for cls in (QSeries, JacobiSeries, IntRows):
+        monkeypatch.setattr(cls, "__init__", no_series)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cli.MAX_ORDERS) in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(conway_genera.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "conway_genera", "list-classes"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 42
 
 
 def _data_dir(tmp_path, classes, coincidences):

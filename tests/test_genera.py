@@ -125,6 +125,26 @@ def test_phi_matches_radical_reference_for_every_tabulated_genus(data):
     assert count == 92
 
 
+@pytest.mark.parametrize("orders", [2, 4])
+def test_f_2j_matches_radical_reference_for_every_class(data, orders):
+    for rec in data.classes.values():
+        for j in range(7):
+            got = genera.f_2j_g(rec, j, orders)
+            want = brute.radical_f_2j_g(rec, j, orders)
+            assert got.trunc == want.trunc and got.coeffs == want.coeffs, \
+                (rec.co0_name, j)
+
+
+@pytest.mark.parametrize("orders", [2, 4])
+def test_f_matches_radical_reference_for_every_class_and_sign(data, orders):
+    for rec in data.classes.values():
+        for sign in (1, -1):
+            got = genera.f_g(rec, sign, orders)
+            want = brute.radical_f_g(rec, sign, orders)
+            assert got.trunc == want.trunc and got.coeffs == want.coeffs, \
+                (rec.co0_name, sign)
+
+
 def test_phi_ell2_reduces_to_phi(data):
     rec = data.record("8D")
     a = genera.phi_g(rec, -1, 3)

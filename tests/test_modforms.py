@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from conway_genera import genera, sigma
 from conway_genera import modforms as mf
-from conway_genera import sigma
 from conway_genera.conway import FrameShape
-from conway_genera.series import GridError, QSeries, first_difference
+from conway_genera.series import GridError, JacobiSeries, QSeries, first_difference
 
 
 def test_eta_leading_terms():
@@ -33,18 +33,8 @@ def test_eta_times_inverted_euler_product_is_pure_power():
 
 
 def test_eta_matches_euler_pentagonal_series():
-    # prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k
-    orders = 30
-    prec = 24 * orders
-    expected = {}
-    k = 0
-    while k * (3 * k - 1) // 2 < orders:
-        for j in {k, -k}:
-            n = j * (3 * j - 1) // 2
-            if n < orders:
-                expected[24 * n + 1] = (-1) ** k
-        k += 1
-    assert mf.eta(prec) == QSeries(expected, prec)
+    prec = 24 * 30
+    assert mf.eta(prec) == QSeries(brute.pentagonal_eta(prec), prec)
 
 
 #: {a: e} maps over a few grid steps, so that the gcd step varies
@@ -77,16 +67,21 @@ def test_power_product_rejects_inexact_steps_and_bad_exponents():
 
 
 def test_products_use_no_series_power_inverse_or_product(data, monkeypatch):
-    for module in (mf, sigma):
+    for module in (mf, sigma, genera):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    calls = {"mul": 0, "pow": 0, "inverse": 0}
+    calls = {"mul": 0, "pow": 0, "inverse": 0, "jacobi_mul": 0}
     mul, pow_, inverse = QSeries.__mul__, QSeries.__pow__, QSeries.inverse
+    jacobi_mul = JacobiSeries.__mul__
 
     def counting_mul(self, other):
         calls["mul"] += isinstance(other, QSeries)
         return mul(self, other)
+
+    def counting_jacobi_mul(self, other):
+        calls["jacobi_mul"] += isinstance(other, (QSeries, JacobiSeries))
+        return jacobi_mul(self, other)
 
     def counting_pow(self, n):
         calls["pow"] += 1
@@ -100,16 +95,22 @@ def test_products_use_no_series_power_inverse_or_product(data, monkeypatch):
     monkeypatch.setattr(QSeries, "__rmul__", counting_mul)
     monkeypatch.setattr(QSeries, "__pow__", counting_pow)
     monkeypatch.setattr(QSeries, "inverse", counting_inverse)
+    monkeypatch.setattr(JacobiSeries, "__mul__", counting_jacobi_mul)
+    monkeypatch.setattr(JacobiSeries, "__rmul__", counting_jacobi_mul)
     prec = 24 * 8
     for rec in (data.record("1A"), data.record("5C"), data.record("12L")):
         for fs in (rec.fs_g, rec.fs_neg_g):
             mf.eta_product(fs, prec)
             mf.eta_ratio_half(fs, prec)
+        for j in range(5):
+            genera.f_2j_g(rec, j, 4)
+        for sign in (1, -1):
+            genera.f_g(rec, sign, 4)
     mf.delta(prec)
     for kind in (mf.THETA2, mf.THETA3, mf.THETA4, mf.THETA1SQ):
         mf.theta_quotient(kind, prec)
     sigma.u_characters(prec)
-    assert calls == {"mul": 0, "pow": 0, "inverse": 0}
+    assert calls == {"mul": 0, "pow": 0, "inverse": 0, "jacobi_mul": 0}
 
 
 def test_eisenstein_e2():
@@ -208,11 +209,19 @@ def test_theta_quotient_ground_rows():
 
 
 def test_theta_sums_match_products():
-    prec = 24 * 5
+    # 12 orders cover the deep benchmark's work grid of 288
+    prec = 24 * 12
     for i, kind in ((2, mf.THETA2), (3, mf.THETA3), (4, mf.THETA4)):
         from_sums = mf.theta_quotient_from_sums(i, prec)
         from_products = mf.theta_quotient(kind, prec)
         assert first_difference(from_sums, from_products, prec) is None
+    # theta_1^2 / eta^6 = -(i theta_1)^2 / eta^6, eta from Euler's pentagonal series
+    work = prec + 24
+    eta6 = QSeries(brute.pentagonal_eta(work), work) ** 6
+    s = mf.theta_sum(1, work)
+    from_sums = -(s * s) * eta6.inverse()
+    assert from_sums.trunc >= prec
+    assert first_difference(from_sums, mf.theta_quotient(mf.THETA1SQ, prec), prec) is None
 
 
 def test_phi01_discriminant_invariance():
