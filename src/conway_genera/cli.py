@@ -223,20 +223,19 @@ def _suite_fourier(data, orders):
 
 
 def _suite_oracle(data, orders):
-    from . import oracle as orc
     out = []
     for name, sign in (("1A", 1), ("2B", 1), ("2D", 1), ("3D", 1),
                        ("4D", 1), ("4D", -1)):
         rec = data.record(name)
         ok = True
         ts = genera.ts_g(rec, "g", "chi", 3)
-        brute = orc.brute_ts(rec, "g", 2)
+        brute = oracle.brute_ts(rec, "g", 2)
         ok = ok and _brute_matches_q(brute, ts)
         ts_tw = genera.ts_g(rec, "g_tw", "chi", 3)
-        brute_tw = orc.brute_ts(rec, "g_tw", 2)
+        brute_tw = oracle.brute_ts(rec, "g_tw", 2)
         ok = ok and _brute_matches_q(brute_tw, ts_tw)
         phi = genera.phi_g(rec, sign, 3)
-        brute_phi = orc.brute_phi(rec, sign, 2, 2)
+        brute_phi = oracle.brute_phi(rec, sign, 2, 2)
         ok = ok and _brute_matches_jacobi(brute_phi, phi)
         label = f"oracle[{name}, D sign {sign:+d}]" if name == "4D" \
             else f"oracle[{name}]"

@@ -159,14 +159,14 @@ _L2_NEG2 = "lambda2_neg2"
 def _shared_base(kind: str, work: int) -> IntRows:
     """The first power of a shared form, as integer rows."""
     if kind == _PHI01:
-        return IntRows.from_jacobi(modforms.phi01(work))
+        return IntRows.from_series(modforms.phi01(work))
     if kind == _L2_PLAIN:
-        return IntRows.from_qseries(modforms.lambda2_half("plain", work))
+        return IntRows.from_series(modforms.lambda2_half("plain", work))
     if kind == _L2_SHIFTED:
-        return IntRows.from_qseries(modforms.lambda2_half("shifted", work))
+        return IntRows.from_series(modforms.lambda2_half("shifted", work))
     if kind == _L2_NEG2:
-        return IntRows.from_qseries(modforms.lambda_n(2, work) * -2)
-    return IntRows.from_jacobi(modforms.theta_quotient(kind, work))
+        return IntRows.from_series(modforms.lambda_n(2, work) * -2)
+    return IntRows.from_series(modforms.theta_quotient(kind, work))
 
 
 @lru_cache(maxsize=None)
@@ -217,11 +217,6 @@ def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSer
     return phi_g_ell(GenusRequest(rec, d_sign, 2, orders))
 
 
-def _row0(total: JacobiSeries) -> QSeries:
-    """The q-series of a combination whose every term lives on y^0."""
-    return QSeries({kq: v for (kq, _ry), v in total.coeffs.items()}, total.trunc)
-
-
 def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     """Weight-2 multiplier of phi_{-2,1} in the index-1 decomposition.
 
@@ -231,14 +226,14 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     _assert_fixed_four(rec)
     prec = _grid(orders)
     work = prec + _MARGIN
-    total = _row0(combine([
+    total = combine([
         (Fraction(1, 2), _shared_power(_L2_PLAIN, 1, work), _ratio_g(rec, work)),
         (Fraction(-1, 2), _shared_power(_L2_SHIFTED, 1, work), _ratio_neg(rec, work)),
         (effective_d(rec, 2, d_sign) * Fraction(-1, 2),
          IntRows.one(work), modforms.eta_product(rec.fs_g, work)),
         (rec.c_neg_g * Fraction(1, 2),
          _shared_power(_L2_NEG2, 1, work), modforms.eta_product(rec.fs_neg_g, work)),
-    ])).truncate(prec)
+    ]).row0().truncate(prec)
     if any(k % 24 for k in total.coeffs):
         raise ValueError(f"F_g for {rec.co0_name} is not on the integer grid")
     return total
@@ -251,12 +246,12 @@ def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
     _assert_fixed_four(rec)
     prec = _grid(orders)
     work = prec + _MARGIN
-    total = _row0(combine([
+    total = combine([
         (-1, _shared_power(_L2_PLAIN, j, work), _ratio_g(rec, work)),
         (1, _shared_power(_L2_SHIFTED, j, work), _ratio_neg(rec, work)),
         (-rec.c_neg_g, _shared_power(_L2_NEG2, j, work),
          modforms.eta_product(rec.fs_neg_g, work)),
-    ])).truncate(prec)
+    ]).row0().truncate(prec)
     if any(k % 24 for k in total.coeffs):
         raise ValueError(f"F_{{2j}} for {rec.co0_name} is not on the integer grid")
     if j == 0:

@@ -292,7 +292,7 @@ def theta_quotient(kind: str, prec: int) -> JacobiSeries:
         ground = IntRows({2: {0: -1}, 0: {0: 2}, -2: {0: -1}}, 1, prec)
         num = _pair_product(prec, -1, half=False)
         den_inv = _euler_product(prec, 24, -1, -4)
-    return (ground * num * IntRows.from_qseries(den_inv)).to_jacobi().truncate(prec)
+    return (ground * num * IntRows.from_series(den_inv)).to_jacobi().truncate(prec)
 
 
 def theta_quotient_from_sums(i: int, prec: int) -> JacobiSeries:

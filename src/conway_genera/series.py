@@ -6,8 +6,11 @@ n, and all indices >= trunc are unknown.  JacobiSeries adds a second
 variable y with exponents on the (1/2)Z grid (stored as half-indices)
 and finite y-support at each q order.  IntRows holds a rational
 two-variable series as rows of Python ints over one denominator; its
-product is the integer kernel, and `combine` applies field constants to
-such products, one multiplier per output coefficient.
+product is the only series convolution.  `combine` applies field
+constants to such products, one multiplier per output coefficient, and
+every QSeries or JacobiSeries product is a `combine` over the sqrt(d)
+parts of its left factor.  Only QSeries.inverse still recurses over the
+field.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -79,10 +82,6 @@ class QSeries:
     def min_key(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def _min_bound(self) -> int:
-        # a series with no visible terms is still O(q^(trunc/24))
-        return min(self.coeffs) if self.coeffs else self.trunc
-
     def coeff(self, key: int) -> RadicalScalar:
         if key >= self.trunc:
             raise ValueError(
@@ -129,35 +128,14 @@ class QSeries:
             return QSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
-        trunc = min(self.trunc + other._min_bound(), other.trunc + self._min_bound())
-        out: dict[int, RadicalScalar] = {}
-        bitems = sorted(other.coeffs.items())
-        for ka, va in sorted(self.coeffs.items()):
-            for kb, vb in bitems:
-                k = ka + kb
-                if k >= trunc:
-                    break
-                prod = va * vb
-                if k in out:
-                    out[k] = out[k] + prod
-                else:
-                    out[k] = prod
-        return QSeries(out, trunc)
+        return _product(self, other).row0()
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return (self ** (-n)).inverse()
-        result = QSeries.one(self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, QSeries.one(self.trunc))
 
     def inverse(self) -> "QSeries":
         """Series b with self*b = 1 up to truncation."""
@@ -264,16 +242,9 @@ class JacobiSeries:
     def one(cls, trunc: int) -> "JacobiSeries":
         return cls({(0, 0): 1}, trunc)
 
-    @classmethod
-    def from_qseries(cls, f: QSeries) -> "JacobiSeries":
-        return cls({(k, 0): v for k, v in f.coeffs.items()}, f.trunc)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def _min_q_bound(self) -> int:
-        return min(k for k, _ in self.coeffs) if self.coeffs else self.trunc
 
     def coeff(self, kq: int, ry: int) -> RadicalScalar:
         if kq >= self.trunc:
@@ -298,7 +269,7 @@ class JacobiSeries:
 
     def __add__(self, other):
         if isinstance(other, QSeries):
-            other = JacobiSeries.from_qseries(other)
+            other = JacobiSeries({(k, 0): v for k, v in other.coeffs.items()}, other.trunc)
         if not isinstance(other, JacobiSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
@@ -324,40 +295,20 @@ class JacobiSeries:
             if c.is_zero:
                 return JacobiSeries.zero(self.trunc)
             return JacobiSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
-        if isinstance(other, QSeries):
-            other = JacobiSeries.from_qseries(other)
-        if not isinstance(other, JacobiSeries):
+        if not isinstance(other, (QSeries, JacobiSeries)):
             return NotImplemented
-        trunc = min(self.trunc + other._min_q_bound(), other.trunc + self._min_q_bound())
-        out: dict[tuple[int, int], RadicalScalar] = {}
-        bitems = sorted(other.coeffs.items())
-        for (qa, ya), va in sorted(self.coeffs.items()):
-            for (qb, yb), vb in bitems:
-                kq = qa + qb
-                if kq >= trunc:
-                    break
-                key = (kq, ya + yb)
-                prod = va * vb
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return JacobiSeries(out, trunc)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "JacobiSeries":
         if n < 0:
             raise ValueError("negative powers of a two-variable series are not supported")
-        result = JacobiSeries.one(self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, JacobiSeries.one(self.trunc))
+
+    def row0(self) -> QSeries:
+        """The y^0 coefficients as a q-series."""
+        return QSeries({kq: v for (kq, ry), v in self.coeffs.items() if ry == 0}, self.trunc)
 
     def specialize_z0(self) -> QSeries:
         """Set z = 0, i.e. sum the y-coefficients at each q order."""
@@ -394,8 +345,8 @@ class IntRows:
     `rows` maps a y half-index to {q grid index: nonzero int}; the series
     is (1/den) * sum rows[ry][kq] q^(kq/24) y^(ry/2), known below trunc.
     A one-variable series is the single row 0.  Multiplication is the
-    integer kernel behind every genus: it runs one q-series product per
-    pair of rows and truncates exactly as JacobiSeries.__mul__ does.
+    only series convolution in the package: it runs one q-series product
+    per pair of rows and truncates by the min rule.
     """
 
     __slots__ = ("rows", "den", "trunc")
@@ -410,39 +361,38 @@ class IntRows:
         return cls({0: {0: 1}}, 1, trunc)
 
     @classmethod
-    def from_jacobi(cls, f: JacobiSeries) -> "IntRows":
-        """The rows of a series with rational coefficients."""
-        values = {key: v.rational_value() for key, v in f.coeffs.items()}
-        den = lcm(*(v.denominator for v in values.values()))
-        rows: dict[int, dict[int, int]] = {}
-        for (kq, ry), v in values.items():
-            rows.setdefault(ry, {})[kq] = v.numerator * (den // v.denominator)
-        return cls(rows, den, f.trunc)
-
-    @classmethod
-    def from_qseries(cls, f: QSeries) -> "IntRows":
-        """The single row 0 of a rational q-series."""
-        return cls.from_jacobi(JacobiSeries.from_qseries(f))
-
-    @classmethod
-    def split(cls, f: QSeries) -> dict[int, "IntRows"]:
+    def split(cls, f) -> dict[int, "IntRows"]:
         """{d: part} with f = sum_d sqrt(d) * part and every part rational.
 
-        A zero series gives the single empty part {1: 0}, which keeps the
+        f is a JacobiSeries or a QSeries, read as the single row 0.  A zero
+        series gives the single empty part {1: 0}, which keeps the
         truncation a product with f would have.
         """
-        by_radical: dict[int, dict[int, Fraction]] = {}
-        for k, v in f.coeffs.items():
+        items = f.coeffs.items()
+        if isinstance(f, QSeries):
+            items = (((k, 0), v) for k, v in items)
+        by_radical: dict[int, dict[tuple[int, int], Fraction]] = {}
+        for key, v in items:
             for d, a in v.parts.items():
-                by_radical.setdefault(d, {})[k] = a
+                by_radical.setdefault(d, {})[key] = a
         if not by_radical:
             return {1: cls({}, 1, f.trunc)}
         out = {}
         for d, values in by_radical.items():
             den = lcm(*(a.denominator for a in values.values()))
-            row = {k: a.numerator * (den // a.denominator) for k, a in values.items()}
-            out[d] = cls({0: row}, den, f.trunc)
+            rows: dict[int, dict[int, int]] = {}
+            for (kq, ry), a in values.items():
+                rows.setdefault(ry, {})[kq] = a.numerator * (den // a.denominator)
+            out[d] = cls(rows, den, f.trunc)
         return out
+
+    @classmethod
+    def from_series(cls, f) -> "IntRows":
+        """The rows of a series with rational coefficients."""
+        parts = cls.split(f)
+        if set(parts) != {1}:
+            raise ValueError("series has irrational coefficients")
+        return parts[1]
 
     def _min_bound(self) -> int:
         keys = [min(row) for row in self.rows.values() if row]
@@ -480,13 +430,13 @@ class IntRows:
 
 
 def combine(terms) -> JacobiSeries:
-    """sum_i kappa_i * B_i * f_i for integer rows B_i and q-series f_i.
+    """sum_i kappa_i * B_i * f_i for integer rows B_i and series f_i.
 
     Each f_i is split into its sqrt(d) parts and multiplied by B_i in
     integers.  The field enters only here: kappa_i * sqrt(d) / den
     becomes integer multipliers over one common denominator, applied
     once per output coefficient.  The truncation is the least over all
-    products, as for the same sum of JacobiSeries products.
+    products, each by the min rule.
     """
     products, truncs = [], []
     for kappa, rows, f in terms:
@@ -506,6 +456,23 @@ def combine(terms) -> JacobiSeries:
                     slot[d] = slot.get(d, 0) + m * n
     return JacobiSeries({key: RadicalScalar({d: Fraction(v, common) for d, v in slot.items()})
                          for key, slot in acc.items()}, min(truncs))
+
+
+def _product(a, b) -> JacobiSeries:
+    """a * b for two series, as a combination over the sqrt(d) parts of a."""
+    return combine([(RadicalScalar({d: 1}), part, b) for d, part in IntRows.split(a).items()])
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def first_difference(a, b, through: int | None = None):

@@ -2,9 +2,11 @@
 
 The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
-the package's series classes.  The reference genus and weight-2j forms
-at the end keep the field-arithmetic evaluations that the package
-replaced with shared integer forms.
+the package's series classes.  `field_mul` is the textbook product of
+two package series, one RadicalScalar product per pair of terms, kept
+as the reference for the package's integer-row kernel.  The reference
+genus and weight-2j forms at the end are evaluated with it, term by term
+over the coefficient field.
 """
 
 from __future__ import annotations
@@ -86,13 +88,60 @@ def brute_delta2_over_delta(limit: int) -> dict:
     return {k + 24: v for k, v in out.items() if k + 24 < limit}
 
 
+# -- series products over the coefficient field -------------------------------
+
+
+def _terms(f) -> dict:
+    """{(q grid index, y half-index): RadicalScalar}; a QSeries is row 0."""
+    from conway_genera.series import QSeries
+
+    if isinstance(f, QSeries):
+        return {(k, 0): v for k, v in f.coeffs.items()}
+    return dict(f.coeffs)
+
+
+def field_mul(a, b):
+    """a * b for two QSeries/JacobiSeries, one field product per term pair.
+
+    The product is known below min(a.trunc + b.min, b.trunc + a.min), with
+    a series that has no terms counting as O(q^trunc).  Two QSeries give a
+    QSeries, anything else a JacobiSeries.
+    """
+    from conway_genera.scalars import RadicalScalar
+    from conway_genera.series import JacobiSeries, QSeries
+
+    ta, tb = _terms(a), _terms(b)
+    low_a = min((kq for kq, _ in ta), default=a.trunc)
+    low_b = min((kq for kq, _ in tb), default=b.trunc)
+    trunc = min(a.trunc + low_b, b.trunc + low_a)
+    out = {}
+    b_items = sorted(tb.items())
+    for (qa, ya), va in sorted(ta.items()):
+        for (qb, yb), vb in b_items:
+            kq = qa + qb
+            if kq >= trunc:
+                break
+            key = (kq, ya + yb)
+            out[key] = out.get(key, RadicalScalar()) + va * vb
+    if isinstance(a, QSeries) and isinstance(b, QSeries):
+        return QSeries({kq: v for (kq, _), v in out.items()}, trunc)
+    return JacobiSeries(out, trunc)
+
+
+def field_pow(f, n: int):
+    """f ** n for n >= 0 as n field products, starting from the series one."""
+    result = f.one(f.trunc)
+    for _ in range(n):
+        result = field_mul(result, f)
+    return result
+
+
 # -- reference genus over the coefficient field ------------------------------
 #
-# The product formula evaluated term by term with the package's
-# JacobiSeries/RadicalScalar arithmetic: every theta-quotient power is
-# rebuilt over the field for each class and sign.  The package builds the
-# same genus from shared integer rows (genera.phi_g_ell); the two must
-# agree coefficient for coefficient.
+# The product formula evaluated term by term over the field with
+# field_mul: every theta-quotient power is rebuilt for each class and
+# sign.  The package builds the same genus from shared integer rows
+# (genera.phi_g_ell); the two must agree coefficient for coefficient.
 
 
 def radical_phi_g_ell(req):
@@ -104,25 +153,25 @@ def radical_phi_g_ell(req):
     prec = 24 * req.orders
     work = prec + genera._MARGIN
     power = ell - 1
-    q2 = modforms.theta_quotient(THETA2, work) ** power
-    q3 = modforms.theta_quotient(THETA3, work) ** power
-    q4 = modforms.theta_quotient(THETA4, work) ** power
-    q1 = modforms.theta_quotient(THETA1SQ, work) ** power
+    q2 = field_pow(modforms.theta_quotient(THETA2, work), power)
+    q3 = field_pow(modforms.theta_quotient(THETA3, work), power)
+    q4 = field_pow(modforms.theta_quotient(THETA4, work), power)
+    q1 = field_pow(modforms.theta_quotient(THETA1SQ, work), power)
     d_val = genera.effective_d(rec, ell, req.d_sign)
     sign_ell = -1 if ell % 2 else 1
-    total = (q4 * modforms.eta_ratio_half(rec.fs_g, work)
-             - q3 * modforms.eta_ratio_half(rec.fs_neg_g, work)) * Fraction(-1, 2)
-    total = total + q1 * modforms.eta_product(rec.fs_g, work) \
+    total = (field_mul(q4, modforms.eta_ratio_half(rec.fs_g, work))
+             - field_mul(q3, modforms.eta_ratio_half(rec.fs_neg_g, work))) * Fraction(-1, 2)
+    total = total + field_mul(q1, modforms.eta_product(rec.fs_g, work)) \
         * (d_val * Fraction(sign_ell, 2))
-    total = total - q2 * modforms.eta_product(rec.fs_neg_g, work) \
+    total = total - field_mul(q2, modforms.eta_product(rec.fs_neg_g, work)) \
         * (rec.c_neg_g * Fraction(1, 2))
     return total.truncate(prec)
 
 
 # -- reference weight-2j forms over the coefficient field ---------------------
 #
-# F and F_{2j} evaluated term by term with QSeries/RadicalScalar arithmetic,
-# the powers of the weight-2 forms rebuilt for each class.  The package
+# F and F_{2j} evaluated term by term over the field with field_mul, the
+# powers of the weight-2 forms rebuilt for each class.  The package
 # takes the same sums as one integer combination over shared powers
 # (genera.f_g, genera.f_2j_g).
 
@@ -134,12 +183,13 @@ def radical_f_g(rec, d_sign=1, orders=5):
     prec = 24 * orders
     work = prec + genera._MARGIN
     d_val = genera.effective_d(rec, 2, d_sign)
-    total = (modforms.lambda2_half("plain", work) * modforms.eta_ratio_half(rec.fs_g, work)
-             - modforms.lambda2_half("shifted", work)
-             * modforms.eta_ratio_half(rec.fs_neg_g, work)) * Fraction(1, 2)
+    total = (field_mul(modforms.lambda2_half("plain", work),
+                       modforms.eta_ratio_half(rec.fs_g, work))
+             - field_mul(modforms.lambda2_half("shifted", work),
+                         modforms.eta_ratio_half(rec.fs_neg_g, work))) * Fraction(1, 2)
     total = total - modforms.eta_product(rec.fs_g, work) * (d_val * Fraction(1, 2))
-    total = total - modforms.lambda_n(2, work) \
-        * modforms.eta_product(rec.fs_neg_g, work) * rec.c_neg_g
+    total = total - field_mul(modforms.lambda_n(2, work),
+                              modforms.eta_product(rec.fs_neg_g, work)) * rec.c_neg_g
     return total.truncate(prec)
 
 
@@ -149,10 +199,10 @@ def radical_f_2j_g(rec, j, orders=5):
 
     prec = 24 * orders
     work = prec + genera._MARGIN
-    total = (-(modforms.lambda2_half("plain", work) ** j)) \
-        * modforms.eta_ratio_half(rec.fs_g, work)
-    total = total + (modforms.lambda2_half("shifted", work) ** j) \
-        * modforms.eta_ratio_half(rec.fs_neg_g, work)
-    total = total - ((modforms.lambda_n(2, work) * (-2)) ** j) \
-        * modforms.eta_product(rec.fs_neg_g, work) * rec.c_neg_g
+    total = -field_mul(field_pow(modforms.lambda2_half("plain", work), j),
+                       modforms.eta_ratio_half(rec.fs_g, work))
+    total = total + field_mul(field_pow(modforms.lambda2_half("shifted", work), j),
+                              modforms.eta_ratio_half(rec.fs_neg_g, work))
+    total = total - field_mul(field_pow(modforms.lambda_n(2, work) * (-2), j),
+                              modforms.eta_product(rec.fs_neg_g, work)) * rec.c_neg_g
     return total.truncate(prec)

@@ -209,6 +209,25 @@ def test_brute_traces_match_closed_forms(data, name, sign):
                                  genera.phi_g(rec, sign, 3))
 
 
+def _lambency_case(ell, name, sign):
+    marks = ()
+    if ell == 7 and sign == -1:
+        marks = pytest.mark.xfail(strict=True, raises=OracleError,
+                                  reason="no pair available for a pairing swap")
+    return pytest.param(ell, name, sign, marks=marks, id=f"{ell}-{name}-{sign:+d}")
+
+
+@pytest.mark.parametrize("ell,name,sign", [
+    _lambency_case(ell, rec.co0_name, sign) for ell in (3, 4, 5, 7)
+    for rec in CLASSES if rec.in_table(ell)
+    for sign in ((1,) if rec.d_magnitude[ell].is_zero else (1, -1))])
+def test_brute_traces_match_higher_lambency_genera(data, ell, name, sign):
+    rec = data.record(name)
+    _assert_brute_matches_jacobi(
+        oracle.brute_phi(rec, sign, ell, 2),
+        genera.phi_g_ell(genera.GenusRequest(rec, sign, ell, 3)))
+
+
 @pytest.fixture(scope="module")
 def bases():
     return {(sector, bound): oracle.enumerate_basis(sector, bound)

@@ -95,3 +95,19 @@ def test_d_magnitudes_square_rationally(data):
         for mag in rec.d_magnitude.values():
             ok, _ = (mag * mag).as_rational()
             assert ok
+
+
+def _to_sympy(sympy, x):
+    return sum((sympy.Rational(a.numerator, a.denominator) * sympy.sqrt(d)
+                for d, a in x.parts.items()), sympy.Integer(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements, elements)
+def test_field_operations_match_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    assert sympy.expand(_to_sympy(sympy, a + b) - (sa + sb)) == 0
+    assert sympy.expand(_to_sympy(sympy, a * b) - sa * sb) == 0
+    if not a.is_zero:
+        assert sympy.expand(_to_sympy(sympy, a.inverse()) * sa) == 1

@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
 from conway_genera import modforms
-from conway_genera.scalars import RadicalScalar
+from conway_genera.scalars import RADICAL_BASIS, RadicalScalar
 from conway_genera.series import (GridError, IntRows, JacobiSeries, QSeries,
                                   combine, first_difference)
 
@@ -179,22 +179,77 @@ def qseries_over(values):
 @given(jacobi_rational, qseries_over(fractions))
 def test_integer_rows_times_rational_series_is_jacobi_mul(j, f):
     (part,) = IntRows.split(f).values()
-    assert (IntRows.from_jacobi(j) * part).to_jacobi() == j * f
+    assert (IntRows.from_series(j) * part).to_jacobi() == brute.field_mul(j, f)
 
 
 @settings(max_examples=80, deadline=None)
 @given(jacobi_rational, qseries_over(radicals), radicals,
        jacobi_rational, qseries_over(fractions), radicals)
 def test_combine_is_the_field_sum_of_jacobi_products(j1, f1, k1, j2, f2, k2):
-    got = combine([(k1, IntRows.from_jacobi(j1), f1), (k2, IntRows.from_jacobi(j2), f2)])
-    assert got == j1 * f1 * k1 + j2 * f2 * k2
+    got = combine([(k1, IntRows.from_series(j1), f1), (k2, IntRows.from_series(j2), f2)])
+    assert got == brute.field_mul(j1, f1) * k1 + brute.field_mul(j2, f2) * k2
 
 
 @settings(max_examples=60, deadline=None)
 @given(jacobi_rational, st.integers(0, 4))
 def test_integer_kernel_powers_match_jacobi_pow(j, n):
-    rows = IntRows.from_jacobi(j)
+    rows = IntRows.from_series(j)
     power = IntRows.one(j.trunc)
     for _ in range(n):
         power = power * rows
-    assert power.to_jacobi() == j ** n
+    assert power.to_jacobi() == brute.field_pow(j, n) == j ** n
+
+
+# every squarefree d | 30, so that products such as sqrt(2) sqrt(10) = 2 sqrt(5)
+# and sqrt(3) sqrt(15) = 3 sqrt(5) cross between parts
+field = st.builds(lambda pairs: RadicalScalar(dict(pairs)),
+                  st.lists(st.tuples(st.sampled_from(RADICAL_BASIS), fractions),
+                           max_size=3, unique_by=lambda t: t[0]))
+field_q = st.dictionaries(st.integers(-1, 6), field, max_size=5)
+field_jacobi = st.dictionaries(st.tuples(st.integers(-1, 6), st.integers(-3, 3)), field,
+                               max_size=6)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two field series of either kind; half the pairs share one trunc."""
+    t_a = draw(st.integers(1, 10))
+    t_b = t_a if draw(st.booleans()) else draw(st.integers(1, 10))
+
+    def one(t):
+        if draw(st.booleans()):
+            return QSeries({12 * k: v for k, v in draw(field_q).items()}, 12 * t)
+        return JacobiSeries({(12 * k, 2 * r): v for (k, r), v in draw(field_jacobi).items()},
+                            12 * t)
+    return one(t_a), one(t_b)
+
+
+S2, S3, S10, S15 = (RadicalScalar.sqrt_term(d) for d in (2, 3, 10, 15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs())
+@example((QSeries({0: S2, 24: 1}, 48), QSeries({0: S10, 12: S3}, 48)))
+@example((QSeries({-12: S3, 0: S2}, 72), JacobiSeries({(0, 2): S15, (12, -2): S10}, 36)))
+@example((JacobiSeries({(0, 1): S2, (24, 0): S3}, 48), QSeries({0: S10, 24: S15}, 48)))
+@example((QSeries.zero(48), QSeries({0: S2}, 24)))
+@example((JacobiSeries({(12, 2): S15}, 48), JacobiSeries.zero(36)))
+@example((QSeries({}, 24), JacobiSeries({}, 24)))
+def test_series_products_match_field_mul(pair):
+    for a, b in (pair, pair[::-1]):
+        got, want = a * b, brute.field_mul(a, b)
+        assert type(got) is type(want)
+        assert got.trunc == want.trunc and got.coeffs == want.coeffs
+
+
+def test_sqrt_cross_terms_land_on_sqrt5_and_sqrt30():
+    got = QSeries({0: S2, 24: S3}, 72) * QSeries({0: S10, 24: S15}, 72)
+    assert got.trunc == 72
+    assert got.items() == [(0, RadicalScalar({5: 2})), (24, RadicalScalar({30: 2})),
+                           (48, RadicalScalar({5: 3}))]
+
+
+def test_from_series_rejects_irrational_parts():
+    assert IntRows.from_series(QSeries({0: Fraction(1, 2)}, 24)).den == 2
+    with pytest.raises(ValueError, match="irrational"):
+        IntRows.from_series(JacobiSeries({(0, 2): 1, (24, 0): S2}, 48))
