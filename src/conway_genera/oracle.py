@@ -7,14 +7,16 @@ a cyclotomic field, and traces are accumulated exactly.  Agreement with
 the series produced by the genera module at low degree validates both
 sides.
 
-Enumeration.  Every k-subset of the mode labels is walked one by one,
-and subsets with the same (eigenvalue exponent, charge) profile are
-merged into one histogram row with its multiplicity, and the levels of
-the mode tower are combined the same way.  Traces are then integer
-counts per (degree, charge, parity, exponent), reduced into the
-cyclotomic field once per coefficient.  Each sector is enumerated once
-per assembled trace; its plain and involution-inserted traces differ
-only in the parity weights of the same counts.
+Enumeration.  The k-subsets of the mode labels are counted by their
+(eigenvalue exponent, charge) profile, one label at a time (a 0/1
+knapsack over subset sizes), and the levels of the mode tower are
+combined the same way.  Traces are then integer counts per (degree,
+charge, parity, exponent), reduced into the cyclotomic field once per
+coefficient; the field coordinates stay Python ints wherever they are
+integral.  `enumerate_basis` keeps the literal monomial list that the
+counts are tested against.  Each sector is enumerated once per
+assembled trace; its plain and involution-inserted traces differ only
+in the parity weights of the same counts.
 
 Conventions.  A class with eigenvalue pairs (lambda_i, lambda_i^{-1}),
 i = 1..12, acts on each mode label by its eigenvalue; the central
@@ -77,8 +79,19 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _rational(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class CycloNumber:
-    """An element of Q(zeta_N), reduced mod the N-th cyclotomic polynomial."""
+    """An element of Q(zeta_N), reduced mod the N-th cyclotomic polynomial.
+
+    vec holds the coordinates on 1, zeta_N, ..., zeta_N^(deg - 1): an int
+    wherever the coordinate is integral, a Fraction only where it is not,
+    so traces of mode counts stay in integer arithmetic.
+    """
 
     __slots__ = ("order", "vec")
 
@@ -88,7 +101,8 @@ class CycloNumber:
         if len(v) > deg:
             v = self._reduce(order, v)  # before conversion: ints reduce faster
         self.order = order
-        self.vec = tuple(Fraction(x) for x in v) + (Fraction(0),) * (deg - len(v))
+        self.vec = tuple(x if type(x) is int else _rational(x) for x in v) \
+            + (0,) * (deg - len(v))
 
     @staticmethod
     def _reduce(order: int, v: list) -> list:
@@ -108,7 +122,7 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycloNumber":
-        return cls(order, [Fraction(value)])
+        return cls(order, [value])
 
     @classmethod
     def root(cls, order: int, k: int) -> "CycloNumber":
@@ -144,7 +158,7 @@ class CycloNumber:
         if isinstance(other, (int, Fraction)):
             return CycloNumber(self.order, [a * other for a in self.vec])
         self._check(other)
-        out = [Fraction(0)] * (2 * len(self.vec))
+        out = [0] * (2 * len(self.vec))
         for i, a in enumerate(self.vec):
             if a == 0:
                 continue
@@ -225,7 +239,8 @@ def _to_radical(c: CycloNumber) -> RadicalScalar:
     cols = _radical_columns(c.order)
     width = len(cols)
     rows = len(c.vec)
-    matrix = [[cols[j][1].vec[i] for j in range(width)] + [c.vec[i]]
+    # Fraction entries: the pivot division below must stay exact
+    matrix = [[Fraction(col.vec[i]) for _, col in cols] + [Fraction(c.vec[i])]
               for i in range(rows)]
     pivots: list[tuple[int, int]] = []
     row = 0
@@ -476,23 +491,19 @@ def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
 
 def _subset_histogram(labels: list[tuple[int, int]], order: int,
                       max_k: int) -> list[Counter]:
-    """Entry k: {(exponent mod order, charge): number of k-subsets}.
+    """Entry k: {(exponent mod order, charge): number of k-subsets}, k <= max_k.
 
-    Every k-subset of the labels, k <= max_k, is enumerated; subsets with
-    equal exponent and charge sums are merged into one entry.  Exponents
-    lie in [0, order).
+    The labels are folded in one at a time, 0/1-knapsack style: a label
+    (e, c) turns every counted (k-1)-subset into a k-subset, shifting its
+    exponent sum by e and its charge sum by c.  Sizes are visited from
+    the top down, so no label is taken twice.  Exponents lie in [0, order).
     """
-    # (e, c) packs into e + c * base; base exceeds every exponent sum, so
-    # divmod recovers the charge and exponent sums of a subset from one sum
-    base = order * len(labels) + 1
-    packed = [e + c * base for e, c in labels]
-    table = []
-    for k in range(max_k + 1):
-        rows: Counter = Counter()
-        for total, count in Counter(map(sum, itertools.combinations(packed, k))).items():
-            charge, exp = divmod(total, base)
-            rows[(exp % order, charge)] += count
-        table.append(rows)
+    table = [Counter({(0, 0): 1})] + [Counter() for _ in range(max_k)]
+    for done, (e, c) in enumerate(labels):
+        for k in range(min(max_k, done + 1), 0, -1):
+            row = table[k]
+            for (x, q), count in table[k - 1].items():
+                row[((x + e) % order, q + c)] += count
     return table
 
 

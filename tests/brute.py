@@ -6,11 +6,14 @@ the package's series classes.  `field_mul` is the textbook product of
 two package series, one RadicalScalar product per pair of terms, kept
 as the reference for the package's integer-row kernel.  The reference
 genus and weight-2j forms at the end are evaluated with it, term by term
-over the coefficient field.
+over the coefficient field.  `subset_histogram` walks every k-subset of
+the oracle's mode labels, the reference for its knapsack histogram.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -206,3 +209,28 @@ def radical_f_2j_g(rec, j, orders=5):
     total = total - field_mul(field_pow(modforms.lambda_n(2, work) * (-2), j),
                               modforms.eta_product(rec.fs_neg_g, work)) * rec.c_neg_g
     return total.truncate(prec)
+
+
+# -- oracle subset histogram by literal subsets -------------------------------
+
+
+def subset_histogram(labels: list[tuple[int, int]], order: int,
+                     max_k: int) -> list[Counter]:
+    """Entry k: {(exponent mod order, charge): number of k-subsets}.
+
+    Every k-subset of the labels, k <= max_k, is enumerated; subsets with
+    equal exponent and charge sums are merged into one entry.  Exponents
+    lie in [0, order).
+    """
+    # (e, c) packs into e + c * base; base exceeds every exponent sum, so
+    # divmod recovers the charge and exponent sums of a subset from one sum
+    base = order * len(labels) + 1
+    packed = [e + c * base for e, c in labels]
+    table = []
+    for k in range(max_k + 1):
+        rows: Counter = Counter()
+        for total, count in Counter(map(sum, itertools.combinations(packed, k))).items():
+            charge, exp = divmod(total, base)
+            rows[(exp % order, charge)] += count
+        table.append(rows)
+    return table

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute
 from conway_genera import genera, oracle
 from conway_genera.conway import FrameShape, bundled_data
 from conway_genera.oracle import CycloNumber, OracleError
@@ -184,48 +185,95 @@ def _assert_brute_matches_jacobi(brute, series):
         assert want == have, f"deviation at grid {grid}, y half-index {ry}"
 
 
-@pytest.mark.parametrize("name", [rec.co0_name for rec in CLASSES])
-def test_brute_ts_matches_closed_forms(data, name):
+#: oracle degrees, each compared with the closed form at degree + 1
+#: q-orders; degree-2 cases keep their plain ids, higher degrees get a suffix
+DEGREES = (2, 3)
+
+
+def _degree_id(base, degree):
+    return base if degree == 2 else f"{base}-deg{degree}"
+
+
+@pytest.mark.parametrize("name,degree", [
+    pytest.param(rec.co0_name, degree, id=_degree_id(rec.co0_name, degree))
+    for degree in DEGREES for rec in CLASSES])
+def test_brute_ts_matches_closed_forms(data, name, degree):
     rec = data.record(name)
     for which in ("g", "g_tw"):
-        _assert_brute_matches_q(oracle.brute_ts(rec, which, 2),
-                                genera.ts_g(rec, which, "chi", 3))
+        _assert_brute_matches_q(oracle.brute_ts(rec, which, degree),
+                                genera.ts_g(rec, which, "chi", degree + 1))
 
 
-def _phi_case(rec, sign):
+def _phi_case(rec, sign, degree):
     marks = ()
     if rec.co0_name == "5C":
         marks = pytest.mark.xfail(strict=True,
-                                  reason="ROADMAP item 4: 5C D-sign discrepancy")
-    return pytest.param(rec.co0_name, sign, marks=marks)
+                                  reason="ROADMAP item 2: 5C D-sign discrepancy")
+    return pytest.param(rec.co0_name, sign, degree, marks=marks,
+                        id=_degree_id(f"{rec.co0_name}-{sign}", degree))
 
 
-@pytest.mark.parametrize("name,sign", [
-    _phi_case(rec, sign) for rec in CLASSES
+@pytest.mark.parametrize("name,sign,degree", [
+    _phi_case(rec, sign, degree) for degree in DEGREES for rec in CLASSES
     for sign in ((1,) if rec.d_magnitude[2].is_zero else (1, -1))])
-def test_brute_traces_match_closed_forms(data, name, sign):
+def test_brute_traces_match_closed_forms(data, name, sign, degree):
     rec = data.record(name)
-    _assert_brute_matches_jacobi(oracle.brute_phi(rec, sign, 2, 2),
-                                 genera.phi_g(rec, sign, 3))
+    _assert_brute_matches_jacobi(oracle.brute_phi(rec, sign, 2, degree),
+                                 genera.phi_g(rec, sign, degree + 1))
 
 
-def _lambency_case(ell, name, sign):
+def _lambency_case(ell, name, sign, degree):
     marks = ()
     if ell == 7 and sign == -1:
         marks = pytest.mark.xfail(strict=True, raises=OracleError,
                                   reason="no pair available for a pairing swap")
-    return pytest.param(ell, name, sign, marks=marks, id=f"{ell}-{name}-{sign:+d}")
+    return pytest.param(ell, name, sign, degree, marks=marks,
+                        id=_degree_id(f"{ell}-{name}-{sign:+d}", degree))
 
 
-@pytest.mark.parametrize("ell,name,sign", [
-    _lambency_case(ell, rec.co0_name, sign) for ell in (3, 4, 5, 7)
+@pytest.mark.parametrize("ell,name,sign,degree", [
+    _lambency_case(ell, rec.co0_name, sign, degree)
+    for degree in DEGREES for ell in (3, 4, 5, 7)
     for rec in CLASSES if rec.in_table(ell)
     for sign in ((1,) if rec.d_magnitude[ell].is_zero else (1, -1))])
-def test_brute_traces_match_higher_lambency_genera(data, ell, name, sign):
+def test_brute_traces_match_higher_lambency_genera(data, ell, name, sign, degree):
     rec = data.record(name)
     _assert_brute_matches_jacobi(
-        oracle.brute_phi(rec, sign, ell, 2),
-        genera.phi_g_ell(genera.GenusRequest(rec, sign, ell, 3)))
+        oracle.brute_phi(rec, sign, ell, degree),
+        genera.phi_g_ell(genera.GenusRequest(rec, sign, ell, degree + 1)))
+
+
+def _vec_entries(value):
+    """Every vec entry of a CycloNumber or of a (nested) dict of them."""
+    if isinstance(value, CycloNumber):
+        return list(value.vec)
+    return [x for v in value.values() for x in _vec_entries(v)]
+
+
+@pytest.mark.parametrize("name,sign", [
+    ("1A", 1), ("4D", 1), ("4D", -1), ("10H", 1), ("15D", 1)])
+def test_oracle_traces_stay_in_integers(data, name, sign):
+    rec = data.record(name)
+    system = oracle.build_system(rec, j_weight=True, d_sign=sign)
+    outputs = [oracle.brute_ts(rec, "g", 2), oracle.brute_ts(rec, "g_tw", 2),
+               oracle.brute_phi(rec, sign, 2, 2),
+               system.cm_trace(False), system.d_product()]
+    for out in outputs:
+        entries = _vec_entries(out)
+        assert entries and all(type(x) is int for x in entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subset_histogram_matches_literal_subsets(draw):
+    order = draw.draw(st.sampled_from(ORDERS))
+    size = draw.draw(st.integers(0, 24))
+    labels = draw.draw(st.lists(
+        st.tuples(st.integers(0, order - 1), st.sampled_from((-1, 0, 1))),
+        min_size=size, max_size=size))
+    max_k = draw.draw(st.integers(0, max(6, len(labels)) if len(labels) <= 12 else 6))
+    assert oracle._subset_histogram(labels, order, max_k) \
+        == brute.subset_histogram(labels, order, max_k)
 
 
 @pytest.fixture(scope="module")
