@@ -31,7 +31,12 @@ phi_{0,1}^a (theta_1^2/eta^6)^b monomials, shared the same way, in the
 binomial decomposition checked by verify_decomposition_ell.
 
 Precision arguments here count integer q-orders; grid indices are used
-internally.
+internally.  Every product stops at the requested precision prec.  The
+factors are built to work = prec + _MARGIN, and the margin is exactly
+what the min rule needs: every tabulated class fixes a 4-space, so the
+Frame shapes of g and -g have degree 24, eta_g starts at q^1 and r_g at
+q^(-1/2) (grid -12), while every shared power starts at q^0 or above.
+So each B_i S_i is known below work - 12 = prec.
 """
 
 from __future__ import annotations
@@ -48,8 +53,11 @@ from .report import CheckReport
 from .scalars import RadicalScalar, format_radical
 from .series import IntRows, JacobiSeries, QSeries, combine, first_difference
 
-#: grid head-room so that min-rule truncation still covers the target
-_MARGIN = 48
+#: grid head-room of the genus-side factors, exactly what the min rule
+#: needs: r_g and r_{-g} start at q^(-1/2), grid -12, because the Frame
+#: shapes of g and -g have degree 24 (each class fixes a 4-space), and
+#: every other factor starts at q^0 or above (see the module docstring)
+_MARGIN = 12
 
 #: Sign pairing between the bundled D column and the product formula;
 #: pinned by the sign-carrying coincidence rows (12I at index 1, 4B at
@@ -203,10 +211,9 @@ def phi_g_ell(req: GenusRequest) -> JacobiSeries:
          _shared_power(THETA1SQ, power, work), modforms.eta_product(rec.fs_g, work)),
         (rec.c_neg_g * Fraction(-1, 2),
          _shared_power(THETA2, power, work), modforms.eta_product(rec.fs_neg_g, work)),
-    ])
+    ], prec)
     if total.trunc < prec:
         raise ValueError("internal truncation shortfall in phi_g_ell")
-    total = total.truncate(prec)
     if any(kq % 24 for kq, _ in total.coeffs):
         raise ValueError(f"genus for {rec.co0_name} left the integer q-grid")
     return total
@@ -233,7 +240,7 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
          IntRows.one(work), modforms.eta_product(rec.fs_g, work)),
         (rec.c_neg_g * Fraction(1, 2),
          _shared_power(_L2_NEG2, 1, work), modforms.eta_product(rec.fs_neg_g, work)),
-    ]).row0().truncate(prec)
+    ], prec).row0().truncate(prec)
     if any(k % 24 for k in total.coeffs):
         raise ValueError(f"F_g for {rec.co0_name} is not on the integer grid")
     return total
@@ -251,7 +258,7 @@ def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
         (1, _shared_power(_L2_SHIFTED, j, work), _ratio_neg(rec, work)),
         (-rec.c_neg_g, _shared_power(_L2_NEG2, j, work),
          modforms.eta_product(rec.fs_neg_g, work)),
-    ]).row0().truncate(prec)
+    ], prec).row0().truncate(prec)
     if any(k % 24 for k in total.coeffs):
         raise ValueError(f"F_{{2j}} for {rec.co0_name} is not on the integer grid")
     if j == 0:
@@ -285,8 +292,11 @@ def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
     prec = _grid(orders)
     work = prec + _MARGIN
     lhs = phi_g(rec, d_sign, orders)
-    rhs = modforms.phi01(work) * Fraction(rec.chi, 12) \
-        + modforms.phi_minus21(work) * f_g(rec, d_sign, orders + 2)
+    # phi_{-2,1} = -theta_1^2/eta^6
+    rhs = combine([
+        (Fraction(rec.chi, 12), _shared_power(_PHI01, 1, work), QSeries.one(prec)),
+        (-1, _shared_power(THETA1SQ, 1, work), f_g(rec, d_sign, orders)),
+    ], prec)
     name = f"decomposition[{rec.co0_name}, D sign {d_sign:+d}]"
     return CheckReport.from_deviation(name, first_difference(lhs, rhs, prec))
 
@@ -302,8 +312,8 @@ def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
     for j in range(ell):
         # (-1)^j from phi_{-2,1}^j = (-1)^j (theta_1^2/eta^6)^j cancels the binomial sign
         terms.append((Fraction(comb(ell - 1, j), 2 * 12 ** (ell - j - 1)),
-                      _monomial(ell - j - 1, j, work), f_2j_g(rec, j, req.orders + 2)))
-    rhs = combine(terms)
+                      _monomial(ell - j - 1, j, work), f_2j_g(rec, j, req.orders)))
+    rhs = combine(terms, prec)
     lhs = phi_g_ell(req)
     name = f"decomposition[{rec.co0_name}, ell {ell}, D sign {req.d_sign:+d}]"
     return CheckReport.from_deviation(name, first_difference(lhs, rhs, prec))
@@ -356,6 +366,14 @@ def verify_coincidences(data: ClassData, orders: int = 5,
     Anchor (dictionary-defining) and externally-referencing rows are
     reported as skipped, never dropped.
     """
+    built: dict[tuple[str, int, int], JacobiSeries] = {}
+
+    def genus(name: str, sign: int | None, ell: int) -> JacobiSeries:
+        key = (name, sign or 1, ell)
+        if key not in built:
+            built[key] = phi_g_ell(GenusRequest(data.record(name), sign or 1, ell, orders))
+        return built[key]
+
     reports = []
     for rel in data.relations:
         if lambency is not None and rel.lambency != lambency:
@@ -365,13 +383,10 @@ def verify_coincidences(data: ClassData, orders: int = 5,
             reports.append(CheckReport(label, "skipped",
                                        note=f"{rel.kind}: {rel.source}"))
             continue
-        lhs_rec = data.record(rel.lhs_class)
-        lhs = phi_g_ell(GenusRequest(lhs_rec, rel.lhs_sign or 1, rel.lambency, orders))
+        lhs = genus(rel.lhs_class, rel.lhs_sign, rel.lambency)
         rhs = JacobiSeries.zero(lhs.trunc)
         for coeff, name, sign in rel.rhs:
-            rec = data.record(name)
-            term = phi_g_ell(GenusRequest(rec, sign or 1, rel.lambency, orders))
-            rhs = rhs + term * coeff
+            rhs = rhs + genus(name, sign, rel.lambency) * coeff
         reports.append(CheckReport.from_deviation(
             label, first_difference(lhs, rhs, _grid(orders)), note=rel.source))
     return reports
@@ -391,7 +406,7 @@ def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> Check
     sign_ell = -1 if ell % 2 else 1
     expected = combine([(effective_d(rec, ell, 1) * sign_ell,
                          _shared_power(THETA1SQ, ell - 1, work),
-                         modforms.eta_product(rec.fs_g, work))])
+                         modforms.eta_product(rec.fs_g, work))], prec)
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
     return CheckReport.from_deviation(
-        name, first_difference(plus - minus, expected.truncate(prec), prec))
+        name, first_difference(plus - minus, expected, prec))

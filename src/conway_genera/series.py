@@ -403,7 +403,12 @@ class IntRows:
         return min(self.trunc + other._min_bound(), other.trunc + self._min_bound())
 
     def __mul__(self, other: "IntRows") -> "IntRows":
-        trunc = self.product_trunc(other)
+        return self.times(other)
+
+    def times(self, other: "IntRows", trunc: int | None = None) -> "IntRows":
+        """self * other, known below the min rule's index and below `trunc` if given."""
+        bound = self.product_trunc(other)
+        trunc = bound if trunc is None else min(bound, trunc)
         rows: dict[int, dict[int, int]] = {}
         for yb, row_b in other.rows.items():
             items_b = sorted(row_b.items())
@@ -429,22 +434,25 @@ class IntRows:
                             self.trunc)
 
 
-def combine(terms) -> JacobiSeries:
+def combine(terms, trunc: int | None = None) -> JacobiSeries:
     """sum_i kappa_i * B_i * f_i for integer rows B_i and series f_i.
 
     Each f_i is split into its sqrt(d) parts and multiplied by B_i in
     integers.  The field enters only here: kappa_i * sqrt(d) / den
     becomes integer multipliers over one common denominator, applied
-    once per output coefficient.  The truncation is the least over all
-    products, each by the min rule.
+    once per output coefficient.  The result is known below the least
+    of `trunc` (when given) and every product's min-rule index, and no
+    product is computed past that bound.
     """
-    products, truncs = [], []
+    parts = []
     for kappa, rows, f in terms:
         for d, part in IntRows.split(f).items():
-            truncs.append(rows.product_trunc(part))
+            bound = rows.product_trunc(part)
+            trunc = bound if trunc is None else min(bound, trunc)
             scale = _coeff(kappa) * RadicalScalar({d: Fraction(1, rows.den * part.den)})
             if scale:
-                products.append((scale, rows * part))
+                parts.append((scale, rows, part))
+    products = [(scale, rows.times(part, trunc)) for scale, rows, part in parts]
     common = lcm(*(a.denominator for scale, _ in products for a in scale.parts.values()))
     acc: dict[tuple[int, int], dict[int, int]] = {}
     for scale, prod in products:
@@ -455,7 +463,7 @@ def combine(terms) -> JacobiSeries:
                 for d, m in mults:
                     slot[d] = slot.get(d, 0) + m * n
     return JacobiSeries({key: RadicalScalar({d: Fraction(v, common) for d, v in slot.items()})
-                         for key, slot in acc.items()}, min(truncs))
+                         for key, slot in acc.items()}, trunc)
 
 
 def _product(a, b) -> JacobiSeries:

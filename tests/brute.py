@@ -145,6 +145,12 @@ def field_pow(f, n: int):
 # field_mul: every theta-quotient power is rebuilt for each class and
 # sign.  The package builds the same genus from shared integer rows
 # (genera.phi_g_ell); the two must agree coefficient for coefficient.
+#
+# The references keep a fixed head-room of their own, so their agreement
+# with the package shows that genera._MARGIN is enough.
+
+#: grid head-room of the reference products: two q-orders
+MARGIN = 48
 
 
 def radical_phi_g_ell(req):
@@ -154,7 +160,7 @@ def radical_phi_g_ell(req):
 
     rec, ell = req.rec, req.ell
     prec = 24 * req.orders
-    work = prec + genera._MARGIN
+    work = prec + MARGIN
     power = ell - 1
     q2 = field_pow(modforms.theta_quotient(THETA2, work), power)
     q3 = field_pow(modforms.theta_quotient(THETA3, work), power)
@@ -184,7 +190,7 @@ def radical_f_g(rec, d_sign=1, orders=5):
     from conway_genera import genera, modforms
 
     prec = 24 * orders
-    work = prec + genera._MARGIN
+    work = prec + MARGIN
     d_val = genera.effective_d(rec, 2, d_sign)
     total = (field_mul(modforms.lambda2_half("plain", work),
                        modforms.eta_ratio_half(rec.fs_g, work))
@@ -201,7 +207,7 @@ def radical_f_2j_g(rec, j, orders=5):
     from conway_genera import genera, modforms
 
     prec = 24 * orders
-    work = prec + genera._MARGIN
+    work = prec + MARGIN
     total = -field_mul(field_pow(modforms.lambda2_half("plain", work), j),
                        modforms.eta_ratio_half(rec.fs_g, work))
     total = total + field_mul(field_pow(modforms.lambda2_half("shifted", work), j),

@@ -5,8 +5,9 @@ import pytest
 import brute
 from conway_genera import genera, modforms
 from conway_genera.genera import GenusRequest
+from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 from conway_genera.scalars import RadicalScalar
-from conway_genera.series import JacobiSeries, QSeries, first_difference
+from conway_genera.series import IntRows, JacobiSeries, QSeries, first_difference
 
 
 def test_ts_identity_class_shape(data):
@@ -125,6 +126,53 @@ def test_phi_matches_radical_reference_for_every_tabulated_genus(data):
     assert count == 92
 
 
+def _lowest(rows: IntRows) -> int:
+    return min(min(row) for row in rows.rows.values() if row)
+
+
+def test_genus_headroom_is_exact(data):
+    work = 24 * 3 + genera._MARGIN
+    starts = set()
+    for rec in data.classes.values():
+        for fs in (rec.fs_g, rec.fs_neg_g):
+            starts.add(modforms.eta_ratio_half(fs, work).min_key())
+            assert modforms.eta_product(fs, work).min_key() >= 0, rec.co0_name
+    assert starts == {-12} == {-genera._MARGIN}
+    kinds = (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01,
+             genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2)
+    for power in range(1, 7):
+        for kind in kinds:
+            assert _lowest(genera._shared_power(kind, power, work)) >= 0, (kind, power)
+        for a in range(power + 1):
+            assert _lowest(genera._monomial(a, power - a, work)) >= 0, (a, power)
+
+
+def test_genus_products_stop_at_requested_precision(data, monkeypatch):
+    orders = 3
+    cases = [GenusRequest(data.record(name), sign, ell, orders)
+             for name, ell, sign in (("1A", 2, 1), ("5C", 2, -1), ("2B", 5, -1),
+                                     ("4G", 3, 1), ("1A", 7, 1))]
+
+    def run():
+        for req in cases:
+            genera.phi_g_ell(req)
+            genera.verify_decomposition_ell(req)
+            genera.f_2j_g(req.rec, req.ell - 1, orders)
+
+    run()  # the shared powers are built once, at the working grid
+    truncs = []
+    times = IntRows.times
+
+    def traced(self, other, trunc=None):
+        product = times(self, other, trunc)
+        truncs.append(product.trunc)
+        return product
+
+    monkeypatch.setattr(IntRows, "times", traced)
+    run()
+    assert truncs and max(truncs) <= 24 * orders
+
+
 @pytest.mark.parametrize("orders", [2, 4])
 def test_f_2j_matches_radical_reference_for_every_class(data, orders):
     for rec in data.classes.values():
@@ -203,6 +251,19 @@ def test_coincidences(data):
     assert len(skipped) == len(reports) - 17
     assert by_name["coincidence[ell 2: 4B]"].status == "pass"
     assert by_name["coincidence[ell 2: 7B]"].status == "skipped"
+
+
+def test_coincidences_build_each_genus_once(data, monkeypatch):
+    calls = []
+    phi_g_ell = genera.phi_g_ell
+
+    def counted(req):
+        calls.append((req.rec.co0_name, req.d_sign, req.ell))
+        return phi_g_ell(req)
+
+    monkeypatch.setattr(genera, "phi_g_ell", counted)
+    genera.verify_coincidences(data, 5, lambency=2)
+    assert len(calls) == len(set(calls)) == 23
 
 
 def test_named_coincidence_rows(data):

@@ -209,7 +209,7 @@ def test_theta_quotient_ground_rows():
 
 
 def test_theta_sums_match_products():
-    # 12 orders cover the deep benchmark's work grid of 288
+    # 12 orders cover the deep benchmark's work grid of 252 (10 orders + genera._MARGIN)
     prec = 24 * 12
     for i, kind in ((2, mf.THETA2), (3, mf.THETA3), (4, mf.THETA4)):
         from_sums = mf.theta_quotient_from_sums(i, prec)

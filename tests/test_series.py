@@ -190,6 +190,17 @@ def test_combine_is_the_field_sum_of_jacobi_products(j1, f1, k1, j2, f2, k2):
     assert got == brute.field_mul(j1, f1) * k1 + brute.field_mul(j2, f2) * k2
 
 
+@settings(max_examples=80, deadline=None)
+@given(jacobi_rational, qseries_over(radicals), radicals,
+       jacobi_rational, qseries_over(fractions), radicals, st.integers(-12, 150))
+def test_combine_stops_at_the_requested_truncation(j1, f1, k1, j2, f2, k2, t):
+    terms = [(k1, IntRows.from_series(j1), f1), (k2, IntRows.from_series(j2), f2)]
+    full = combine(terms)
+    cut = combine(terms, t)
+    assert cut.trunc == min(t, full.trunc)
+    assert cut == full.truncate(cut.trunc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(jacobi_rational, st.integers(0, 4))
 def test_integer_kernel_powers_match_jacobi_pow(j, n):
