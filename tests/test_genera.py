@@ -158,6 +158,9 @@ def test_genus_products_stop_at_requested_precision(data, monkeypatch):
             genera.phi_g_ell(req)
             genera.verify_decomposition_ell(req)
             genera.f_2j_g(req.rec, req.ell - 1, orders)
+            genera.verify_sign_flip(req.rec, req.ell, orders)
+            if req.ell == 2:
+                genera.verify_decomposition(req.rec, req.d_sign, orders)
 
     run()  # the shared powers are built once, at the working grid
     truncs = []
