@@ -230,44 +230,38 @@ def _suite_oracle(data, orders):
         ok = True
         ts = genera.ts_g(rec, "g", "chi", 3)
         brute = oracle.brute_ts(rec, "g", 2)
-        ok = ok and _brute_matches_q(brute, ts)
+        ok = ok and _brute_matches(brute, ts)
         ts_tw = genera.ts_g(rec, "g_tw", "chi", 3)
         brute_tw = oracle.brute_ts(rec, "g_tw", 2)
-        ok = ok and _brute_matches_q(brute_tw, ts_tw)
+        ok = ok and _brute_matches(brute_tw, ts_tw)
         phi = genera.phi_g(rec, sign, 3)
         brute_phi = oracle.brute_phi(rec, sign, 2, 2)
-        ok = ok and _brute_matches_jacobi(brute_phi, phi)
+        ok = ok and _brute_matches(brute_phi, phi)
         label = f"oracle[{name}, D sign {sign:+d}]" if name == "4D" \
             else f"oracle[{name}]"
         out.append(CheckReport(label, "pass" if ok else "fail"))
     return out
 
 
-def _brute_matches_q(brute: dict, series: QSeries) -> bool:
-    order = next(iter(brute.values())).order if brute else 2
-    limit = max(brute) if brute else 0
-    for key in set(brute) | {k for k in series.coeffs if k <= limit}:
-        want = oracle.embed_radical(series.coeff(key), order)
-        have = brute.get(key, oracle.CycloNumber.zero(order))
-        if want != have:
-            return False
-    return True
+def _brute_matches(brute: dict, series: QSeries | JacobiSeries) -> bool:
+    """Whether a brute-force trace equals a closed form inside Q(zeta_N).
 
-
-def _brute_matches_jacobi(brute: dict, series: JacobiSeries) -> bool:
-    sample = next(iter(brute.values()), None)
-    order = next(iter(sample.values())).order if sample else 2
+    Both sides are compared on (grid, y half-index) keys up to the highest
+    brute grid; a q-series and a trace without charges sit at y half-index
+    0.  An empty trace is compared in Q(zeta_2) up to grid 0.
+    """
+    flat = {}
+    for grid, value in brute.items():
+        charges = value if isinstance(value, dict) else {0: value}
+        flat.update(((grid, 2 * c), v) for c, v in charges.items())
+    if isinstance(series, QSeries):
+        series = JacobiSeries({(k, 0): v for k, v in series.coeffs.items()}, series.trunc)
+    order = next(iter(flat.values())).order if flat else 2
     limit = max(brute) if brute else 0
-    keys = set()
-    for grid, charges in brute.items():
-        keys.update((grid, 2 * c) for c in charges)
-    keys.update(k for k in series.coeffs if k[0] <= limit)
-    for (grid, ry) in keys:
-        if ry % 2:
-            return False
-        want = oracle.embed_radical(series.coeff(grid, ry), order)
-        have = brute.get(grid, {}).get(ry // 2, oracle.CycloNumber.zero(order))
-        if want != have:
+    zero = oracle.CycloNumber.zero(order)
+    for grid, ry in sorted(set(flat) | {k for k in series.coeffs if k[0] <= limit}):
+        if ry % 2 or oracle.embed_radical(series.coeff(grid, ry), order) \
+                != flat.get((grid, ry), zero):
             return False
     return True
 

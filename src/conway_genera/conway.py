@@ -295,22 +295,26 @@ def _validate_record(rec: ConwayClassRecord) -> None:
     row = rec.co0_name
     try:
         rec.fs_g.validate()
+        negated = rec.fs_g.negate()
+        rec.fs_g.chi()
     except ValueError as exc:
         raise DataError(f"row {row}, field pi_g: {exc}") from exc
-    if rec.fs_g.negate() != rec.fs_neg_g:
+    if negated != rec.fs_neg_g:
         raise DataError(
             f"row {row}, field pi_neg_g: table value {rec.fs_neg_g} does not match "
-            f"the negation {rec.fs_g.negate()}")
+            f"the negation {negated}")
     if rec.fs_g.cyclo().get(1, 0) != rec.rank:
         raise DataError(f"row {row}: fixed-space rank disagrees between computations")
-    rec.fs_g.chi()
     c_sq = rec.c_neg_g * rec.c_neg_g
     if c_sq != RadicalScalar.from_rational(c_squared_oracle(rec.fs_g)):
         raise DataError(
             f"row {row}, field c_neg_g: {rec.c_neg_g} squared does not match the "
             f"characteristic-polynomial value {c_squared_oracle(rec.fs_g)}")
     for ell, mag in rec.d_magnitude.items():
-        want = d_squared_oracle(rec.fs_g, ell)
+        try:
+            want = d_squared_oracle(rec.fs_g, ell)
+        except ValueError as exc:
+            raise DataError(f"row {row}, field d_mag[{ell}]: {exc}") from exc
         if mag * mag != RadicalScalar.from_rational(want):
             raise DataError(
                 f"row {row}, field d_mag[{ell}]: {mag} squared does not match the "

@@ -77,14 +77,6 @@ def _assert_fixed_four(rec: ConwayClassRecord) -> None:
         raise ValueError(f"class {rec.co0_name} does not fix a 4-space")
 
 
-def _ratio_g(rec: ConwayClassRecord, prec: int) -> QSeries:
-    return modforms.eta_ratio_half(rec.fs_g, prec)
-
-
-def _ratio_neg(rec: ConwayClassRecord, prec: int) -> QSeries:
-    return modforms.eta_ratio_half(rec.fs_neg_g, prec)
-
-
 def effective_d(rec: ConwayClassRecord, ell: int, d_sign: int) -> RadicalScalar:
     """The multiplier plugged into the product formula for a table sign."""
     return rec.d_signed(ell, d_sign * TABLE_D_ORIENTATION)
@@ -130,11 +122,11 @@ def ts_g(rec: ConwayClassRecord, which: str = "g", form: str = "chi",
     chi = rec.chi
     if form == "chi":
         if which == "g":
-            return _ratio_g(rec, prec) + chi
+            return modforms.eta_ratio_half(rec.fs_g, prec) + chi
         # C_g = 0 for every tabulated class (fixed 4-space)
         return QSeries({0: -chi}, prec)
-    r_g = _ratio_g(rec, prec)
-    r_neg = _ratio_neg(rec, prec)
+    r_g = modforms.eta_ratio_half(rec.fs_g, prec)
+    r_neg = modforms.eta_ratio_half(rec.fs_neg_g, prec)
     c_term = modforms.eta_product(rec.fs_neg_g, prec) * rec.c_neg_g
     if which == "g":
         return (r_g + r_neg - c_term) * Fraction(1, 2)
@@ -145,7 +137,8 @@ def verify_eta_identity(rec: ConwayClassRecord, orders: int = 8) -> CheckReport:
     """2 chi - r_{-g} + r_g + C(-g) eta_{-g} - C_g eta_g = 0, exactly."""
     _assert_fixed_four(rec)
     prec = _grid(orders)
-    combo = (_ratio_g(rec, prec) - _ratio_neg(rec, prec)
+    combo = (modforms.eta_ratio_half(rec.fs_g, prec)
+             - modforms.eta_ratio_half(rec.fs_neg_g, prec)
              + modforms.eta_product(rec.fs_neg_g, prec) * rec.c_neg_g
              + 2 * rec.chi)
     dev = first_difference(combo, QSeries.zero(prec), prec)
@@ -205,8 +198,10 @@ def phi_g_ell(req: GenusRequest) -> JacobiSeries:
     power = ell - 1
     sign_ell = -1 if ell % 2 else 1
     total = combine([
-        (Fraction(-1, 2), _shared_power(THETA4, power, work), _ratio_g(rec, work)),
-        (Fraction(1, 2), _shared_power(THETA3, power, work), _ratio_neg(rec, work)),
+        (Fraction(-1, 2), _shared_power(THETA4, power, work),
+         modforms.eta_ratio_half(rec.fs_g, work)),
+        (Fraction(1, 2), _shared_power(THETA3, power, work),
+         modforms.eta_ratio_half(rec.fs_neg_g, work)),
         (effective_d(rec, ell, req.d_sign) * Fraction(sign_ell, 2),
          _shared_power(THETA1SQ, power, work), modforms.eta_product(rec.fs_g, work)),
         (rec.c_neg_g * Fraction(-1, 2),
@@ -234,8 +229,10 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     prec = _grid(orders)
     work = prec + _MARGIN
     total = combine([
-        (Fraction(1, 2), _shared_power(_L2_PLAIN, 1, work), _ratio_g(rec, work)),
-        (Fraction(-1, 2), _shared_power(_L2_SHIFTED, 1, work), _ratio_neg(rec, work)),
+        (Fraction(1, 2), _shared_power(_L2_PLAIN, 1, work),
+         modforms.eta_ratio_half(rec.fs_g, work)),
+        (Fraction(-1, 2), _shared_power(_L2_SHIFTED, 1, work),
+         modforms.eta_ratio_half(rec.fs_neg_g, work)),
         (effective_d(rec, 2, d_sign) * Fraction(-1, 2),
          IntRows.one(work), modforms.eta_product(rec.fs_g, work)),
         (rec.c_neg_g * Fraction(1, 2),
@@ -254,8 +251,10 @@ def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
     prec = _grid(orders)
     work = prec + _MARGIN
     total = combine([
-        (-1, _shared_power(_L2_PLAIN, j, work), _ratio_g(rec, work)),
-        (1, _shared_power(_L2_SHIFTED, j, work), _ratio_neg(rec, work)),
+        (-1, _shared_power(_L2_PLAIN, j, work),
+         modforms.eta_ratio_half(rec.fs_g, work)),
+        (1, _shared_power(_L2_SHIFTED, j, work),
+         modforms.eta_ratio_half(rec.fs_neg_g, work)),
         (-rec.c_neg_g, _shared_power(_L2_NEG2, j, work),
          modforms.eta_product(rec.fs_neg_g, work)),
     ], prec).row0().truncate(prec)

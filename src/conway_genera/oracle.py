@@ -9,14 +9,17 @@ sides.
 
 Enumeration.  The k-subsets of the mode labels are counted by their
 (eigenvalue exponent, charge) profile, one label at a time (a 0/1
-knapsack over subset sizes), and the levels of the mode tower are
-combined the same way.  Traces are then integer counts per (degree,
-charge, parity, exponent), reduced into the cyclotomic field once per
-coefficient; the field coordinates stay Python ints wherever they are
-integral.  `enumerate_basis` keeps the literal monomial list that the
-counts are tested against.  Each sector is enumerated once per
-assembled trace; its plain and involution-inserted traces differ only
-in the parity weights of the same counts.
+knapsack over subset sizes), and one walk combines the levels of the
+mode tower the same way.  The walk starts from the ground state; in the
+twisted sector its start states are the 2^12 monomials in the twelve
+zero modes, counted as one more subset histogram.  Traces are then
+integer counts per (degree, charge, parity, exponent), reduced into the
+cyclotomic field once per coefficient; the field coordinates stay
+Python ints wherever they are integral.  `enumerate_basis` runs the
+same walk over literal monomials, which the counts are tested against.
+Each sector is enumerated once per assembled trace; its plain and
+involution-inserted traces differ only in the parity weights of the
+same counts.
 
 Conventions.  A class with eigenvalue pairs (lambda_i, lambda_i^{-1}),
 i = 1..12, acts on each mode label by its eigenvalue; the central
@@ -35,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 from .conway import ConwayClassRecord, FrameShape
 from .scalars import RADICAL_BASIS, RadicalScalar
@@ -278,10 +281,6 @@ class _Pair:
     distinguished: bool = False
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 class EigenSystem:
     """Explicit eigenvalue pairs and square roots for one class."""
 
@@ -289,14 +288,14 @@ class EigenSystem:
         mult = fs.cyclo()
         order = 2
         for d in mult:
-            order = _lcm(order, 2 * d)
+            order = lcm(order, 2 * d)
         # keep the needed square roots available for conversions
         if any(d % 2 == 0 for d in mult):
-            order = _lcm(order, 8)
+            order = lcm(order, 8)
         if any(d % 3 == 0 for d in mult):
-            order = _lcm(order, 12)
+            order = lcm(order, 12)
         if any(d % 5 == 0 for d in mult):
-            order = _lcm(order, 5)
+            order = lcm(order, 5)
         self.order = order
         pairs: list[_Pair] = []
         for d in sorted(mult):
@@ -430,16 +429,18 @@ def _check_bound(degree_bound) -> Fraction:
     return bound
 
 
-def _walk_levels(cap: int, weight_of, start, extend) -> dict:
+def _walk_levels(cap: int, weight_of, starts: dict, extend) -> dict:
     """{(weight, state): multiplicity} over all mode monomials of weight <= cap.
 
+    The walk begins from starts, {state: multiplicity} at weight 0: the
+    ground state, or in the twisted sector the zero-mode monomials on it.
     Modes at level n = 1, 2, ... weigh weight_of(n), which increases with
     n.  A state with room for k more modes at level n grows into every
     (state', multiplicity) that extend(state, n, k) returns; taking no mode
     of a level leaves it unchanged.  Equal states are merged, adding their
     multiplicities.
     """
-    states = {(0, start): 1}
+    states = {(0, state): mult for state, mult in starts.items()}
     n = 1
     while (w := weight_of(n)) <= cap:
         grown = dict(states)
@@ -453,37 +454,42 @@ def _walk_levels(cap: int, weight_of, start, extend) -> dict:
     return states
 
 
+#: sector -> (degree units per unit of grading, ground degree, degree of
+#: one mode at level n).  Untwisted: ground at -1/2, modes at n - 1/2.
+#: Twisted: ground at +1, modes at n, zero modes in the start states.
+_SECTORS = {"untwisted": (2, -1, lambda n: 2 * n - 1), "twisted": (1, 1, lambda n: n)}
+
+
+def _cap(sector: str, bound: Fraction) -> int:
+    """Degree room above the sector's ground state up to the grading bound."""
+    if sector not in _SECTORS:
+        raise ValueError("sector must be 'untwisted' or 'twisted'")
+    unit, ground, _ = _SECTORS[sector]
+    return floor(unit * bound) - ground
+
+
 def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
     """All monomials with grading eigenvalue at most degree_bound.
 
     Untwisted monomials are tuples of (pair, side, n) naming the mode
     with index n - 1/2; twisted monomials use integer indices, with
     n = 0 entries restricted to the twelve minus polarization labels.
+    The twisted walk starts from the 2^12 zero-mode monomials.
     """
-    bound = _check_bound(degree_bound)
+    cap = _cap(sector, _check_bound(degree_bound))
+    if cap < 0:
+        return []
     labels = [(i, s) for i in range(12) for s in (1, -1)]
+    starts = {(): 1}
+    if sector == "twisted":
+        starts = {tuple((i, -1, 0) for i in zs): 1
+                  for k in range(13) for zs in itertools.combinations(range(12), k)}
 
     def extend(monomial, n, k):
         return [(monomial + tuple((i, s, n) for i, s in combo), 1)
                 for combo in itertools.combinations(labels, k)]
 
-    if sector == "untwisted":
-        cap = floor(2 * bound) + 1  # ground at -1/2; modes weigh 2n-1
-        if cap < 0:
-            return []
-        return [m for _, m in _walk_levels(cap, lambda n: 2 * n - 1, (), extend)]
-    if sector == "twisted":
-        if bound < 1:
-            return []
-        cap = int(bound) - 1  # ground at +1; modes weigh n
-        mode_sets = [m for _, m in _walk_levels(cap, lambda n: n, (), extend)]
-        out: list[tuple] = []
-        for k in range(13):
-            for zs in itertools.combinations(range(12), k):
-                base = tuple((i, -1, 0) for i in zs)
-                out.extend(base + ms for ms in mode_sets)
-        return out
-    raise ValueError("sector must be 'untwisted' or 'twisted'")
+    return [m for _, m in _walk_levels(cap, _SECTORS[sector][2], starts, extend)]
 
 
 # -- trace accumulation --------------------------------------------------------
@@ -507,55 +513,39 @@ def _subset_histogram(labels: list[tuple[int, int]], order: int,
     return table
 
 
-def _mode_histogram(labels, order: int, cap: int, weight_of) -> dict:
-    """{(weight, (exponent, charge, parity)): count} over all mode monomials."""
-    table = _subset_histogram(labels, order, cap)
+def _buckets(system: EigenSystem, sector: str, bound: Fraction) -> dict:
+    """counts[(degree, charge, parity)][exponent], degree in the sector's units.
+
+    The walk's states are (exponent, charge, parity) triples.  The
+    untwisted walk starts from the vacuum alone; the twisted walk starts from the
+    zero-mode subset histogram, shifted by the ground data and signed by
+    the ground sigma, so the zero modes need no pass of their own.
+    """
+    cap = _cap(sector, bound)
+    if cap < 0:
+        return {}
+    _, ground, weight_of = _SECTORS[sector]
+    order = system.order
+    starts = Counter({(0, 0, 0): 1})
+    if sector == "twisted":
+        sigma, nu_exp, ground_charge = system.ground_data()
+        starts = Counter()
+        for k, row in enumerate(_subset_histogram(system.zero_mode_labels(), order, 12)):
+            for (e, c), m in row.items():
+                starts[((nu_exp + e) % order, ground_charge + c, k % 2)] += sigma * m
+    table = _subset_histogram(system.mode_labels(), order, cap)
 
     def extend(state, n, k):
         exp, charge, parity = state
         return [(((exp + e) % order, charge + c, (parity + k) % 2), m)
                 for (e, c), m in table[k].items()]
 
-    return _walk_levels(cap, weight_of, (0, 0, 0), extend)
-
-
-def _untwisted_buckets(system: EigenSystem, bound: Fraction) -> dict:
-    """counts[(deg2, charge, parity)][exponent]; deg2 = twice the grading."""
-    cap = floor(2 * bound) + 1
     buckets: dict[tuple[int, int, int], dict[int, int]] = {}
-    if cap < 0:
-        return buckets
-    for (weight, (exp, charge, parity)), count in _mode_histogram(
-            system.mode_labels(), system.order, cap, lambda n: 2 * n - 1).items():
-        slot = buckets.setdefault((weight - 1, charge, parity), {})
+    for (weight, (exp, charge, parity)), count in _walk_levels(
+            cap, weight_of, starts, extend).items():
+        slot = buckets.setdefault((ground + weight, charge, parity), {})
         slot[exp] = slot.get(exp, 0) + count
     return buckets
-
-
-def _twisted_buckets(system: EigenSystem, bound: Fraction) -> dict:
-    """counts[(degree, charge, parity)][exponent]; ground degree is 1."""
-    order = system.order
-    sigma, nu_exp, ground_charge = system.ground_data()
-    cap = int(bound) - 1
-    if cap < 0:
-        return {}
-    zero_labels = system.zero_mode_labels()
-    zero_table = _subset_histogram(zero_labels, order, len(zero_labels))
-    modes = _mode_histogram(system.mode_labels(), order, cap, lambda n: n)
-    buckets: dict[tuple[int, int, int], dict[int, int]] = {}
-    for z_count, rows in enumerate(zero_table):
-        for (z_exp, z_charge), z_mult in rows.items():
-            for (weight, (m_exp, m_charge, m_par)), m_mult in modes.items():
-                key = (1 + weight, ground_charge + z_charge + m_charge,
-                       (z_count + m_par) % 2)
-                exp = (nu_exp + z_exp + m_exp) % order
-                slot = buckets.setdefault(key, {})
-                slot[exp] = slot.get(exp, 0) + sigma * z_mult * m_mult
-    return buckets
-
-
-#: sector -> (bucket builder, grid index step of one bucket degree unit)
-_SECTORS = {"untwisted": (_untwisted_buckets, 12), "twisted": (_twisted_buckets, 24)}
 
 
 def _trace(system: EigenSystem, bound: Fraction, weights: dict,
@@ -571,8 +561,8 @@ def _trace(system: EigenSystem, bound: Fraction, weights: dict,
     order = system.order
     vectors: dict = {}
     for sector, (even, odd) in weights.items():
-        build, step = _SECTORS[sector]
-        for (deg, charge, parity), exps in build(system, bound).items():
+        step = 24 // _SECTORS[sector][0]
+        for (deg, charge, parity), exps in _buckets(system, sector, bound).items():
             vec = vectors.setdefault((deg * step, charge) if j_weight else deg * step,
                                      [0] * order)
             w = odd if parity else even
@@ -610,8 +600,6 @@ def brute_trace(rec: ConwayClassRecord, sector: str, z_insertion: bool = True,
     """
     bound = _check_bound(degree_bound)
     system = build_system(rec, j_weight=j_weight, d_sign=d_sign, ell=ell)
-    if sector not in _SECTORS:
-        raise ValueError("sector must be 'untwisted' or 'twisted'")
     return _trace(system, bound, {sector: (1, -1) if z_insertion else (1, 1)},
                   j_weight)
 

@@ -237,7 +237,11 @@ def parse_radical(text: str) -> RadicalScalar:
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("rad") is None):
             raise ValueError(f"cannot parse radical-scalar term {term!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in radical-scalar term {term!r} "
+                             f"in {text!r}") from None
         d = int(m.group("rad")) if m.group("rad") else 1
         if d not in RADICAL_BASIS:
             raise ValueError(f"sqrt({d}) lies outside the coefficient field")

@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conway_genera
-from conway_genera import cli
+from conway_genera import cli, genera, oracle
 from conway_genera.series import IntRows, JacobiSeries, QSeries
 
 BUNDLED = Path(conway_genera.__file__).parent / "data"
@@ -145,6 +150,19 @@ def test_precision_above_the_bound_fails_before_any_series_is_built(
     assert str(cli.MAX_ORDERS) in err
 
 
+def test_brute_comparison_reads_both_trace_shapes(data):
+    rec = data.record("2B")
+    ts, phi = genera.ts_g(rec, "g", "chi", 3), genera.phi_g(rec, 1, 3)
+    brute_ts, brute_phi = oracle.brute_ts(rec, "g", 2), oracle.brute_phi(rec, 1, 2, 2)
+    assert cli._brute_matches(brute_ts, ts)
+    assert not cli._brute_matches(brute_ts, ts + 1)
+    assert cli._brute_matches(brute_phi, phi)
+    assert not cli._brute_matches(brute_phi, phi + JacobiSeries({(24, 2): 1}, phi.trunc))
+    # an empty trace compares up to grid 0, and a half-odd y power never matches
+    assert cli._brute_matches({}, QSeries.zero(72))
+    assert not cli._brute_matches({}, JacobiSeries({(0, 1): 1}, 72))
+
+
 def test_module_entry_point_runs_the_cli():
     src = Path(conway_genera.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -168,6 +186,53 @@ def test_classes_without_class_list_is_a_data_error(tmp_path, capsys):
     path = _data_dir(tmp_path, {"rows": []}, _bundled("coincidences.json"))
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
     assert code == 3 and err.startswith("data error:")
+
+
+@pytest.mark.parametrize("row, ell", [("1A", "9"), ("2B", "7")],
+                         ids=["unsupported-lambency", "fixed-space-too-small"])
+def test_d_mag_key_failing_its_invariant_is_a_data_error(tmp_path, capsys, row, ell):
+    classes = _bundled("classes.json")
+    next(e for e in classes["classes"] if e["co0"] == row)["d_mag"][ell] = "0"
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    code, _, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and err.startswith(f"data error: row {row}, field d_mag[{ell}]")
+
+
+#: well-formed and malformed radical strings for d_mag values
+_RADICALS = ("0", "1", "-1", "16", "1/2", "2*sqrt(2)", "-4*sqrt(3)", "sqrt(5)",
+             "sqrt(7)", "", "x", "1/0", "sqrt(2)+")
+
+
+@st.composite
+def _one_field_mutated(draw):
+    """The bundled class table with one field of one row changed."""
+    classes = _bundled("classes.json")
+    entry = draw(st.sampled_from(classes["classes"]))
+    field = draw(st.sampled_from(("d_mag key", "d_mag value", "pi_g", "pi_neg_g")))
+    if field == "d_mag key":
+        old = draw(st.sampled_from(sorted(entry["d_mag"])))
+        entry["d_mag"][str(draw(st.integers(-1, 10)))] = entry["d_mag"].pop(old)
+    elif field == "d_mag value":
+        ell = draw(st.sampled_from(sorted(entry["d_mag"])))
+        entry["d_mag"][ell] = draw(st.sampled_from(_RADICALS))
+    else:
+        pairs = entry[field]
+        i = draw(st.integers(0, len(pairs)))  # len(pairs) appends a pair
+        pairs[i:i + 1] = [[draw(st.integers(0, 30)), draw(st.integers(-30, 30))]]
+    return classes
+
+
+@settings(max_examples=120, deadline=None)
+@given(_one_field_mutated())
+def test_mutated_class_row_loads_or_is_a_data_error(classes):
+    coincidences = _bundled("coincidences.json")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _data_dir(Path(tmp), classes, coincidences)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["--data-dir", path, "list-classes"])
+    assert code in (0, 3)
+    assert code == 0 or err.getvalue().startswith("data error: row")
 
 
 def test_coincidence_row_without_lambency_is_a_data_error(tmp_path, capsys):

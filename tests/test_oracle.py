@@ -280,7 +280,7 @@ def test_subset_histogram_matches_literal_subsets(draw):
 def bases():
     return {(sector, bound): oracle.enumerate_basis(sector, bound)
             for sector, bound in (("untwisted", 1), ("untwisted", 2), ("twisted", 1),
-                                  ("untwisted", Fraction(-1, 4)),
+                                  ("twisted", 2), ("untwisted", Fraction(-1, 4)),
                                   ("untwisted", Fraction(-3, 4)))}
 
 
@@ -312,10 +312,8 @@ def _tally(system, monomials, twisted):
 def test_histogram_buckets_match_literal_enumeration(data, bases, name, j_weight, sign):
     system = oracle.build_system(data.record(name), j_weight=j_weight, d_sign=sign)
     for sector, bound in bases:
-        twisted = sector == "twisted"
-        build = oracle._twisted_buckets if twisted else oracle._untwisted_buckets
-        assert build(system, Fraction(bound)) \
-            == _tally(system, bases[(sector, bound)], twisted), (sector, bound)
+        want = _tally(system, bases[(sector, bound)], sector == "twisted")
+        assert oracle._buckets(system, sector, Fraction(bound)) == want, (sector, bound)
 
 
 @pytest.mark.parametrize("call", [

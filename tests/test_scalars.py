@@ -68,6 +68,12 @@ def test_format_and_parse_roundtrip():
     assert parse_radical("3 - 1/2*sqrt(2)") == rs(d1=3, d2=Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("text", ["1/0", "3 - 2/0*sqrt(2)"])
+def test_parse_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_radical(text)
+
+
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=7)
 elements = st.builds(
     lambda pairs: RadicalScalar(dict(pairs)),
