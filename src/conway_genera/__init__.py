@@ -11,23 +11,21 @@ brute-force trace oracle at low degree.
 """
 
 from .conway import (ClassData, ConwayClassRecord, DataError, FrameShape,
-                     bundled_data, c_squared_oracle, chi_of, d_squared_oracle,
-                     frame_shape_to_cyclo, load_class_data, negate_frame_shape)
+                     bundled_data, c_squared_oracle, d_squared_oracle, load_class_data)
 from .genera import (GenusRequest, f_2j_g, f_g, k3_elliptic_genus, phi_g,
                      phi_g_ell, ts_g, verify_coincidences, verify_decomposition,
                      verify_decomposition_ell, verify_eta_identity,
                      verify_jacobi_invariance)
-from .scalars import RadicalScalar, Rational, format_radical, parse_radical
+from .scalars import RadicalScalar, format_radical, parse_radical
 from .series import GridError, JacobiSeries, QSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassData", "ConwayClassRecord", "DataError", "FrameShape", "GenusRequest",
-    "GridError", "JacobiSeries", "QSeries", "RadicalScalar", "Rational",
-    "bundled_data", "c_squared_oracle", "chi_of", "d_squared_oracle",
-    "f_2j_g", "f_g", "format_radical", "frame_shape_to_cyclo",
-    "k3_elliptic_genus", "load_class_data", "negate_frame_shape",
+    "GridError", "JacobiSeries", "QSeries", "RadicalScalar",
+    "bundled_data", "c_squared_oracle", "d_squared_oracle",
+    "f_2j_g", "f_g", "format_radical", "k3_elliptic_genus", "load_class_data",
     "parse_radical", "phi_g", "phi_g_ell", "ts_g", "verify_coincidences",
     "verify_decomposition", "verify_decomposition_ell", "verify_eta_identity",
     "verify_jacobi_invariance", "__version__",

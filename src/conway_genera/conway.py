@@ -160,18 +160,6 @@ class FrameShape:
         return text
 
 
-def negate_frame_shape(fs: FrameShape) -> FrameShape:
-    return fs.negate()
-
-
-def frame_shape_to_cyclo(fs: FrameShape) -> dict[int, int]:
-    return fs.cyclo()
-
-
-def chi_of(fs: FrameShape) -> int:
-    return fs.chi()
-
-
 def c_squared_oracle(fs_g: FrameShape) -> Fraction:
     """Square of the twisted ground-state trace attached to -g.
 

@@ -16,19 +16,18 @@ with r_h the half-argument ratio of eta_h, Q2/Q3/Q4 the normalized
 squared theta quotients and Q1 = theta_1^2/eta^6.  The B_i do not depend
 on the class: each power is built once per process as integer rows over
 a power-of-two denominator (series.IntRows) and shared by every class,
-sign and lambency.  The S_i have integer coefficients, and each product
-B_i S_i is taken in integers, one y-row at a time.  The radicals of
-Q(sqrt 2, sqrt 3, sqrt 5) enter only through the constants kappa_i, once
-per output coefficient, in series.combine.
+sign and lambency.  The S_i have integer coefficients and are read once
+per class as integer rows.  One assembler, _class_form, builds every
+genus-side form as such a sum, each product B_i S_i in integers.  The
+radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter only through the kappa_i,
+once per output coefficient, in series.combine.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: they come from the weight-2 forms Lambda_2(tau/2),
 Lambda_2(tau/2 + 1/2) and -2 Lambda_2(tau) and from the eta ratios, never
-from the theta quotients.  The powers of those three forms are shared
-integer rows too, and each F_{2j} is one integer combination of three
-class series, read back from its single y^0 row.  They multiply the
-phi_{0,1}^a (theta_1^2/eta^6)^b monomials, shared the same way, in the
-binomial decomposition checked by verify_decomposition_ell.
+from the theta quotients; F is -(F_2 + D eta_g)/2.  The decomposition
+check assembles F's terms with each L^j replaced by the binomial
+expansion of (phi_{0,1}/12 + L Q1)^(ell-1), a theta-quotient power.
 
 Precision arguments here count integer q-orders; grid indices are used
 internally.  Every product stops at the requested precision prec.  The
@@ -53,10 +52,8 @@ from .report import CheckReport
 from .scalars import RadicalScalar, format_radical
 from .series import IntRows, JacobiSeries, QSeries, combine, first_difference
 
-#: grid head-room of the genus-side factors, exactly what the min rule
-#: needs: r_g and r_{-g} start at q^(-1/2), grid -12, because the Frame
-#: shapes of g and -g have degree 24 (each class fixes a 4-space), and
-#: every other factor starts at q^0 or above (see the module docstring)
+#: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
+#: -12 and every other factor at 0 or above (see the module docstring)
 _MARGIN = 12
 
 #: Sign pairing between the bundled D column and the product formula;
@@ -155,6 +152,9 @@ _PHI01 = "phi01"
 _L2_PLAIN = "lambda2_plain"
 _L2_SHIFTED = "lambda2_shifted"
 _L2_NEG2 = "lambda2_neg2"
+#: (_BINOMIAL, L) is phi_{0,1}/12 + L theta_1^2/eta^6 with powers expanded
+#: binomially: the theta-4, -3, -2 quotient for L plain, shifted, neg2
+_BINOMIAL = "binomial"
 
 
 def _shared_base(kind: str, work: int) -> IntRows:
@@ -171,13 +171,17 @@ def _shared_base(kind: str, work: int) -> IntRows:
 
 
 @lru_cache(maxsize=None)
-def _shared_power(kind: str, power: int, work: int) -> IntRows:
-    """A theta quotient, phi_{0,1} or a weight-2 form to a power, as integer rows.
+def _shared_power(kind: str | tuple[str, str], power: int, work: int) -> IntRows:
+    """A theta quotient, phi_{0,1}, a weight-2 form or a (_BINOMIAL, L) form to a power.
 
     Class-independent, so built once per (kind, power, work) per process.
     """
     if power == 0:
         return IntRows.one(work)
+    if isinstance(kind, tuple):  # (_BINOMIAL, L): (phi_{0,1}/12 + L theta_1^2/eta^6)^power
+        return IntRows.from_series(combine([
+            (Fraction(comb(power, j), 12 ** (power - j)), _monomial(power - j, j, work),
+             _shared_power(kind[1], j, work)) for j in range(power + 1)]))
     if power == 1:
         return _shared_base(kind, work)
     return _shared_power(kind, power - 1, work) * _shared_power(kind, 1, work)
@@ -189,29 +193,60 @@ def _monomial(a: int, b: int, work: int) -> IntRows:
     return _shared_power(_PHI01, a, work) * _shared_power(THETA1SQ, b, work)
 
 
+#: positions of r_g, r_{-g}, eta_g and eta_{-g} in _class_rows
+_R_G, _R_NEG, _ETA_G, _ETA_NEG = range(4)
+
+
+@lru_cache(maxsize=None)
+def _class_rows(fs_g: FrameShape, fs_neg_g: FrameShape, work: int) -> tuple[IntRows, ...]:
+    """The class series r_g, r_{-g}, eta_g, eta_{-g} as integer rows, read once."""
+    return tuple(IntRows.from_series(f) for f in (
+        modforms.eta_ratio_half(fs_g, work), modforms.eta_ratio_half(fs_neg_g, work),
+        modforms.eta_product(fs_g, work), modforms.eta_product(fs_neg_g, work)))
+
+
+def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> JacobiSeries:
+    """A genus-side form: sum kappa * shared power * class series, exact below prec.
+
+    Terms are (kappa, (kind, power), slot), read as _shared_power(kind,
+    power) times the class series at `slot` of _class_rows.
+    """
+    _assert_fixed_four(rec)
+    prec = _grid(orders)
+    work = prec + _MARGIN
+    series = _class_rows(rec.fs_g, rec.fs_neg_g, work)
+    total = combine([(kappa, _shared_power(kind, power, work), series[slot])
+                     for kappa, (kind, power), slot in terms], prec)
+    if total.trunc < prec:
+        raise ValueError(f"internal truncation shortfall in {what}")
+    if any(kq % 24 for kq, _ in total.coeffs):
+        raise ValueError(f"{what} for {rec.co0_name} left the integer q-grid")
+    return total
+
+
+def _d_term(rec: ConwayClassRecord, ell: int, d_sign: int, scale):
+    """scale * (-1)^ell D Q1^(ell-1) eta_g: the D-linear part of phi^(ell) at scale 1/2."""
+    sign_ell = -1 if ell % 2 else 1
+    return (effective_d(rec, ell, d_sign) * (sign_ell * scale), (THETA1SQ, ell - 1), _ETA_G)
+
+
+def _f_terms(rec: ConwayClassRecord, scale, shared):
+    """scale * F as _class_form terms, shared(L) in place of L^j in
+    F_{2j} = -L_plain^j r_g + L_shifted^j r_{-g} - C(-g) L_neg2^j eta_{-g}."""
+    return [(-scale, shared(_L2_PLAIN), _R_G),
+            (scale, shared(_L2_SHIFTED), _R_NEG),
+            (-scale * rec.c_neg_g, shared(_L2_NEG2), _ETA_NEG)]
+
+
 def phi_g_ell(req: GenusRequest) -> JacobiSeries:
     """The weight-0, index-(ell-1) genus attached to a table row."""
-    rec, ell = req.rec, req.ell
-    _assert_fixed_four(rec)
-    prec = _grid(req.orders)
-    work = prec + _MARGIN
-    power = ell - 1
-    sign_ell = -1 if ell % 2 else 1
-    total = combine([
-        (Fraction(-1, 2), _shared_power(THETA4, power, work),
-         modforms.eta_ratio_half(rec.fs_g, work)),
-        (Fraction(1, 2), _shared_power(THETA3, power, work),
-         modforms.eta_ratio_half(rec.fs_neg_g, work)),
-        (effective_d(rec, ell, req.d_sign) * Fraction(sign_ell, 2),
-         _shared_power(THETA1SQ, power, work), modforms.eta_product(rec.fs_g, work)),
-        (rec.c_neg_g * Fraction(-1, 2),
-         _shared_power(THETA2, power, work), modforms.eta_product(rec.fs_neg_g, work)),
-    ], prec)
-    if total.trunc < prec:
-        raise ValueError("internal truncation shortfall in phi_g_ell")
-    if any(kq % 24 for kq, _ in total.coeffs):
-        raise ValueError(f"genus for {rec.co0_name} left the integer q-grid")
-    return total
+    rec, power = req.rec, req.ell - 1
+    return _class_form(rec, req.orders, [
+        (Fraction(-1, 2), (THETA4, power), _R_G),
+        (Fraction(1, 2), (THETA3, power), _R_NEG),
+        _d_term(rec, req.ell, req.d_sign, Fraction(1, 2)),
+        (rec.c_neg_g * Fraction(-1, 2), (THETA2, power), _ETA_NEG),
+    ], "genus")
 
 
 def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSeries:
@@ -222,48 +257,21 @@ def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSer
 def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     """Weight-2 multiplier of phi_{-2,1} in the index-1 decomposition.
 
-    Assembled on the (1/2)Z grid; the half-integer exponents must cancel
-    and the result is returned on the integer grid.
+    F = -(F_2 + D eta_g)/2, assembled on the (1/2)Z grid; the half-integer
+    exponents must cancel and the result is returned on the integer grid.
     """
-    _assert_fixed_four(rec)
-    prec = _grid(orders)
-    work = prec + _MARGIN
-    total = combine([
-        (Fraction(1, 2), _shared_power(_L2_PLAIN, 1, work),
-         modforms.eta_ratio_half(rec.fs_g, work)),
-        (Fraction(-1, 2), _shared_power(_L2_SHIFTED, 1, work),
-         modforms.eta_ratio_half(rec.fs_neg_g, work)),
-        (effective_d(rec, 2, d_sign) * Fraction(-1, 2),
-         IntRows.one(work), modforms.eta_product(rec.fs_g, work)),
-        (rec.c_neg_g * Fraction(1, 2),
-         _shared_power(_L2_NEG2, 1, work), modforms.eta_product(rec.fs_neg_g, work)),
-    ], prec).row0().truncate(prec)
-    if any(k % 24 for k in total.coeffs):
-        raise ValueError(f"F_g for {rec.co0_name} is not on the integer grid")
-    return total
+    terms = _f_terms(rec, Fraction(-1, 2), lambda kind: (kind, 1))
+    terms.append((effective_d(rec, 2, d_sign) * Fraction(-1, 2), (THETA1SQ, 0), _ETA_G))
+    return _class_form(rec, orders, terms, "F_g").row0()
 
 
 def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
     """The weight-2j companion forms; j = 0 must give the constant 2 chi."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    _assert_fixed_four(rec)
-    prec = _grid(orders)
-    work = prec + _MARGIN
-    total = combine([
-        (-1, _shared_power(_L2_PLAIN, j, work),
-         modforms.eta_ratio_half(rec.fs_g, work)),
-        (1, _shared_power(_L2_SHIFTED, j, work),
-         modforms.eta_ratio_half(rec.fs_neg_g, work)),
-        (-rec.c_neg_g, _shared_power(_L2_NEG2, j, work),
-         modforms.eta_product(rec.fs_neg_g, work)),
-    ], prec).row0().truncate(prec)
-    if any(k % 24 for k in total.coeffs):
-        raise ValueError(f"F_{{2j}} for {rec.co0_name} is not on the integer grid")
-    if j == 0:
-        expected = QSeries({0: 2 * rec.chi}, prec)
-        if first_difference(total, expected, prec) is not None:
-            raise ValueError(f"F_0 for {rec.co0_name} is not the constant 2 chi")
+    total = _class_form(rec, orders, _f_terms(rec, 1, lambda kind: (kind, j)), "F_{2j}").row0()
+    if j == 0 and first_difference(total, QSeries({0: 2 * rec.chi}, total.trunc)):
+        raise ValueError(f"F_0 for {rec.co0_name} is not the constant 2 chi")
     return total
 
 
@@ -285,37 +293,30 @@ def k3_elliptic_genus(orders: int = 5) -> JacobiSeries:
 # -- verification suites ---------------------------------------------------
 
 
+def _decomposition_deviation(req: GenusRequest) -> dict | None:
+    """First deviation of phi^(ell) from D term + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j},
+    c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)).  By linearity in the class
+    series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
+    (_BINOMIAL, L) power ell - 1, in place of L^j."""
+    rec, power = req.rec, req.ell - 1
+    terms = _f_terms(rec, Fraction(1, 2), lambda kind: ((_BINOMIAL, kind), power))
+    terms.append(_d_term(rec, req.ell, req.d_sign, Fraction(1, 2)))
+    rhs = _class_form(rec, req.orders, terms, "decomposition")
+    return first_difference(phi_g_ell(req), rhs, _grid(req.orders))
+
+
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
                          orders: int = 5) -> CheckReport:
-    """phi = (chi/12) phi01 + F phi-21, coefficientwise."""
-    prec = _grid(orders)
-    work = prec + _MARGIN
-    lhs = phi_g(rec, d_sign, orders)
-    # phi_{-2,1} = -theta_1^2/eta^6
-    rhs = combine([
-        (Fraction(rec.chi, 12), _shared_power(_PHI01, 1, work), QSeries.one(prec)),
-        (-1, _shared_power(THETA1SQ, 1, work), f_g(rec, d_sign, orders)),
-    ], prec)
+    """phi = (chi/12) phi01 + F phi-21, coefficientwise: the ell-2 decomposition."""
     name = f"decomposition[{rec.co0_name}, D sign {d_sign:+d}]"
-    return CheckReport.from_deviation(name, first_difference(lhs, rhs, prec))
+    return CheckReport.from_deviation(
+        name, _decomposition_deviation(GenusRequest(rec, d_sign, 2, orders)))
 
 
 def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
     """The binomial decomposition of phi^(ell) into phi01/phi-21 monomials."""
-    rec, ell = req.rec, req.ell
-    prec = _grid(req.orders)
-    work = prec + _MARGIN
-    sign_ell = -1 if ell % 2 else 1
-    terms = [(effective_d(rec, ell, req.d_sign) * Fraction(sign_ell, 2),
-              _shared_power(THETA1SQ, ell - 1, work), modforms.eta_product(rec.fs_g, work))]
-    for j in range(ell):
-        # (-1)^j from phi_{-2,1}^j = (-1)^j (theta_1^2/eta^6)^j cancels the binomial sign
-        terms.append((Fraction(comb(ell - 1, j), 2 * 12 ** (ell - j - 1)),
-                      _monomial(ell - j - 1, j, work), f_2j_g(rec, j, req.orders)))
-    rhs = combine(terms, prec)
-    lhs = phi_g_ell(req)
-    name = f"decomposition[{rec.co0_name}, ell {ell}, D sign {req.d_sign:+d}]"
-    return CheckReport.from_deviation(name, first_difference(lhs, rhs, prec))
+    name = f"decomposition[{req.rec.co0_name}, ell {req.ell}, D sign {req.d_sign:+d}]"
+    return CheckReport.from_deviation(name, _decomposition_deviation(req))
 
 
 def verify_jacobi_invariance(phi: JacobiSeries, index_m: int,
@@ -398,14 +399,9 @@ def _relation_label(rel: CoincidenceRelation) -> str:
 
 def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> CheckReport:
     """phi(+) - phi(-) is the explicit D-linear term, by linearity in D."""
-    prec = _grid(orders)
-    work = prec + _MARGIN
     plus = phi_g_ell(GenusRequest(rec, 1, ell, orders))
     minus = phi_g_ell(GenusRequest(rec, -1, ell, orders))
-    sign_ell = -1 if ell % 2 else 1
-    expected = combine([(effective_d(rec, ell, 1) * sign_ell,
-                         _shared_power(THETA1SQ, ell - 1, work),
-                         modforms.eta_product(rec.fs_g, work))], prec)
+    expected = _class_form(rec, orders, [_d_term(rec, ell, 1, 1)], "D term")
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
     return CheckReport.from_deviation(
-        name, first_difference(plus - minus, expected, prec))
+        name, first_difference(plus - minus, expected, _grid(orders)))

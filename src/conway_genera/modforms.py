@@ -184,21 +184,18 @@ def lambda2_half(variant: str, prec: int) -> QSeries:
     return plain.half_period_shift()
 
 
+@lru_cache(maxsize=None)
 def eta_product(fs, prec: int) -> QSeries:
     """prod_m eta(m*tau)^{k_m} for a Frame shape; leading term is q."""
-    return _eta_product_cached(fs.factors, prec)
-
-
-@lru_cache(maxsize=None)
-def _eta_product_cached(factors: tuple, prec: int) -> QSeries:
-    lead = sum(m * k for m, k in factors)
+    lead = fs.degree
     work = max(prec - lead, 0)
     exponents: dict[int, int] = {}
-    for m, k in factors:
+    for m, k in fs.factors:
         _add_modes(exponents, 24 * m, 24 * m, work, -1, k)
     return power_product(exponents, work).shift(lead).truncate(prec)
 
 
+@lru_cache(maxsize=None)
 def eta_ratio_half(fs, prec: int) -> QSeries:
     """The half-argument ratio of an eta product.
 
@@ -206,14 +203,9 @@ def eta_ratio_half(fs, prec: int) -> QSeries:
     the ratio equals q^(-1/2) prod_{n>0} P(q^(n-1/2)), with integer
     coefficients and exponents on the (1/2)Z grid.
     """
-    return _eta_ratio_cached(fs.factors, prec)
-
-
-@lru_cache(maxsize=None)
-def _eta_ratio_cached(factors: tuple, prec: int) -> QSeries:
     work = prec + 12
     exponents: dict[int, int] = {}
-    for m, k in factors:
+    for m, k in fs.factors:
         _add_modes(exponents, 12 * m, 24 * m, work, -1, k)
     return power_product(exponents, work).shift(-12)
 

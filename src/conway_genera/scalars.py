@@ -16,8 +16,6 @@ from math import gcd
 #: squarefree indices d with sqrt(d) in the field
 RADICAL_BASIS = (1, 2, 3, 5, 6, 10, 15, 30)
 
-Rational = Fraction
-
 _TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(?:sqrt\((?P<rad>\d+)\))?$")
 
 

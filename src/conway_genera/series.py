@@ -7,10 +7,12 @@ variable y with exponents on the (1/2)Z grid (stored as half-indices)
 and finite y-support at each q order.  IntRows holds a rational
 two-variable series as rows of Python ints over one denominator; its
 product is the only series convolution.  `combine` applies field
-constants to such products, one multiplier per output coefficient, and
-every QSeries or JacobiSeries product is a `combine` over the sqrt(d)
-parts of its left factor.  Only QSeries.inverse still recurses over the
-field.
+constants to such products, one multiplier per output coefficient; it
+takes integer rows only and never splits a series.  A QSeries or
+JacobiSeries product (`_product`) is the one place where series are
+split into sqrt(d) parts: both factors are split and every pair of parts
+becomes one `combine` term.  Only QSeries.inverse still recurses over
+the field.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -21,7 +23,7 @@ immutable; operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import RadicalScalar, format_radical
 
@@ -41,6 +43,13 @@ def _coeff(x) -> RadicalScalar:
 
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
+
+
+def _keyed(f):
+    """(q grid index, y half-index), coefficient pairs of a series; a QSeries is row 0."""
+    if isinstance(f, QSeries):
+        return (((k, 0), v) for k, v in f.coeffs.items())
+    return f.coeffs.items()
 
 
 class QSeries:
@@ -68,10 +77,6 @@ class QSeries:
     @classmethod
     def one(cls, trunc: int) -> "QSeries":
         return cls({0: 1}, trunc)
-
-    @classmethod
-    def monomial(cls, key: int, coeff, trunc: int) -> "QSeries":
-        return cls({key: coeff}, trunc)
 
     # -- inspection ------------------------------------------------------
 
@@ -325,9 +330,6 @@ class JacobiSeries:
     def __hash__(self):
         return hash((self.trunc, tuple(sorted(self.coeffs.items()))))
 
-    def agrees_with(self, other: "JacobiSeries", through: int | None = None) -> bool:
-        return first_difference(self, other, through) is None
-
     def dump(self) -> str:
         lines = []
         for (kq, ry), v in self.items():
@@ -368,31 +370,26 @@ class IntRows:
         series gives the single empty part {1: 0}, which keeps the
         truncation a product with f would have.
         """
-        items = f.coeffs.items()
-        if isinstance(f, QSeries):
-            items = (((k, 0), v) for k, v in items)
         by_radical: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for key, v in items:
+        for key, v in _keyed(f):
             for d, a in v.parts.items():
                 by_radical.setdefault(d, {})[key] = a
-        if not by_radical:
-            return {1: cls({}, 1, f.trunc)}
-        out = {}
-        for d, values in by_radical.items():
-            den = lcm(*(a.denominator for a in values.values()))
-            rows: dict[int, dict[int, int]] = {}
-            for (kq, ry), a in values.items():
-                rows.setdefault(ry, {})[kq] = a.numerator * (den // a.denominator)
-            out[d] = cls(rows, den, f.trunc)
-        return out
+        return ({d: cls._from_fractions(values, f.trunc) for d, values in by_radical.items()}
+                or {1: cls({}, 1, f.trunc)})
 
     @classmethod
     def from_series(cls, f) -> "IntRows":
         """The rows of a series with rational coefficients."""
-        parts = cls.split(f)
-        if set(parts) != {1}:
-            raise ValueError("series has irrational coefficients")
-        return parts[1]
+        return cls._from_fractions({key: v.rational_value() for key, v in _keyed(f)}, f.trunc)
+
+    @classmethod
+    def _from_fractions(cls, values: dict[tuple[int, int], Fraction], trunc: int) -> "IntRows":
+        """The rows of {(q grid index, y half-index): rational coefficient}."""
+        den = lcm(*(a.denominator for a in values.values()))
+        rows: dict[int, dict[int, int]] = {}
+        for (kq, ry), a in values.items():
+            rows.setdefault(ry, {})[kq] = a.numerator * (den // a.denominator)
+        return cls(rows, den, trunc)
 
     def _min_bound(self) -> int:
         keys = [min(row) for row in self.rows.values() if row]
@@ -435,24 +432,22 @@ class IntRows:
 
 
 def combine(terms, trunc: int | None = None) -> JacobiSeries:
-    """sum_i kappa_i * B_i * f_i for integer rows B_i and series f_i.
+    """sum_i kappa_i * A_i * B_i for field constants kappa_i and integer rows A_i, B_i.
 
-    Each f_i is split into its sqrt(d) parts and multiplied by B_i in
-    integers.  The field enters only here: kappa_i * sqrt(d) / den
-    becomes integer multipliers over one common denominator, applied
-    once per output coefficient.  The result is known below the least
-    of `trunc` (when given) and every product's min-rule index, and no
-    product is computed past that bound.
+    Each product is taken in integers.  The field enters only here:
+    kappa_i / (den A_i * den B_i) becomes integer multipliers over one
+    common denominator, applied once per output coefficient.  The result
+    is known below the least of `trunc` (when given) and every product's
+    min-rule index, and no product is computed past that bound.
     """
     parts = []
-    for kappa, rows, f in terms:
-        for d, part in IntRows.split(f).items():
-            bound = rows.product_trunc(part)
-            trunc = bound if trunc is None else min(bound, trunc)
-            scale = _coeff(kappa) * RadicalScalar({d: Fraction(1, rows.den * part.den)})
-            if scale:
-                parts.append((scale, rows, part))
-    products = [(scale, rows.times(part, trunc)) for scale, rows, part in parts]
+    for kappa, a, b in terms:
+        bound = a.product_trunc(b)
+        trunc = bound if trunc is None else min(bound, trunc)
+        scale = _coeff(kappa) * Fraction(1, a.den * b.den)
+        if scale:
+            parts.append((scale, a, b))
+    products = [(scale, a.times(b, trunc)) for scale, a, b in parts]
     common = lcm(*(a.denominator for scale, _ in products for a in scale.parts.values()))
     acc: dict[tuple[int, int], dict[int, int]] = {}
     for scale, prod in products:
@@ -467,8 +462,14 @@ def combine(terms, trunc: int | None = None) -> JacobiSeries:
 
 
 def _product(a, b) -> JacobiSeries:
-    """a * b for two series, as a combination over the sqrt(d) parts of a."""
-    return combine([(RadicalScalar({d: 1}), part, b) for d, part in IntRows.split(a).items()])
+    """a * b for two series: one integer product per pair of their sqrt(d) parts."""
+    parts_b = IntRows.split(b).items()
+    terms = []
+    for d, part_a in IntRows.split(a).items():
+        for e, part_b in parts_b:
+            g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(de/g^2)
+            terms.append((RadicalScalar({d * e // (g * g): g}), part_a, part_b))
+    return combine(terms)
 
 
 def _power(base, n: int, one):

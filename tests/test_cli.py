@@ -69,6 +69,14 @@ def test_verify_theta_suite(capsys):
     assert "[PASS]" in out
 
 
+def test_k3_suite_fails_a_zero_genus(capsys, monkeypatch):
+    monkeypatch.setattr(genera, "k3_elliptic_genus",
+                        lambda orders: JacobiSeries.zero(24 * orders))
+    code, out, _ = run(capsys, "verify", "--suite", "k3", "--prec", "2")
+    assert code == 1
+    assert "[FAIL] k3-genus[z=0 value 24]" in out.splitlines()
+
+
 def test_verify_coincidences_reports_skips(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "coincidences", "--prec", "2")
     assert code == 0

@@ -4,9 +4,7 @@ import pytest
 from fractions import Fraction
 
 from conway_genera.conway import (DataError, FrameShape, LAMBENCIES,
-                                  c_squared_oracle, chi_of, d_squared_oracle,
-                                  frame_shape_to_cyclo, load_class_data,
-                                  negate_frame_shape)
+                                  c_squared_oracle, d_squared_oracle, load_class_data)
 from conway_genera.scalars import RadicalScalar
 
 
@@ -15,16 +13,16 @@ def fs(*pairs):
 
 
 def test_negate_identity_class():
-    assert negate_frame_shape(fs((1, 24))) == fs((2, 24), (1, -24))
+    assert fs((1, 24)).negate() == fs((2, 24), (1, -24))
 
 
 def test_negate_with_negative_exponents():
-    assert negate_frame_shape(fs((3, 9), (1, -3))) \
+    assert fs((3, 9), (1, -3)).negate() \
         == fs((1, 3), (6, 9), (2, -3), (3, -9))
 
 
 def test_negate_all_even_is_fixed():
-    assert negate_frame_shape(fs((2, 12))) == fs((2, 12))
+    assert fs((2, 12)).negate() == fs((2, 12))
 
 
 def test_negate_is_involution_on_every_row(data):
@@ -34,9 +32,9 @@ def test_negate_is_involution_on_every_row(data):
 
 
 def test_cyclo_multiplicities():
-    assert frame_shape_to_cyclo(fs((2, 16), (1, -8))) == {1: 8, 2: 16}
-    assert frame_shape_to_cyclo(fs((1, 24))) == {1: 24}
-    assert frame_shape_to_cyclo(fs((3, 9), (1, -3))) == {1: 6, 3: 9}
+    assert fs((2, 16), (1, -8)).cyclo() == {1: 8, 2: 16}
+    assert fs((1, 24)).cyclo() == {1: 24}
+    assert fs((3, 9), (1, -3)).cyclo() == {1: 6, 3: 9}
 
 
 def test_cyclo_rejects_negative_multiplicity():
@@ -52,10 +50,10 @@ def test_cyclo_degree_is_24_for_rows(data):
 
 
 def test_chi_values():
-    assert chi_of(fs((1, 24))) == 24
-    assert chi_of(fs((2, 12))) == 0
-    assert chi_of(fs((1, 8), (2, 8))) == 8
-    assert chi_of(fs((3, 9), (1, -3))) == -3
+    assert fs((1, 24)).chi() == 24
+    assert fs((2, 12)).chi() == 0
+    assert fs((1, 8), (2, 8)).chi() == 8
+    assert fs((3, 9), (1, -3)).chi() == -3
 
 
 def test_chi_negation(data):

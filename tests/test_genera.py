@@ -138,8 +138,9 @@ def test_genus_headroom_is_exact(data):
             starts.add(modforms.eta_ratio_half(fs, work).min_key())
             assert modforms.eta_product(fs, work).min_key() >= 0, rec.co0_name
     assert starts == {-12} == {-genera._MARGIN}
-    kinds = (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01,
-             genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2)
+    weight2 = (genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2)
+    kinds = (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01, *weight2,
+             *((genera._BINOMIAL, kind) for kind in weight2))
     for power in range(1, 7):
         for kind in kinds:
             assert _lowest(genera._shared_power(kind, power, work)) >= 0, (kind, power)
@@ -174,6 +175,42 @@ def test_genus_products_stop_at_requested_precision(data, monkeypatch):
     monkeypatch.setattr(IntRows, "times", traced)
     run()
     assert truncs and max(truncs) <= 24 * orders
+
+
+def test_warm_genus_side_forms_split_no_series(data, monkeypatch):
+    cases = [GenusRequest(data.record(name), sign, ell, 3)
+             for name, ell, sign in (("1A", 2, 1), ("5C", 2, -1), ("2B", 5, -1),
+                                     ("4G", 3, 1), ("12N", 2, -1))]
+
+    def run():
+        for req in cases:
+            genera.phi_g_ell(req)
+            genera.f_2j_g(req.rec, req.ell, req.orders)
+            assert genera.verify_decomposition_ell(req).ok
+
+    run()  # class series and shared powers are cached from here on
+    calls = []
+    split = IntRows.split
+
+    def counted(f):
+        calls.append(f)
+        return split(f)
+
+    monkeypatch.setattr(IntRows, "split", counted)
+    run()
+    assert calls == []
+
+
+def test_f_is_minus_half_of_f2_plus_the_d_term(data):
+    orders = 4
+    for rec in data.classes.values():
+        eta_g = modforms.eta_product(rec.fs_g, 24 * orders)
+        for sign in (1, -1):
+            d_term = eta_g * genera.effective_d(rec, 2, sign)
+            expected = (genera.f_2j_g(rec, 1, orders) + d_term) * Fraction(-1, 2)
+            got = genera.f_g(rec, sign, orders)
+            assert got.trunc == expected.trunc and got.coeffs == expected.coeffs, \
+                (rec.co0_name, sign)
 
 
 @pytest.mark.parametrize("orders", [2, 4])

@@ -182,11 +182,18 @@ def test_integer_rows_times_rational_series_is_jacobi_mul(j, f):
     assert (IntRows.from_series(j) * part).to_jacobi() == brute.field_mul(j, f)
 
 
+def split_terms(kappa, j, f):
+    """combine terms for kappa * j * f: kappa * sqrt(d) on each sqrt(d) part of f."""
+    rows = IntRows.from_series(j)
+    return [(kappa * RadicalScalar.sqrt_term(d), rows, part)
+            for d, part in IntRows.split(f).items()]
+
+
 @settings(max_examples=80, deadline=None)
 @given(jacobi_rational, qseries_over(radicals), radicals,
        jacobi_rational, qseries_over(fractions), radicals)
 def test_combine_is_the_field_sum_of_jacobi_products(j1, f1, k1, j2, f2, k2):
-    got = combine([(k1, IntRows.from_series(j1), f1), (k2, IntRows.from_series(j2), f2)])
+    got = combine(split_terms(k1, j1, f1) + split_terms(k2, j2, f2))
     assert got == brute.field_mul(j1, f1) * k1 + brute.field_mul(j2, f2) * k2
 
 
@@ -194,7 +201,7 @@ def test_combine_is_the_field_sum_of_jacobi_products(j1, f1, k1, j2, f2, k2):
 @given(jacobi_rational, qseries_over(radicals), radicals,
        jacobi_rational, qseries_over(fractions), radicals, st.integers(-12, 150))
 def test_combine_stops_at_the_requested_truncation(j1, f1, k1, j2, f2, k2, t):
-    terms = [(k1, IntRows.from_series(j1), f1), (k2, IntRows.from_series(j2), f2)]
+    terms = split_terms(k1, j1, f1) + split_terms(k2, j2, f2)
     full = combine(terms)
     cut = combine(terms, t)
     assert cut.trunc == min(t, full.trunc)
