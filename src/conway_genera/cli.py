@@ -249,7 +249,7 @@ def _brute_matches(brute: dict, series: QSeries | JacobiSeries) -> bool:
         charges = value if isinstance(value, dict) else {0: value}
         flat.update(((grid, 2 * c), v) for c, v in charges.items())
     if isinstance(series, QSeries):
-        series = JacobiSeries({(k, 0): v for k, v in series.coeffs.items()}, series.trunc)
+        series = JacobiSeries.from_parts(series.parts, series.den, series.trunc)
     order = next(iter(flat.values())).order if flat else 2
     limit = max(brute) if brute else 0
     zero = oracle.CycloNumber.zero(order)

@@ -291,8 +291,12 @@ def _validate_record(rec: ConwayClassRecord) -> None:
         raise DataError(
             f"row {row}, field pi_neg_g: table value {rec.fs_neg_g} does not match "
             f"the negation {negated}")
-    if rec.fs_g.cyclo().get(1, 0) != rec.rank:
+    fixed = rec.fs_g.cyclo().get(1, 0)
+    if fixed != rec.rank:
         raise DataError(f"row {row}: fixed-space rank disagrees between computations")
+    if fixed < 4:
+        raise DataError(f"row {row}, field pi_g: {rec.fs_g} fixes a {fixed}-space, "
+                        "less than the 4-space every genus formula needs")
     c_sq = rec.c_neg_g * rec.c_neg_g
     if c_sq != RadicalScalar.from_rational(c_squared_oracle(rec.fs_g)):
         raise DataError(

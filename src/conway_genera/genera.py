@@ -20,7 +20,10 @@ sign and lambency.  The S_i have integer coefficients and are read once
 per class as integer rows.  One assembler, _class_form, builds every
 genus-side form as such a sum, each product B_i S_i in integers.  The
 radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter only through the kappa_i,
-once per output coefficient, in series.combine.
+as one integer multiplier per radical and term in series.combine, whose
+integer rows per radical are the returned form.  The weak Jacobi check
+and every comparison read those rows; RadicalScalar coefficients are
+built only when a caller reads them.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: they come from the weight-2 forms Lambda_2(tau/2),
@@ -49,7 +52,7 @@ from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
-from .scalars import RadicalScalar, format_radical
+from .scalars import RadicalScalar
 from .series import IntRows, JacobiSeries, QSeries, combine, first_difference
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
@@ -219,7 +222,7 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
                      for kappa, (kind, power), slot in terms], prec)
     if total.trunc < prec:
         raise ValueError(f"internal truncation shortfall in {what}")
-    if any(kq % 24 for kq, _ in total.coeffs):
+    if any(kq % 24 for rows in total.parts.values() for row in rows.values() for kq in row):
         raise ValueError(f"{what} for {rec.co0_name} left the integer q-grid")
     return total
 
@@ -326,24 +329,26 @@ def verify_jacobi_invariance(phi: JacobiSeries, index_m: int,
     Checks (i) no negative q-exponents and (ii) the coefficient at
     (n, r) depends only on 4mn - r^2 and r mod 2m, over every stored
     coefficient and its in-range partners (absent partners count as 0).
+    Coefficients are compared as their integer terms over phi.den.
     """
-    for (kq, ry) in phi.coeffs:
+    terms = dict(phi.int_items())
+    for (kq, ry) in terms:
         if kq < 0:
             return CheckReport(name, "fail", {
                 "q_exp": str(Fraction(kq, 24)), "y_exp": str(Fraction(ry, 2)),
-                "lhs": format_radical(phi.coeffs[(kq, ry)]), "rhs": "0 (weakness)"})
+                "lhs": phi.text_at(kq, ry), "rhs": "0 (weakness)"})
         if kq % 24 or ry % 2:
             return CheckReport(name, "fail", {
                 "q_exp": str(Fraction(kq, 24)), "y_exp": str(Fraction(ry, 2)),
                 "lhs": "off-grid exponent", "rhs": "integer grid"})
     n_max = phi.trunc // 24  # q^n known for n < n_max
     groups: dict[tuple[int, int], tuple[int, int]] = {}
-    for (kq, ry) in phi.coeffs:
+    for (kq, ry) in terms:
         n, r = kq // 24, ry // 2
         key = (4 * index_m * n - r * r, r % (2 * index_m))
         groups.setdefault(key, (n, r))
     for (disc, rmod), (n0, r0) in sorted(groups.items()):
-        base = phi.coeffs.get((24 * n0, 2 * r0), RadicalScalar())
+        base = terms.get((24 * n0, 2 * r0), ())
         r_bound = isqrt(max(4 * index_m * n_max - disc, 0))
         for r in range(-r_bound, r_bound + 1):
             if (r - rmod) % (2 * index_m) or (disc + r * r) % (4 * index_m):
@@ -351,11 +356,11 @@ def verify_jacobi_invariance(phi: JacobiSeries, index_m: int,
             n = (disc + r * r) // (4 * index_m)
             if n < 0 or n >= n_max:
                 continue
-            val = phi.coeffs.get((24 * n, 2 * r), RadicalScalar())
+            val = terms.get((24 * n, 2 * r), ())
             if val != base:
                 return CheckReport(name, "fail", {
                     "q_exp": f"{n0} vs {n}", "y_exp": f"{r0} vs {r}",
-                    "lhs": format_radical(base), "rhs": format_radical(val)})
+                    "lhs": phi.text_at(24 * n0, 2 * r0), "rhs": phi.text_at(24 * n, 2 * r)})
     return CheckReport(name, "pass")
 
 

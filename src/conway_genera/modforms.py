@@ -17,8 +17,8 @@ logarithmic derivative of prod (1 - q^a)^e.  A plus sign enters as
 series power or inverse is taken for any of them.  The theta quotients
 are integer rows (series.IntRows) throughout: the (1 + y^(+-1) q^e)
 factors of their numerators, the ground row and the denominator are
-multiplied in Python ints, and the field appears only in the returned
-JacobiSeries.
+multiplied in Python ints, and the returned JacobiSeries keeps those
+rows as its rational part.
 
 All constructors take a truncation index `prec` on the (1/24)Z grid and
 return a series truncated at exactly that index.  Results are cached;

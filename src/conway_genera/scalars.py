@@ -194,25 +194,33 @@ ONE = RadicalScalar({1: 1})
 
 def format_radical(x: RadicalScalar) -> str:
     """Canonical text form: rational terms as a/b, radicals as a/b*sqrt(d)."""
-    if x.is_zero:
-        return "0"
-    pieces = []
-    for d in RADICAL_BASIS:
-        a = x._parts.get(d)
-        if a is None:
-            continue
-        mag = abs(a)
+    return format_terms((d, a.numerator, a.denominator)
+                        for d, a in sorted(x._parts.items()))
+
+
+def ratio_text(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0, without building the Fraction."""
+    g = gcd(n, q)
+    return f"{n // g}" if q == g else f"{n // g}/{q // g}"
+
+
+def format_terms(terms) -> str:
+    """format_radical of sum_d (n/q) sqrt(d), from (d, n, q) triples with
+    d ascending, n nonzero and q positive; n/q need not be reduced."""
+    out = ""
+    for d, n, q in terms:
+        mag = ratio_text(abs(n), q)
         if d == 1:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = f"sqrt({d})"
         else:
             body = f"{mag}*sqrt({d})"
-        pieces.append((a < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for negative, body in pieces[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+        if not out:
+            out = "-" + body if n < 0 else body
+        else:
+            out += (" - " if n < 0 else " + ") + body
+    return out or "0"
 
 
 def parse_radical(text: str) -> RadicalScalar:

@@ -4,15 +4,25 @@ QSeries is a one-variable series in q with exponents on the (1/24)Z
 grid: the coefficient of q^(n/24) is stored under the integer grid index
 n, and all indices >= trunc are unknown.  JacobiSeries adds a second
 variable y with exponents on the (1/2)Z grid (stored as half-indices)
-and finite y-support at each q order.  IntRows holds a rational
-two-variable series as rows of Python ints over one denominator; its
-product is the only series convolution.  `combine` applies field
-constants to such products, one multiplier per output coefficient; it
-takes integer rows only and never splits a series.  A QSeries or
-JacobiSeries product (`_product`) is the one place where series are
-split into sqrt(d) parts: both factors are split and every pair of parts
-becomes one `combine` term.  Only QSeries.inverse still recurses over
-the field.
+and finite y-support at each q order.
+
+Both store one thing: integer rows per radical over one denominator,
+`parts` = {d: {y half-index: {q grid index: int}}} and `den`, so the
+series is (1/den) sum_d sqrt(d) sum parts[d][ry][kq] q^(kq/24) y^(ry/2).
+A QSeries is the single row 0.  The form is canonical (no zero entries,
+no empty rows, den > 0 and coprime to the numerators), so equality,
+hashing, comparison (`first_difference`) and the text dump run on ints.
+Sums, negation, shifts and scalar multiples work on the rows; a
+RadicalScalar constant mixes the radical parts.  IntRows is one radical
+part, a rational series, and its product is the only series
+convolution.  `combine` applies field constants to such products and
+returns its integer accumulators as a JacobiSeries; a product of two
+series (`_product`) is one `combine` term per pair of their radical
+parts.
+
+RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
+`q_row()` and `items()` are read-only views built on first use and kept
+per instance.  Only QSeries.inverse still recurses over the field.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -24,8 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
-from .scalars import RadicalScalar, format_radical
+from .scalars import ZERO, RadicalScalar, format_terms, ratio_text
 
 QGRID = 24   # q exponent = grid index / QGRID
 YGRID = 2    # y exponent = half-index / YGRID
@@ -41,32 +52,209 @@ def _coeff(x) -> RadicalScalar:
     return RadicalScalar({1: x})
 
 
+def _pieces(x):
+    """(d, rational) pairs of a field value."""
+    if isinstance(x, RadicalScalar):
+        return x.parts.items()
+    if isinstance(x, (int, Fraction)):
+        return ((1, x),)
+    raise TypeError(f"expected a field value, got {type(x).__name__}")
+
+
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _keyed(f):
-    """(q grid index, y half-index), coefficient pairs of a series; a QSeries is row 0."""
-    if isinstance(f, QSeries):
-        return (((k, 0), v) for k, v in f.coeffs.items())
-    return f.coeffs.items()
+def _beyond(kq: int) -> ValueError:
+    return ValueError(f"coefficient of q^{Fraction(kq, QGRID)} is beyond the truncation order")
 
 
-class QSeries:
-    __slots__ = ("coeffs", "trunc")
+def _add_rows(target: dict[int, dict[int, int]], rows: dict[int, dict[int, int]], m: int):
+    """target[ry][kq] += m * rows[ry][kq] over every entry of rows."""
+    for ry, row in rows.items():
+        acc = target.get(ry)
+        if acc is None:
+            target[ry] = {kq: m * n for kq, n in row.items()}
+            continue
+        for kq, n in row.items():
+            acc[kq] = acc.get(kq, 0) + m * n
+
+
+class _Series:
+    """The storage and the operations QSeries and JacobiSeries share."""
+
+    __slots__ = ("parts", "den", "trunc", "_view")
 
     def __init__(self, coeffs, trunc: int):
+        """The series with the given {key: field value} coefficients below trunc."""
         trunc = int(trunc)
-        data: dict[int, RadicalScalar] = {}
-        for k, v in coeffs.items():
-            k = int(k)
-            if k >= trunc:
-                continue
-            v = _coeff(v)
-            if not v.is_zero:
-                data[k] = v
-        self.coeffs = data
+        entries = []
+        for key, v in coeffs.items():
+            kq, ry = self._key(key)
+            if kq < trunc:
+                entries.extend((d, ry, kq, a) for d, a in _pieces(v) if a)
+        den = lcm(*(a.denominator for *_, a in entries))
+        parts: dict[int, dict[int, dict[int, int]]] = {}
+        for d, ry, kq, a in entries:
+            parts.setdefault(d, {}).setdefault(ry, {})[kq] = a.numerator * (den // a.denominator)
+        self._store(parts, den, trunc)
+
+    @classmethod
+    def from_parts(cls, parts: dict[int, dict[int, dict[int, int]]], den: int, trunc: int):
+        """The series (1/den) sum_d sqrt(d) parts[d], known below trunc.
+
+        Zero entries and entries at or past trunc are dropped and the
+        fraction is reduced; `parts` itself is not changed.
+        """
+        self = object.__new__(cls)
+        self._store(parts, den, trunc)
+        return self
+
+    def _store(self, parts, den: int, trunc: int) -> None:
+        clean: dict[int, dict[int, dict[int, int]]] = {}
+        g = den
+        for d, rows in parts.items():
+            kept_rows = {}
+            for ry, row in rows.items():
+                kept = {kq: n for kq, n in row.items() if n and kq < trunc}
+                if kept:
+                    kept_rows[ry] = kept
+                    if g != 1:
+                        g = gcd(g, *kept.values())
+            if kept_rows:
+                clean[d] = kept_rows
+        if not clean:
+            den = 1
+        elif g != 1:
+            den //= g
+            clean = {d: {ry: {kq: n // g for kq, n in row.items()} for ry, row in rows.items()}
+                     for d, rows in clean.items()}
+        self.parts = clean
+        self.den = den
         self.trunc = trunc
+        self._view = None
+
+    # -- inspection ------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def int_items(self) -> list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """((q grid index, y half-index), ((d, n), ...)) in key order, d ascending.
+
+        The coefficient at a key is sum n/den sqrt(d).
+        """
+        grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for d in sorted(self.parts):
+            for ry, row in self.parts[d].items():
+                for kq, n in row.items():
+                    grouped.setdefault((kq, ry), []).append((d, n))
+        return [(key, tuple(grouped[key])) for key in sorted(grouped)]
+
+    @property
+    def coeffs(self):
+        """{key: RadicalScalar} in key order, read-only, built on first use."""
+        if self._view is None:
+            den = self.den
+            self._view = MappingProxyType({
+                self._view_key(key): RadicalScalar({d: Fraction(n, den) for d, n in terms})
+                for key, terms in self.int_items()})
+        return self._view
+
+    def items(self):
+        return list(self.coeffs.items())
+
+    def radical_parts(self) -> dict[int, "IntRows"]:
+        """{d: part} with self = sum_d sqrt(d) * part, every part rational.
+
+        Each part shares the rows of self.  A zero series gives the single
+        empty part {1: 0}, which keeps the truncation a product with self
+        would have.
+        """
+        return ({d: IntRows(rows, self.den, self.trunc) for d, rows in self.parts.items()}
+                or {1: IntRows({}, 1, self.trunc)})
+
+    def _map_entries(self, fn, trunc: int | None = None):
+        """The same type with each (kq, n) entry of every row replaced by fn(kq, n),
+        known below trunc (by default self.trunc)."""
+        return type(self).from_parts(
+            {d: {ry: dict(fn(kq, n) for kq, n in row.items()) for ry, row in rows.items()}
+             for d, rows in self.parts.items()},
+            self.den, self.trunc if trunc is None else trunc)
+
+    def truncate(self, trunc: int):
+        if trunc > self.trunc:
+            raise ValueError("cannot extend a truncated series")
+        return type(self).from_parts(self.parts, self.den, trunc)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _plus(self, other, cls):
+        trunc = min(self.trunc, other.trunc)
+        den = lcm(self.den, other.den)
+        out: dict[int, dict[int, dict[int, int]]] = {}
+        for f in (self, other):
+            m = den // f.den
+            for d, rows in f.parts.items():
+                _add_rows(out.setdefault(d, {}), rows, m)
+        return cls.from_parts(out, den, trunc)
+
+    def _scaled(self, c):
+        """self * c for a field constant c."""
+        pieces = [(e, a) for e, a in _pieces(c) if a]
+        cden = lcm(*(a.denominator for _, a in pieces))
+        out: dict[int, dict[int, dict[int, int]]] = {}
+        for e, a in pieces:
+            m_e = a.numerator * (cden // a.denominator)
+            for d, rows in self.parts.items():
+                g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(de/g^2)
+                _add_rows(out.setdefault(d * e // (g * g), {}), rows, m_e * g)
+        return type(self).from_parts(out, self.den * cden, self.trunc)
+
+    def __neg__(self):
+        return self._map_entries(lambda kq, n: (kq, -n))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    # -- comparison / output ---------------------------------------------
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.trunc == other.trunc and self.den == other.den
+                and self.parts == other.parts)
+
+    def __hash__(self):
+        return hash((self.trunc, self.den, tuple(self.int_items())))
+
+    def dump(self) -> str:
+        den = self.den
+        return "\n".join(
+            f"{ratio_text(kq, QGRID)} {ratio_text(ry, YGRID)} "
+            f"{format_terms((d, n, den) for d, n in terms)}"
+            for (kq, ry), terms in self.int_items())
+
+    def text_at(self, kq: int, ry: int = 0) -> str:
+        """The coefficient at (kq, ry) in format_radical's text."""
+        return format_terms((d, rows[ry][kq], self.den) for d, rows in sorted(self.parts.items())
+                            if kq in rows.get(ry, ()))
+
+
+class QSeries(_Series):
+    __slots__ = ()
+
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        return int(key), 0
+
+    @staticmethod
+    def _view_key(key: tuple[int, int]) -> int:
+        return key[0]
 
     # -- constructors --------------------------------------------------
 
@@ -80,26 +268,14 @@ class QSeries:
 
     # -- inspection ------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def min_key(self):
-        return min(self.coeffs) if self.coeffs else None
+        keys = [min(rows[0]) for rows in self.parts.values()]
+        return min(keys) if keys else None
 
     def coeff(self, key: int) -> RadicalScalar:
         if key >= self.trunc:
-            raise ValueError(
-                f"coefficient of q^{Fraction(key, QGRID)} is beyond the truncation order")
-        return self.coeffs.get(key, RadicalScalar())
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def truncate(self, trunc: int) -> "QSeries":
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs, trunc)
+            raise _beyond(key)
+        return self.coeffs.get(key, ZERO)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -108,29 +284,13 @@ class QSeries:
             other = QSeries({0: other}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, RadicalScalar()) + v
-        return QSeries(out, trunc)
+        return self._plus(other, QSeries)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QSeries({k: -v for k, v in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RadicalScalar)):
-            c = _coeff(other)
-            if c.is_zero:
-                return QSeries.zero(self.trunc)
-            return QSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
+            return self._scaled(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         return _product(self, other).row0()
@@ -166,78 +326,63 @@ class QSeries:
 
     def shift(self, key: int) -> "QSeries":
         """Multiply by q^(key/24)."""
-        return QSeries({k + key: v for k, v in self.coeffs.items()}, self.trunc + key)
+        return self._map_entries(lambda kq, n: (kq + key, n), self.trunc + key)
 
     def scale_argument(self, factor) -> "QSeries":
         """Substitute tau -> factor*tau, i.e. map exponents e -> factor*e."""
         factor = Fraction(factor)
         if factor <= 0:
             raise ValueError("argument scale factor must be positive")
-        out = {}
-        for k, v in self.coeffs.items():
-            nk = factor * k
-            if nk.denominator != 1:
+        num, fden = factor.numerator, factor.denominator
+
+        def scaled(kq, n):
+            nk, rem = divmod(kq * num, fden)
+            if rem:
                 raise GridError(
-                    f"grid violation: q^{Fraction(k, QGRID)} scaled by {factor} "
+                    f"grid violation: q^{Fraction(kq, QGRID)} scaled by {factor} "
                     f"leaves the (1/{QGRID})Z grid")
-            out[int(nk)] = v
-        return QSeries(out, _ceil_frac(factor * self.trunc))
+            return nk, n
+
+        return self._map_entries(scaled, _ceil_frac(factor * self.trunc))
 
     def half_period_shift(self) -> "QSeries":
         """tau -> tau+1 on the q^(1/2) variable: negate half-odd exponents.
 
         Requires support on the (1/2)Z grid; integer exponents are fixed.
         """
-        out = {}
-        for k, v in self.coeffs.items():
-            if k % (QGRID // 2) != 0:
+        def twisted(kq, n):
+            half, rem = divmod(kq, QGRID // 2)
+            if rem:
                 raise GridError(
-                    f"grid violation: q^{Fraction(k, QGRID)} is off the (1/2)Z grid")
-            out[k] = -v if (k // (QGRID // 2)) % 2 else v
-        return QSeries(out, self.trunc)
+                    f"grid violation: q^{Fraction(kq, QGRID)} is off the (1/2)Z grid")
+            return kq, -n if half % 2 else n
+
+        return self._map_entries(twisted)
 
     # -- comparison / output ---------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.trunc, tuple(sorted(self.coeffs.items()))))
 
     def agrees_with(self, other: "QSeries", through: int | None = None) -> bool:
         return first_difference(self, other, through) is None
 
-    def dump(self) -> str:
-        lines = []
-        for k, v in self.items():
-            lines.append(f"{Fraction(k, QGRID)} 0 {format_radical(v)}")
-        return "\n".join(lines)
-
     def __repr__(self):
-        head = ", ".join(
-            f"q^{Fraction(k, QGRID)}: {format_radical(v)}" for k, v in self.items()[:6])
-        return f"QSeries({{{head}{', ...' if len(self.coeffs) > 6 else ''}}}, trunc={self.trunc})"
+        keys = [kq for (kq, _), _ in self.int_items()]
+        head = ", ".join(f"q^{Fraction(k, QGRID)}: {self.text_at(k)}" for k in keys[:6])
+        return f"QSeries({{{head}{', ...' if len(keys) > 6 else ''}}}, trunc={self.trunc})"
 
 
-class JacobiSeries:
+class JacobiSeries(_Series):
     """Two-variable truncated series: keys are (q grid index, y half-index)."""
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ()
 
-    def __init__(self, coeffs, trunc: int):
-        trunc = int(trunc)
-        data: dict[tuple[int, int], RadicalScalar] = {}
-        for (kq, ry), v in coeffs.items():
-            kq = int(kq)
-            if kq >= trunc:
-                continue
-            v = _coeff(v)
-            if not v.is_zero:
-                data[(kq, int(ry))] = v
-        self.coeffs = data
-        self.trunc = trunc
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        kq, ry = key
+        return int(kq), int(ry)
+
+    @staticmethod
+    def _view_key(key: tuple[int, int]) -> tuple[int, int]:
+        return key
 
     @classmethod
     def zero(cls, trunc: int) -> "JacobiSeries":
@@ -247,59 +392,27 @@ class JacobiSeries:
     def one(cls, trunc: int) -> "JacobiSeries":
         return cls({(0, 0): 1}, trunc)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, kq: int, ry: int) -> RadicalScalar:
         if kq >= self.trunc:
-            raise ValueError(
-                f"coefficient of q^{Fraction(kq, QGRID)} is beyond the truncation order")
-        return self.coeffs.get((kq, ry), RadicalScalar())
+            raise _beyond(kq)
+        return self.coeffs.get((kq, ry), ZERO)
 
     def q_row(self, kq: int) -> dict[int, RadicalScalar]:
         """All y half-index coefficients at one q grid index."""
         if kq >= self.trunc:
-            raise ValueError(
-                f"coefficient of q^{Fraction(kq, QGRID)} is beyond the truncation order")
+            raise _beyond(kq)
         return {ry: v for (k, ry), v in self.coeffs.items() if k == kq}
 
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def truncate(self, trunc: int) -> "JacobiSeries":
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return JacobiSeries(self.coeffs, trunc)
-
     def __add__(self, other):
-        if isinstance(other, QSeries):
-            other = JacobiSeries({(k, 0): v for k, v in other.coeffs.items()}, other.trunc)
-        if not isinstance(other, JacobiSeries):
+        if not isinstance(other, (QSeries, JacobiSeries)):
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, RadicalScalar()) + v
-        return JacobiSeries(out, trunc)
+        return self._plus(other, JacobiSeries)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return JacobiSeries({k: -v for k, v in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RadicalScalar)):
-            c = _coeff(other)
-            if c.is_zero:
-                return JacobiSeries.zero(self.trunc)
-            return JacobiSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
+            return self._scaled(other)
         if not isinstance(other, (QSeries, JacobiSeries)):
             return NotImplemented
         return _product(self, other)
@@ -313,32 +426,22 @@ class JacobiSeries:
 
     def row0(self) -> QSeries:
         """The y^0 coefficients as a q-series."""
-        return QSeries({kq: v for (kq, ry), v in self.coeffs.items() if ry == 0}, self.trunc)
+        return QSeries.from_parts({d: {0: rows[0]} for d, rows in self.parts.items() if 0 in rows},
+                                  self.den, self.trunc)
 
     def specialize_z0(self) -> QSeries:
         """Set z = 0, i.e. sum the y-coefficients at each q order."""
-        out: dict[int, RadicalScalar] = {}
-        for (kq, _ry), v in self.coeffs.items():
-            out[kq] = out.get(kq, RadicalScalar()) + v
-        return QSeries(out, self.trunc)
-
-    def __eq__(self, other):
-        if not isinstance(other, JacobiSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.trunc, tuple(sorted(self.coeffs.items()))))
-
-    def dump(self) -> str:
-        lines = []
-        for (kq, ry), v in self.items():
-            lines.append(f"{Fraction(kq, QGRID)} {Fraction(ry, YGRID)} {format_radical(v)}")
-        return "\n".join(lines)
+        out: dict[int, dict[int, dict[int, int]]] = {}
+        for d, rows in self.parts.items():
+            acc = out.setdefault(d, {0: {}})[0]
+            for row in rows.values():
+                for kq, n in row.items():
+                    acc[kq] = acc.get(kq, 0) + n
+        return QSeries.from_parts(out, self.den, self.trunc)
 
     def __repr__(self):
-        n = len(self.coeffs)
-        return f"JacobiSeries(<{n} terms>, trunc={self.trunc})"
+        n = sum(len(row) for rows in self.parts.values() for row in rows.values())
+        return f"JacobiSeries(<{n} integer entries>, trunc={self.trunc})"
 
 
 class IntRows:
@@ -363,33 +466,11 @@ class IntRows:
         return cls({0: {0: 1}}, 1, trunc)
 
     @classmethod
-    def split(cls, f) -> dict[int, "IntRows"]:
-        """{d: part} with f = sum_d sqrt(d) * part and every part rational.
-
-        f is a JacobiSeries or a QSeries, read as the single row 0.  A zero
-        series gives the single empty part {1: 0}, which keeps the
-        truncation a product with f would have.
-        """
-        by_radical: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for key, v in _keyed(f):
-            for d, a in v.parts.items():
-                by_radical.setdefault(d, {})[key] = a
-        return ({d: cls._from_fractions(values, f.trunc) for d, values in by_radical.items()}
-                or {1: cls({}, 1, f.trunc)})
-
-    @classmethod
     def from_series(cls, f) -> "IntRows":
-        """The rows of a series with rational coefficients."""
-        return cls._from_fractions({key: v.rational_value() for key, v in _keyed(f)}, f.trunc)
-
-    @classmethod
-    def _from_fractions(cls, values: dict[tuple[int, int], Fraction], trunc: int) -> "IntRows":
-        """The rows of {(q grid index, y half-index): rational coefficient}."""
-        den = lcm(*(a.denominator for a in values.values()))
-        rows: dict[int, dict[int, int]] = {}
-        for (kq, ry), a in values.items():
-            rows.setdefault(ry, {})[kq] = a.numerator * (den // a.denominator)
-        return cls(rows, den, trunc)
+        """The rows of a series with rational coefficients, shared with f."""
+        if any(d != 1 for d in f.parts):
+            raise ValueError("a series with irrational coefficients has no rational rows")
+        return cls(f.parts.get(1, {}), f.den, f.trunc)
 
     def _min_bound(self) -> int:
         keys = [min(row) for row in self.rows.values() if row]
@@ -426,19 +507,18 @@ class IntRows:
         return IntRows(cleaned, self.den * other.den, trunc)
 
     def to_jacobi(self) -> JacobiSeries:
-        return JacobiSeries({(kq, ry): Fraction(v, self.den)
-                             for ry, row in self.rows.items() for kq, v in row.items()},
-                            self.trunc)
+        return JacobiSeries.from_parts({1: self.rows}, self.den, self.trunc)
 
 
 def combine(terms, trunc: int | None = None) -> JacobiSeries:
     """sum_i kappa_i * A_i * B_i for field constants kappa_i and integer rows A_i, B_i.
 
     Each product is taken in integers.  The field enters only here:
-    kappa_i / (den A_i * den B_i) becomes integer multipliers over one
-    common denominator, applied once per output coefficient.  The result
-    is known below the least of `trunc` (when given) and every product's
-    min-rule index, and no product is computed past that bound.
+    kappa_i / (den A_i * den B_i) becomes one integer multiplier per
+    radical over one common denominator, and the products are summed
+    into integer rows per radical, which are the returned series.  The
+    result is known below the least of `trunc` (when given) and every
+    product's min-rule index, and no product is computed past that bound.
     """
     parts = []
     for kappa, a, b in terms:
@@ -446,26 +526,21 @@ def combine(terms, trunc: int | None = None) -> JacobiSeries:
         trunc = bound if trunc is None else min(bound, trunc)
         scale = _coeff(kappa) * Fraction(1, a.den * b.den)
         if scale:
-            parts.append((scale, a, b))
+            parts.append((scale.parts, a, b))
     products = [(scale, a.times(b, trunc)) for scale, a, b in parts]
-    common = lcm(*(a.denominator for scale, _ in products for a in scale.parts.values()))
-    acc: dict[tuple[int, int], dict[int, int]] = {}
+    common = lcm(*(a.denominator for scale, _ in products for a in scale.values()))
+    acc: dict[int, dict[int, dict[int, int]]] = {}
     for scale, prod in products:
-        mults = [(d, a.numerator * (common // a.denominator)) for d, a in scale.parts.items()]
-        for ry, row in prod.rows.items():
-            for kq, n in row.items():
-                slot = acc.setdefault((kq, ry), {})
-                for d, m in mults:
-                    slot[d] = slot.get(d, 0) + m * n
-    return JacobiSeries({key: RadicalScalar({d: Fraction(v, common) for d, v in slot.items()})
-                         for key, slot in acc.items()}, trunc)
+        for d, a in scale.items():
+            _add_rows(acc.setdefault(d, {}), prod.rows, a.numerator * (common // a.denominator))
+    return JacobiSeries.from_parts(acc, common, trunc)
 
 
 def _product(a, b) -> JacobiSeries:
-    """a * b for two series: one integer product per pair of their sqrt(d) parts."""
-    parts_b = IntRows.split(b).items()
+    """a * b for two series: one integer product per pair of their radical parts."""
+    parts_b = b.radical_parts().items()
     terms = []
-    for d, part_a in IntRows.split(a).items():
+    for d, part_a in a.radical_parts().items():
         for e, part_b in parts_b:
             g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(de/g^2)
             terms.append((RadicalScalar({d * e // (g * g): g}), part_a, part_b))
@@ -494,28 +569,25 @@ def first_difference(a, b, through: int | None = None):
     limit = min(a.trunc, b.trunc)
     if through is not None:
         limit = min(limit, through)
-    qa = isinstance(a, QSeries)
-    qb = isinstance(b, QSeries)
-    if qa != qb:
+    if isinstance(a, QSeries) != isinstance(b, QSeries):
         raise TypeError("cannot compare one- and two-variable series")
-    keys = set()
-    if qa:
-        keys.update((k, 0) for k in a.coeffs if k < limit)
-        keys.update((k, 0) for k in b.coeffs if k < limit)
-        geta = lambda k: a.coeffs.get(k[0], RadicalScalar())
-        getb = lambda k: b.coeffs.get(k[0], RadicalScalar())
-    else:
-        keys.update(k for k in a.coeffs if k[0] < limit)
-        keys.update(k for k in b.coeffs if k[0] < limit)
-        geta = lambda k: a.coeffs.get(k, RadicalScalar())
-        getb = lambda k: b.coeffs.get(k, RadicalScalar())
-    for key in sorted(keys):
-        va, vb = geta(key), getb(key)
-        if va != vb:
-            return {
-                "q_exp": str(Fraction(key[0], QGRID)),
-                "y_exp": str(Fraction(key[1], YGRID)),
-                "lhs": format_radical(va),
-                "rhs": format_radical(vb),
-            }
-    return None
+    same_den = a.den == b.den
+    first = None
+    for d in a.parts.keys() | b.parts.keys():
+        rows_a, rows_b = a.parts.get(d, {}), b.parts.get(d, {})
+        for ry in rows_a.keys() | rows_b.keys():
+            row_a, row_b = rows_a.get(ry, {}), rows_b.get(ry, {})
+            if same_den and row_a == row_b:
+                continue
+            for kq in row_a.keys() | row_b.keys():
+                if (kq < limit and row_a.get(kq, 0) * b.den != row_b.get(kq, 0) * a.den
+                        and (first is None or (kq, ry) < first)):
+                    first = (kq, ry)
+    if first is None:
+        return None
+    return {
+        "q_exp": str(Fraction(first[0], QGRID)),
+        "y_exp": str(Fraction(first[1], YGRID)),
+        "lhs": a.text_at(*first),
+        "rhs": b.text_at(*first),
+    }

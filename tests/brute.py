@@ -4,7 +4,9 @@ The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
 the package's series classes.  `field_mul` is the textbook product of
 two package series, one RadicalScalar product per pair of terms, kept
-as the reference for the package's integer-row kernel.  The reference
+as the reference for the package's integer-row kernel; the `model_*`
+functions are the other series operations, term by term over the field,
+kept as the reference for the package's integer-row storage.  The reference
 genus and weight-2j forms at the end are evaluated with it, term by term
 over the coefficient field.  `subset_histogram` walks every k-subset of
 the oracle's mode labels, the reference for its knapsack histogram.
@@ -110,22 +112,9 @@ def field_mul(a, b):
     a series that has no terms counting as O(q^trunc).  Two QSeries give a
     QSeries, anything else a JacobiSeries.
     """
-    from conway_genera.scalars import RadicalScalar
     from conway_genera.series import JacobiSeries, QSeries
 
-    ta, tb = _terms(a), _terms(b)
-    low_a = min((kq for kq, _ in ta), default=a.trunc)
-    low_b = min((kq for kq, _ in tb), default=b.trunc)
-    trunc = min(a.trunc + low_b, b.trunc + low_a)
-    out = {}
-    b_items = sorted(tb.items())
-    for (qa, ya), va in sorted(ta.items()):
-        for (qb, yb), vb in b_items:
-            kq = qa + qb
-            if kq >= trunc:
-                break
-            key = (kq, ya + yb)
-            out[key] = out.get(key, RadicalScalar()) + va * vb
+    out, trunc = model_mul(model(a), model(b))
     if isinstance(a, QSeries) and isinstance(b, QSeries):
         return QSeries({kq: v for (kq, _), v in out.items()}, trunc)
     return JacobiSeries(out, trunc)
@@ -137,6 +126,110 @@ def field_pow(f, n: int):
     for _ in range(n):
         result = field_mul(result, f)
     return result
+
+
+# -- the series operations on plain dicts over the coefficient field ---------
+#
+# A model of a series is (terms, trunc): terms maps (q grid index, y
+# half-index) to a nonzero RadicalScalar, read from the package's
+# RadicalScalar view (a QSeries is row 0), and every key has q grid index
+# below trunc.  Each operation is the textbook one, term by term in the
+# field; the package runs the same operations on integer rows.
+
+
+def model(f) -> tuple[dict, int]:
+    return _terms(f), f.trunc
+
+
+def _nonzero(terms: dict) -> dict:
+    return {key: v for key, v in terms.items() if not v.is_zero}
+
+
+def model_add(a, b, sign: int = 1):
+    """a + sign * b, known below the lower truncation."""
+    from conway_genera.scalars import RadicalScalar
+
+    (ta, trunc_a), (tb, trunc_b) = a, b
+    trunc = min(trunc_a, trunc_b)
+    out = {key: v for key, v in ta.items() if key[0] < trunc}
+    for key, v in tb.items():
+        if key[0] < trunc:
+            out[key] = out.get(key, RadicalScalar()) + v * sign
+    return _nonzero(out), trunc
+
+
+def model_scale(a, c):
+    terms, trunc = a
+    return _nonzero({key: v * c for key, v in terms.items()}), trunc
+
+
+def model_mul(a, b):
+    """a * b, known below min(a.trunc + b.min, b.trunc + a.min)."""
+    from conway_genera.scalars import RadicalScalar
+
+    (ta, trunc_a), (tb, trunc_b) = a, b
+    low_a = min((kq for kq, _ in ta), default=trunc_a)
+    low_b = min((kq for kq, _ in tb), default=trunc_b)
+    trunc = min(trunc_a + low_b, trunc_b + low_a)
+    out = {}
+    b_items = sorted(tb.items())
+    for (qa, ya), va in sorted(ta.items()):
+        for (qb, yb), vb in b_items:
+            kq = qa + qb
+            if kq >= trunc:
+                break
+            key = (kq, ya + yb)
+            out[key] = out.get(key, RadicalScalar()) + va * vb
+    return _nonzero(out), trunc
+
+
+def model_row0(a):
+    terms, trunc = a
+    return {key: v for key, v in terms.items() if key[1] == 0}, trunc
+
+
+def model_specialize_z0(a):
+    from conway_genera.scalars import RadicalScalar
+
+    terms, trunc = a
+    out = {}
+    for (kq, _), v in terms.items():
+        out[(kq, 0)] = out.get((kq, 0), RadicalScalar()) + v
+    return _nonzero(out), trunc
+
+
+def model_shift(a, key: int):
+    terms, trunc = a
+    return {(kq + key, ry): v for (kq, ry), v in terms.items()}, trunc + key
+
+
+def model_truncate(a, trunc: int):
+    terms, _ = a
+    return {key: v for key, v in terms.items() if key[0] < trunc}, trunc
+
+
+def model_first_difference(a, b, through=None):
+    """The report dict of the first key below the lower truncation (and
+    below `through`) where a and b differ, or None."""
+    from conway_genera.scalars import RadicalScalar, format_radical
+
+    (ta, trunc_a), (tb, trunc_b) = a, b
+    limit = min(trunc_a, trunc_b, through if through is not None else trunc_a)
+    zero = RadicalScalar()
+    for key in sorted(set(ta) | set(tb)):
+        if key[0] < limit and ta.get(key, zero) != tb.get(key, zero):
+            return {"q_exp": str(Fraction(key[0], 24)), "y_exp": str(Fraction(key[1], 2)),
+                    "lhs": format_radical(ta.get(key, zero)),
+                    "rhs": format_radical(tb.get(key, zero))}
+    return None
+
+
+def model_dump(a) -> str:
+    from conway_genera.scalars import format_radical
+
+    terms, _ = a
+    return "\n".join(f"{Fraction(kq, 24)} {Fraction(ry, 2)} {format_radical(v)}"
+                     for (kq, ry), v in sorted(terms.items()))
 
 
 # -- reference genus over the coefficient field ------------------------------

@@ -152,6 +152,8 @@ def test_precision_above_the_bound_fails_before_any_series_is_built(
 
     for cls in (QSeries, JacobiSeries, IntRows):
         monkeypatch.setattr(cls, "__init__", no_series)
+    for cls in (QSeries, JacobiSeries):
+        monkeypatch.setattr(cls, "from_parts", no_series)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -204,6 +206,19 @@ def test_d_mag_key_failing_its_invariant_is_a_data_error(tmp_path, capsys, row, 
     path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
     assert code == 3 and err.startswith(f"data error: row {row}, field d_mag[{ell}]")
+
+
+@pytest.mark.parametrize("suite", ["eta-identity", "fourier", "all"])
+def test_row_fixing_less_than_a_4_space_is_a_data_error(tmp_path, capsys, suite):
+    classes = _bundled("classes.json")
+    classes["classes"].append({
+        "co0": "2X", "co1": "2X", "pi_g": [[1, -24], [2, 24]], "pi_neg_g": [[1, 24]],
+        "c_neg_g": "0", "d_mag": {}, "gamma_g": "1+", "gamma_neg_g": "1+", "level": 2})
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    code, out, err = run(capsys, "--data-dir", path, "verify", "--suite", suite)
+    assert code == 3 and out == ""
+    assert err.startswith("data error: row 2X, field pi_g:") and "4-space" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 #: well-formed and malformed radical strings for d_mag values

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import brute
-from conway_genera import genera, modforms
+from conway_genera import genera, modforms, series
 from conway_genera.genera import GenusRequest
 from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 from conway_genera.scalars import RadicalScalar
@@ -190,15 +190,39 @@ def test_warm_genus_side_forms_split_no_series(data, monkeypatch):
 
     run()  # class series and shared powers are cached from here on
     calls = []
-    split = IntRows.split
+    product = series._product
 
-    def counted(f):
-        calls.append(f)
-        return split(f)
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
 
-    monkeypatch.setattr(IntRows, "split", counted)
+    monkeypatch.setattr(series, "_product", counted)
     run()
     assert calls == []
+
+
+#: RadicalScalars a genus may build: a few per class constant and per
+#: combine term, however many coefficients the genus has
+GENUS_FIELD_VALUES = 24
+
+
+@pytest.mark.parametrize("orders", [6, 12])
+def test_genus_check_and_dump_build_field_values_only_for_the_constants(
+        data, monkeypatch, orders):
+    built = []
+    init = RadicalScalar.__init__
+
+    def counted(self, parts=None):
+        built.append(parts)
+        init(self, parts)
+
+    monkeypatch.setattr(RadicalScalar, "__init__", counted)
+    rec = data.record("10H")  # D = 5 sqrt(5), C(-g) = 20
+    phi = genera.phi_g_ell(GenusRequest(rec, -1, 2, orders))
+    assert genera.verify_jacobi_invariance(phi, 1).ok
+    text = phi.dump()
+    assert len(text.splitlines()) > GENUS_FIELD_VALUES and "sqrt(5)" in text
+    assert len(built) <= GENUS_FIELD_VALUES
 
 
 def test_f_is_minus_half_of_f2_plus_the_d_term(data):
@@ -273,6 +297,16 @@ def test_jacobi_invariance_detects_corruption(data):
     report = genera.verify_jacobi_invariance(corrupted, 1)
     assert report.status == "fail"
     assert report.first_deviation is not None
+
+
+def test_jacobi_invariance_detects_corruption_of_an_irrational_part(data):
+    phi = genera.phi_g(data.record("10H"), -1, 4)
+    coeffs = dict(phi.coeffs)
+    coeffs[(24, 2)] = coeffs[(24, 2)] + RadicalScalar.sqrt_term(5)
+    report = genera.verify_jacobi_invariance(JacobiSeries(coeffs, phi.trunc), 1)
+    assert report.status == "fail"
+    assert report.first_deviation["lhs"] != report.first_deviation["rhs"]
+    assert "sqrt(5)" in report.first_deviation["lhs"] + report.first_deviation["rhs"]
 
 
 def test_sign_flip_relation(data):

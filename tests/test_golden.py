@@ -22,6 +22,8 @@ from conway_genera import cli
 CLASSES = ("1A", "2B", "4D", "5C", "10H", "12L")
 LAMBENCIES = (2, 3, 4, 5, 7)
 FORMATS = ("text", "json", "csv")
+#: classes whose index-1 genus is also guarded at 24 q-orders
+DEEP_CLASSES = ("10H", "12L")
 
 
 def _cases() -> dict[str, list[tuple[str, ...]]]:
@@ -31,6 +33,8 @@ def _cases() -> dict[str, list[tuple[str, ...]]]:
         "verify-decomposition-prec9-json": [
             ("verify", "--suite", "decomposition", "--prec", "9", "--format", "json")],
         "verify-higher-lambency": [("verify", "--suite", "higher-lambency")],
+        "verify-all-prec12-json": [
+            ("verify", "--suite", "all", "--prec", "12", "--format", "json")],
         "export": [("export", "--table", table, "--format", fmt)
                    for table in ("classes", "coincidences") for fmt in FORMATS],
     }
@@ -41,24 +45,32 @@ def _cases() -> dict[str, list[tuple[str, ...]]]:
                 ("compute", "--class", name, "--what", what, "--ell", str(ell),
                  "--sign", sign, "--format", fmt)
                 for what in ("phi", "f") for sign in "+-" for fmt in FORMATS]
+    for name in DEEP_CLASSES:
+        cases[f"compute-{name}-phi-prec24"] = [
+            ("compute", "--class", name, "--what", "phi", "--ell", "2", "--prec", "24",
+             "--sign", sign, "--format", fmt)
+            for sign in "+-" for fmt in FORMATS]
     return cases
 
 
 CASES = _cases()
 
 #: digests recorded at 0497ce3, before the genus products were truncated
-#: at the requested precision
+#: at the requested precision; the prec12 and prec24 cases recorded at
+#: 9d42eba, before the series were stored as integer rows per radical
 GOLDEN = {
     "compute-10H-ell2": "a15e271aadfd54fab9e32cfc60eeca7558031ca4ecb3c82a2b8e683fb02f45df",
     "compute-10H-ell3": "8c487e5d45c8522a6ec8430571ec6f657b7cfc0e62b943db7519576a1995ccf6",
     "compute-10H-ell4": "d1cabd299e73c1b9b41c715a34b32bc4b74e0ca0b5c56ba309b3faecadc898f7",
     "compute-10H-ell5": "c7a7842463159d3bb1828c1b3f3c5283ec5514c30708d4e7ad5f257d72bc2054",
     "compute-10H-ell7": "77db16b4049e52e303fedc8daadf16d0c2c889c04e9b2adcb3817e474c9b9bb8",
+    "compute-10H-phi-prec24": "676493eadcb79f98ed92b9cf3a3d5aee2c87079b453fd15ffc8e4ae6f11522b7",
     "compute-12L-ell2": "8c093579593eb4de5e8625df9752057b668e6ed052baafcb959001c543708f6a",
     "compute-12L-ell3": "31bb8aa4e86b3462bd84079336e4c3e42bcdad3107c916b7a3d54ccc46f53819",
     "compute-12L-ell4": "e13a90c6b5ea88b1aa98dd2c97935eb2c97c5d25c27f5c3477f353d50b55a406",
     "compute-12L-ell5": "5e96cbb7d2cf4451cef9bcdce7b65aef66df1517e7bccc1e23d049e457dad91b",
     "compute-12L-ell7": "0155c6978c099af120378a7700a475013b3c00e1e798565997e039cf6110b18a",
+    "compute-12L-phi-prec24": "b5179f9469cea236bf2aedadb3417aeb82a514e600f55acf1d72b84828aec522",
     "compute-1A-ell2": "d79f1886d6529d105ee72f88de0e9ae175fce22659e61d68a1b0b0d12e42bdbd",
     "compute-1A-ell3": "5d65c0fc414e2e5828c9350bd02efc0bbb754997ff1e0493799d8382bf29d8b9",
     "compute-1A-ell4": "04daa9350bce17a0ae1306f367171d08d0b169c6351e72825d8ce42e55d865fb",
@@ -81,6 +93,7 @@ GOLDEN = {
     "compute-5C-ell7": "b5d66ac418202cf10f5fa34cd02e99af558333b3f69c05f6a511cabc84d14776",
     "export": "f5a32bef6b50d93332de3e8c496fa1bbe68fffff664e6100221337b381a77544",
     "verify-all-json": "b02c03e533c1958cb4ce69bd7f565dfa036b51acbb9d604cae555f15a6c139b3",
+    "verify-all-prec12-json": "2dafbeae896de715e415c75fa6767ad4fbdec847f6e16d7b0cfd8f638101219f",
     "verify-all-text": "21ebf12684e2b1c492636a37d96b264fdf6703ea89c4d9a03ad0b753fe538a03",
     "verify-decomposition-prec9-json": "6b7c612d9a09f62e94d39376e131dc90cc4066bfb1f3135c6c923ae3b5d92a0a",
     "verify-higher-lambency": "6c9b7c98f3555dd49a4855f0ea0d943f9257577387df02dbfd3d60e95b3fd626",

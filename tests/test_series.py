@@ -178,7 +178,7 @@ def qseries_over(values):
 @settings(max_examples=80, deadline=None)
 @given(jacobi_rational, qseries_over(fractions))
 def test_integer_rows_times_rational_series_is_jacobi_mul(j, f):
-    (part,) = IntRows.split(f).values()
+    part = IntRows.from_series(f)
     assert (IntRows.from_series(j) * part).to_jacobi() == brute.field_mul(j, f)
 
 
@@ -186,7 +186,7 @@ def split_terms(kappa, j, f):
     """combine terms for kappa * j * f: kappa * sqrt(d) on each sqrt(d) part of f."""
     rows = IntRows.from_series(j)
     return [(kappa * RadicalScalar.sqrt_term(d), rows, part)
-            for d, part in IntRows.split(f).items()]
+            for d, part in f.radical_parts().items()]
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,3 +271,60 @@ def test_from_series_rejects_irrational_parts():
     assert IntRows.from_series(QSeries({0: Fraction(1, 2)}, 24)).den == 2
     with pytest.raises(ValueError, match="irrational"):
         IntRows.from_series(JacobiSeries({(0, 2): 1, (24, 0): S2}, 48))
+
+
+# -- the integer-row storage against the field model ---------------------------
+
+
+def same_kind(a, b):
+    return isinstance(a, QSeries) == isinstance(b, QSeries)
+
+
+def matches(got, want, kind):
+    assert type(got) is kind
+    assert brute.model(got) == want
+    assert got.dump() == brute.model_dump(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs(), field, st.integers(-3, 3), st.integers(-12, 130),
+       st.one_of(st.none(), st.integers(-12, 130)))
+@example((QSeries({0: S2, 12: Fraction(1, 6)}, 48), QSeries({0: S2, 12: Fraction(1, 3)}, 48)),
+         RadicalScalar({2: Fraction(1, 2), 3: 3}), 1, 24, None)
+@example((JacobiSeries({(0, 2): S15, (12, -2): S10}, 36), JacobiSeries({(0, 2): S15}, 24)),
+         RadicalScalar({6: 1, 10: Fraction(-2, 7), 30: 1}), -2, 0, 12)
+def test_integer_storage_matches_the_field_model(pair, c, key, cut, through):
+    a, b = pair
+    ma, mb = brute.model(a), brute.model(b)
+    for f, m in ((a, ma), (b, mb)):
+        assert f.dump() == brute.model_dump(m)
+        rebuilt = type(f)(dict(f.coeffs), f.trunc)
+        assert rebuilt == f and hash(rebuilt) == hash(f)
+        if c:
+            back = (f * c) * c.inverse()
+            assert back == f and hash(back) == hash(f)
+        matches(f * c, brute.model_scale(m, c), type(f))
+        matches(c * f, brute.model_scale(m, c), type(f))
+        if f.trunc >= cut:
+            matches(f.truncate(cut), brute.model_truncate(m, cut), type(f))
+        else:
+            with pytest.raises(ValueError):
+                f.truncate(cut)
+        if isinstance(f, QSeries):
+            matches(f.shift(12 * key), brute.model_shift(m, 12 * key), QSeries)
+        else:
+            matches(f.row0(), brute.model_row0(m), QSeries)
+            matches(f.specialize_z0(), brute.model_specialize_z0(m), QSeries)
+    kind = QSeries if isinstance(a, QSeries) and isinstance(b, QSeries) else JacobiSeries
+    matches(a + b, brute.model_add(ma, mb), kind)
+    matches(a - b, brute.model_add(ma, mb, -1), kind)
+    matches(a * b, brute.model_mul(ma, mb), kind)
+    if same_kind(a, b):
+        assert first_difference(a, b, through) == brute.model_first_difference(ma, mb, through)
+        assert (a == b) == (ma == mb)
+        if a == b:
+            assert hash(a) == hash(b)
+    else:
+        assert a != b
+        with pytest.raises(TypeError):
+            first_difference(a, b)
