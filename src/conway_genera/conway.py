@@ -82,9 +82,6 @@ class FrameShape:
         factors = tuple(sorted((m, k) for m, k in merged.items() if k != 0))
         return cls(factors)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     @property
     def degree(self) -> int:
         return sum(m * k for m, k in self.factors)

@@ -14,16 +14,16 @@ is linear in four class q-series:
 
 with r_h the half-argument ratio of eta_h, Q2/Q3/Q4 the normalized
 squared theta quotients and Q1 = theta_1^2/eta^6.  The B_i do not depend
-on the class: each power is built once per process as integer rows over
-a power-of-two denominator (series.IntRows) and shared by every class,
-sign and lambency.  The S_i have integer coefficients and are read once
-per class as integer rows.  One assembler, _class_form, builds every
-genus-side form as such a sum, each product B_i S_i in integers.  The
-radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter only through the kappa_i,
-as one integer multiplier per radical and term in series.combine, whose
-integer rows per radical are the returned form.  The weak Jacobi check
-and every comparison read those rows; RadicalScalar coefficients are
-built only when a caller reads them.
+on the class: each power is a rational series over a power-of-two
+denominator, multiplied with `times` in integers, built once per process
+and shared by every class, sign and lambency.  The S_i have integer
+coefficients and are the cached series of modforms.  One assembler,
+_class_form, builds every genus-side form as such a sum, each product
+B_i S_i in integers.  The radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter
+only through the kappa_i, as one integer multiplier per radical and term
+in series.combine, whose integer rows per radical are the returned form.
+The weak Jacobi check and every comparison read those rows;
+RadicalScalar coefficients are built only when a caller reads them.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: they come from the weight-2 forms Lambda_2(tau/2),
@@ -53,7 +53,7 @@ from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShap
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
 from .scalars import RadicalScalar
-from .series import IntRows, JacobiSeries, QSeries, combine, first_difference
+from .series import JacobiSeries, QSeries, combine, first_difference
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
@@ -160,64 +160,59 @@ _L2_NEG2 = "lambda2_neg2"
 _BINOMIAL = "binomial"
 
 
-def _shared_base(kind: str, work: int) -> IntRows:
-    """The first power of a shared form, as integer rows."""
+def _shared_base(kind: str, work: int) -> QSeries | JacobiSeries:
+    """The first power of a shared form."""
     if kind == _PHI01:
-        return IntRows.from_series(modforms.phi01(work))
+        return modforms.phi01(work)
     if kind == _L2_PLAIN:
-        return IntRows.from_series(modforms.lambda2_half("plain", work))
+        return modforms.lambda2_half("plain", work)
     if kind == _L2_SHIFTED:
-        return IntRows.from_series(modforms.lambda2_half("shifted", work))
+        return modforms.lambda2_half("shifted", work)
     if kind == _L2_NEG2:
-        return IntRows.from_series(modforms.lambda_n(2, work) * -2)
-    return IntRows.from_series(modforms.theta_quotient(kind, work))
+        return modforms.lambda_n(2, work) * -2
+    return modforms.theta_quotient(kind, work)
 
 
 @lru_cache(maxsize=None)
-def _shared_power(kind: str | tuple[str, str], power: int, work: int) -> IntRows:
+def _shared_power(kind: str | tuple[str, str], power: int,
+                  work: int) -> QSeries | JacobiSeries:
     """A theta quotient, phi_{0,1}, a weight-2 form or a (_BINOMIAL, L) form to a power.
 
     Class-independent, so built once per (kind, power, work) per process.
     """
     if power == 0:
-        return IntRows.one(work)
+        return JacobiSeries.one(work)
     if isinstance(kind, tuple):  # (_BINOMIAL, L): (phi_{0,1}/12 + L theta_1^2/eta^6)^power
-        return IntRows.from_series(combine([
+        return combine([
             (Fraction(comb(power, j), 12 ** (power - j)), _monomial(power - j, j, work),
-             _shared_power(kind[1], j, work)) for j in range(power + 1)]))
+             _shared_power(kind[1], j, work)) for j in range(power + 1)])
     if power == 1:
         return _shared_base(kind, work)
-    return _shared_power(kind, power - 1, work) * _shared_power(kind, 1, work)
+    return _shared_power(kind, power - 1, work).times(_shared_power(kind, 1, work))
 
 
 @lru_cache(maxsize=None)
-def _monomial(a: int, b: int, work: int) -> IntRows:
+def _monomial(a: int, b: int, work: int) -> JacobiSeries:
     """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b."""
-    return _shared_power(_PHI01, a, work) * _shared_power(THETA1SQ, b, work)
+    return _shared_power(_PHI01, a, work).times(_shared_power(THETA1SQ, b, work))
 
 
-#: positions of r_g, r_{-g}, eta_g and eta_{-g} in _class_rows
+#: positions of r_g, r_{-g}, eta_g and eta_{-g} among the class series
 _R_G, _R_NEG, _ETA_G, _ETA_NEG = range(4)
-
-
-@lru_cache(maxsize=None)
-def _class_rows(fs_g: FrameShape, fs_neg_g: FrameShape, work: int) -> tuple[IntRows, ...]:
-    """The class series r_g, r_{-g}, eta_g, eta_{-g} as integer rows, read once."""
-    return tuple(IntRows.from_series(f) for f in (
-        modforms.eta_ratio_half(fs_g, work), modforms.eta_ratio_half(fs_neg_g, work),
-        modforms.eta_product(fs_g, work), modforms.eta_product(fs_neg_g, work)))
 
 
 def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> JacobiSeries:
     """A genus-side form: sum kappa * shared power * class series, exact below prec.
 
     Terms are (kappa, (kind, power), slot), read as _shared_power(kind,
-    power) times the class series at `slot` of _class_rows.
+    power) times the class series r_g, r_{-g}, eta_g or eta_{-g} at `slot`.
     """
     _assert_fixed_four(rec)
     prec = _grid(orders)
     work = prec + _MARGIN
-    series = _class_rows(rec.fs_g, rec.fs_neg_g, work)
+    series = (modforms.eta_ratio_half(rec.fs_g, work),
+              modforms.eta_ratio_half(rec.fs_neg_g, work),
+              modforms.eta_product(rec.fs_g, work), modforms.eta_product(rec.fs_neg_g, work))
     total = combine([(kappa, _shared_power(kind, power, work), series[slot])
                      for kappa, (kind, power), slot in terms], prec)
     if total.trunc < prec:

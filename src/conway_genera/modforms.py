@@ -15,10 +15,9 @@ module -- is one call of `power_product`, an integer recurrence on the
 logarithmic derivative of prod (1 - q^a)^e.  A plus sign enters as
 1 + x = (1 - x^2)/(1 - x) and an inverse as a negative exponent, so no
 series power or inverse is taken for any of them.  The theta quotients
-are integer rows (series.IntRows) throughout: the (1 + y^(+-1) q^e)
-factors of their numerators, the ground row and the denominator are
-multiplied in Python ints, and the returned JacobiSeries keeps those
-rows as its rational part.
+are rational throughout: the (1 + y^(+-1) q^e) factors of their
+numerators, the ground row and the denominator are multiplied with
+`times`, in Python ints, and no field value is built.
 
 All constructors take a truncation index `prec` on the (1/24)Z grid and
 return a series truncated at exactly that index.  Results are cached;
@@ -32,7 +31,7 @@ from functools import lru_cache
 from math import gcd
 
 from .report import CheckReport
-from .series import GridError, IntRows, JacobiSeries, QSeries, first_difference
+from .series import GridError, JacobiSeries, QSeries, first_difference
 
 #: theta-quotient selectors
 THETA2 = "theta2"
@@ -241,17 +240,17 @@ def theta_sum(i: int, prec: int) -> JacobiSeries:
     return JacobiSeries(coeffs, prec)
 
 
-def _pair_product(prec: int, sign: int, half: bool) -> IntRows:
+def _pair_product(prec: int, sign: int, half: bool) -> JacobiSeries:
     """prod_{n>0} [(1 + sign*y*q^e)(1 + sign*y^{-1}*q^e)]^2, e = n or n-1/2."""
-    out = IntRows.one(prec)
+    out = JacobiSeries.one(prec)
     n = 1
     while True:
         key = 24 * n - 12 if half else 24 * n
         if key >= prec:
             break
-        factor = IntRows({0: {0: 1}, 2: {key: sign}}, 1, prec) \
-            * IntRows({0: {0: 1}, -2: {key: sign}}, 1, prec)
-        out = out * (factor * factor)
+        factor = JacobiSeries({(0, 0): 1, (key, 2): sign}, prec).times(
+            JacobiSeries({(0, 0): 1, (key, -2): sign}, prec))
+        out = out.times(factor.times(factor))
         n += 1
     return out
 
@@ -264,27 +263,28 @@ def theta_quotient(kind: str, prec: int) -> JacobiSeries:
     theta_1(tau,z)^2 / eta(tau)^6, which is -phi_{-2,1}.  All are built
     from the triple-product factorizations, so the z = 0 normalizers
     cancel exactly.  Ground row, numerator and denominator are multiplied
-    as integer rows; only THETA2's ground carries a denominator (4).
+    with `times`; only THETA2's ground carries a denominator (4).
     """
     if kind not in _QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     if kind == THETA2:
-        ground = IntRows({2: {0: 1}, 0: {0: 2}, -2: {0: 1}}, 4, prec)
+        ground = JacobiSeries({(0, 2): Fraction(1, 4), (0, 0): Fraction(1, 2),
+                               (0, -2): Fraction(1, 4)}, prec)
         num = _pair_product(prec, +1, half=False)
         den_inv = _euler_product(prec, 24, +1, -4)
     elif kind == THETA3:
-        ground = IntRows.one(prec)
+        ground = JacobiSeries.one(prec)
         num = _pair_product(prec, +1, half=True)
         den_inv = _half_odd_product(prec, 24, +1, -4)
     elif kind == THETA4:
-        ground = IntRows.one(prec)
+        ground = JacobiSeries.one(prec)
         num = _pair_product(prec, -1, half=True)
         den_inv = _half_odd_product(prec, 24, -1, -4)
     else:  # THETA1SQ = theta_1^2 / eta^6 = -(y - 2 + 1/y) * prod(...)
-        ground = IntRows({2: {0: -1}, 0: {0: 2}, -2: {0: -1}}, 1, prec)
+        ground = JacobiSeries({(0, 2): -1, (0, 0): 2, (0, -2): -1}, prec)
         num = _pair_product(prec, -1, half=False)
         den_inv = _euler_product(prec, 24, -1, -4)
-    return (ground * num * IntRows.from_series(den_inv)).to_jacobi().truncate(prec)
+    return ground.times(num).times(den_inv)
 
 
 def theta_quotient_from_sums(i: int, prec: int) -> JacobiSeries:

@@ -13,12 +13,12 @@ A QSeries is the single row 0.  The form is canonical (no zero entries,
 no empty rows, den > 0 and coprime to the numerators), so equality,
 hashing, comparison (`first_difference`) and the text dump run on ints.
 Sums, negation, shifts and scalar multiples work on the rows; a
-RadicalScalar constant mixes the radical parts.  IntRows is one radical
-part, a rational series, and its product is the only series
-convolution.  `combine` applies field constants to such products and
-returns its integer accumulators as a JacobiSeries; a product of two
-series (`_product`) is one `combine` term per pair of their radical
-parts.
+RadicalScalar constant mixes the radical parts.  `_convolve` multiplies
+two sets of rows and is the only series convolution.  `combine` sums
+field constants times products of series, one convolution per pair of
+radical parts, and returns its integer accumulators as a JacobiSeries;
+a product of two series is one `combine` term.  `times` is the product
+of two rational series with no field constant at all.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
 `q_row()` and `items()` are read-only views built on first use and kept
@@ -165,15 +165,10 @@ class _Series:
     def items(self):
         return list(self.coeffs.items())
 
-    def radical_parts(self) -> dict[int, "IntRows"]:
-        """{d: part} with self = sum_d sqrt(d) * part, every part rational.
-
-        Each part shares the rows of self.  A zero series gives the single
-        empty part {1: 0}, which keeps the truncation a product with self
-        would have.
-        """
-        return ({d: IntRows(rows, self.den, self.trunc) for d, rows in self.parts.items()}
-                or {1: IntRows({}, 1, self.trunc)})
+    def min_key(self) -> int | None:
+        """The least q grid index with a nonzero coefficient; None for zero."""
+        keys = [min(row) for rows in self.parts.values() for row in rows.values()]
+        return min(keys) if keys else None
 
     def _map_entries(self, fn, trunc: int | None = None):
         """The same type with each (kq, n) entry of every row replaced by fn(kq, n),
@@ -189,6 +184,27 @@ class _Series:
         return type(self).from_parts(self.parts, self.den, trunc)
 
     # -- arithmetic --------------------------------------------------------
+
+    def product_trunc(self, other) -> int:
+        """The truncation index of self * other by the min rule; a zero
+        series counts as O(q^trunc)."""
+        low_a, low_b = self.min_key(), other.min_key()
+        return min(self.trunc + (other.trunc if low_b is None else low_b),
+                   other.trunc + (self.trunc if low_a is None else low_a))
+
+    def times(self, other, trunc: int | None = None) -> "JacobiSeries":
+        """self * other for two rational series, taken in integers.
+
+        Known below the min rule's index and below `trunc` if given.  No
+        RadicalScalar is built; a factor with an irrational coefficient
+        raises ValueError.
+        """
+        if any(d != 1 for f in (self, other) for d in f.parts):
+            raise ValueError("times needs two series with rational coefficients")
+        bound = self.product_trunc(other)
+        trunc = bound if trunc is None else min(bound, trunc)
+        rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc)
+        return JacobiSeries.from_parts({1: rows}, self.den * other.den, trunc)
 
     def _plus(self, other, cls):
         trunc = min(self.trunc, other.trunc)
@@ -268,10 +284,6 @@ class QSeries(_Series):
 
     # -- inspection ------------------------------------------------------
 
-    def min_key(self):
-        keys = [min(rows[0]) for rows in self.parts.values()]
-        return min(keys) if keys else None
-
     def coeff(self, key: int) -> RadicalScalar:
         if key >= self.trunc:
             raise _beyond(key)
@@ -293,7 +305,7 @@ class QSeries(_Series):
             return self._scaled(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        return _product(self, other).row0()
+        return combine([(1, self, other)]).row0()
 
     __rmul__ = __mul__
 
@@ -361,9 +373,6 @@ class QSeries(_Series):
 
     # -- comparison / output ---------------------------------------------
 
-    def agrees_with(self, other: "QSeries", through: int | None = None) -> bool:
-        return first_difference(self, other, through) is None
-
     def __repr__(self):
         keys = [kq for (kq, _), _ in self.int_items()]
         head = ", ".join(f"q^{Fraction(k, QGRID)}: {self.text_at(k)}" for k in keys[:6])
@@ -415,7 +424,7 @@ class JacobiSeries(_Series):
             return self._scaled(other)
         if not isinstance(other, (QSeries, JacobiSeries)):
             return NotImplemented
-        return _product(self, other)
+        return combine([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -444,107 +453,59 @@ class JacobiSeries(_Series):
         return f"JacobiSeries(<{n} integer entries>, trunc={self.trunc})"
 
 
-class IntRows:
-    """A rational two-variable series held as integer rows over one denominator.
+def _convolve(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+    """The integer rows of rows_a * rows_b below q grid index trunc.
 
-    `rows` maps a y half-index to {q grid index: nonzero int}; the series
-    is (1/den) * sum rows[ry][kq] q^(kq/24) y^(ry/2), known below trunc.
-    A one-variable series is the single row 0.  Multiplication is the
-    only series convolution in the package: it runs one q-series product
-    per pair of rows and truncates by the min rule.
+    Rows map a y half-index to {q grid index: int}.  This is the only
+    series convolution in the package: one q-series product per pair of
+    rows.  Zero entries are kept; from_parts drops them.
     """
-
-    __slots__ = ("rows", "den", "trunc")
-
-    def __init__(self, rows: dict[int, dict[int, int]], den: int, trunc: int):
-        self.rows = rows
-        self.den = den
-        self.trunc = trunc
-
-    @classmethod
-    def one(cls, trunc: int) -> "IntRows":
-        return cls({0: {0: 1}}, 1, trunc)
-
-    @classmethod
-    def from_series(cls, f) -> "IntRows":
-        """The rows of a series with rational coefficients, shared with f."""
-        if any(d != 1 for d in f.parts):
-            raise ValueError("a series with irrational coefficients has no rational rows")
-        return cls(f.parts.get(1, {}), f.den, f.trunc)
-
-    def _min_bound(self) -> int:
-        keys = [min(row) for row in self.rows.values() if row]
-        return min(keys) if keys else self.trunc
-
-    def product_trunc(self, other: "IntRows") -> int:
-        """The truncation index of self * other, by the min rule."""
-        return min(self.trunc + other._min_bound(), other.trunc + self._min_bound())
-
-    def __mul__(self, other: "IntRows") -> "IntRows":
-        return self.times(other)
-
-    def times(self, other: "IntRows", trunc: int | None = None) -> "IntRows":
-        """self * other, known below the min rule's index and below `trunc` if given."""
-        bound = self.product_trunc(other)
-        trunc = bound if trunc is None else min(bound, trunc)
-        rows: dict[int, dict[int, int]] = {}
-        for yb, row_b in other.rows.items():
-            items_b = sorted(row_b.items())
-            for ya, row_a in self.rows.items():
-                out = rows.setdefault(ya + yb, {})
-                for ka, va in row_a.items():
-                    bound = trunc - ka
-                    for kb, vb in items_b:
-                        if kb >= bound:
-                            break
-                        k = ka + kb
-                        out[k] = out.get(k, 0) + va * vb
-        cleaned = {}
-        for ry, row in rows.items():
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                cleaned[ry] = row
-        return IntRows(cleaned, self.den * other.den, trunc)
-
-    def to_jacobi(self) -> JacobiSeries:
-        return JacobiSeries.from_parts({1: self.rows}, self.den, self.trunc)
+    out: dict[int, dict[int, int]] = {}
+    for yb, row_b in rows_b.items():
+        items_b = sorted(row_b.items())
+        for ya, row_a in rows_a.items():
+            acc = out.setdefault(ya + yb, {})
+            for ka, va in row_a.items():
+                bound = trunc - ka
+                for kb, vb in items_b:
+                    if kb >= bound:
+                        break
+                    k = ka + kb
+                    acc[k] = acc.get(k, 0) + va * vb
+    return out
 
 
 def combine(terms, trunc: int | None = None) -> JacobiSeries:
-    """sum_i kappa_i * A_i * B_i for field constants kappa_i and integer rows A_i, B_i.
+    """sum_i kappa_i * A_i * B_i for field constants kappa_i and series A_i, B_i.
 
-    Each product is taken in integers.  The field enters only here:
-    kappa_i / (den A_i * den B_i) becomes one integer multiplier per
-    radical over one common denominator, and the products are summed
-    into integer rows per radical, which are the returned series.  The
-    result is known below the least of `trunc` (when given) and every
-    product's min-rule index, and no product is computed past that bound.
+    Each product is taken in integers, one convolution per pair of
+    radical parts sqrt(d) of A_i and sqrt(e) of B_i.  The field enters
+    once per term: kappa_i / (den A_i * den B_i) becomes one integer
+    multiplier per radical sqrt(f) over one common denominator, and
+    sqrt(d) sqrt(e) sqrt(f) is mixed in integers.  The result is known
+    below the least of `trunc` (when given) and every product's min-rule
+    index, and no product is computed past that bound.
     """
-    parts = []
+    scaled = []
     for kappa, a, b in terms:
         bound = a.product_trunc(b)
         trunc = bound if trunc is None else min(bound, trunc)
         scale = _coeff(kappa) * Fraction(1, a.den * b.den)
         if scale:
-            parts.append((scale.parts, a, b))
-    products = [(scale, a.times(b, trunc)) for scale, a, b in parts]
-    common = lcm(*(a.denominator for scale, _ in products for a in scale.values()))
+            scaled.append((scale.parts, a, b))
+    common = lcm(*(c.denominator for scale, _, _ in scaled for c in scale.values()))
     acc: dict[int, dict[int, dict[int, int]]] = {}
-    for scale, prod in products:
-        for d, a in scale.items():
-            _add_rows(acc.setdefault(d, {}), prod.rows, a.numerator * (common // a.denominator))
+    for scale, a, b in scaled:
+        for d, rows_a in a.parts.items():
+            for e, rows_b in b.parts.items():
+                rows = _convolve(rows_a, rows_b, trunc)
+                g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(h)
+                h = d * e // (g * g)
+                for f, c in scale.items():
+                    g2 = gcd(h, f)  # sqrt(h) sqrt(f) = g2 sqrt(hf/g2^2)
+                    m = g * g2 * c.numerator * (common // c.denominator)
+                    _add_rows(acc.setdefault(h * f // (g2 * g2), {}), rows, m)
     return JacobiSeries.from_parts(acc, common, trunc)
-
-
-def _product(a, b) -> JacobiSeries:
-    """a * b for two series: one integer product per pair of their radical parts."""
-    parts_b = b.radical_parts().items()
-    terms = []
-    for d, part_a in a.radical_parts().items():
-        for e, part_b in parts_b:
-            g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(de/g^2)
-            terms.append((RadicalScalar({d * e // (g * g): g}), part_a, part_b))
-    return combine(terms)
 
 
 def _power(base, n: int, one):

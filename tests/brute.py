@@ -2,7 +2,8 @@
 
 The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
-the package's series classes.  `field_mul` is the textbook product of
+the package's series classes; `dual_lattice_box` counts the sigma
+model's dual-lattice vectors one by one.  `field_mul` is the textbook product of
 two package series, one RadicalScalar product per pair of terms, kept
 as the reference for the package's integer-row kernel; the `model_*`
 functions are the other series operations, term by term over the field,
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 
 def pmul(a: dict, b: dict, limit: int) -> dict:
@@ -91,6 +92,23 @@ def brute_delta2_over_delta(limit: int) -> dict:
         out = pmul(out, factor, limit)
         n += 1
     return {k + 24: v for k, v in out.items() if k + 24 < limit}
+
+
+def dual_lattice_box(limit: int) -> dict:
+    """Theta series of the sigma model's dual lattice by box enumeration.
+
+    Doubled coordinates m, all even or all odd, |m_i| <= sqrt(limit/3);
+    the vector m/2 contributes q^(|m|^2/8), grid index 3 sum m_i^2.
+    """
+    radius = isqrt(limit // 3)
+    out: dict[int, int] = {}
+    for parity in (0, 1):
+        coords = [m for m in range(-radius, radius + 1) if m % 2 == parity]
+        for m in itertools.product(coords, repeat=4):
+            key = 3 * sum(x * x for x in m)
+            if key < limit:
+                out[key] = out.get(key, 0) + 1
+    return out
 
 
 # -- series products over the coefficient field -------------------------------

@@ -7,7 +7,7 @@ from conway_genera import genera, modforms, series
 from conway_genera.genera import GenusRequest
 from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 from conway_genera.scalars import RadicalScalar
-from conway_genera.series import IntRows, JacobiSeries, QSeries, first_difference
+from conway_genera.series import JacobiSeries, QSeries, first_difference
 
 
 def test_ts_identity_class_shape(data):
@@ -126,10 +126,6 @@ def test_phi_matches_radical_reference_for_every_tabulated_genus(data):
     assert count == 92
 
 
-def _lowest(rows: IntRows) -> int:
-    return min(min(row) for row in rows.rows.values() if row)
-
-
 def test_genus_headroom_is_exact(data):
     work = 24 * 3 + genera._MARGIN
     starts = set()
@@ -143,9 +139,9 @@ def test_genus_headroom_is_exact(data):
              *((genera._BINOMIAL, kind) for kind in weight2))
     for power in range(1, 7):
         for kind in kinds:
-            assert _lowest(genera._shared_power(kind, power, work)) >= 0, (kind, power)
+            assert genera._shared_power(kind, power, work).min_key() >= 0, (kind, power)
         for a in range(power + 1):
-            assert _lowest(genera._monomial(a, power - a, work)) >= 0, (a, power)
+            assert genera._monomial(a, power - a, work).min_key() >= 0, (a, power)
 
 
 def test_genus_products_stop_at_requested_precision(data, monkeypatch):
@@ -165,14 +161,13 @@ def test_genus_products_stop_at_requested_precision(data, monkeypatch):
 
     run()  # the shared powers are built once, at the working grid
     truncs = []
-    times = IntRows.times
+    convolve = series._convolve
 
-    def traced(self, other, trunc=None):
-        product = times(self, other, trunc)
-        truncs.append(product.trunc)
-        return product
+    def traced(rows_a, rows_b, trunc):
+        truncs.append(trunc)
+        return convolve(rows_a, rows_b, trunc)
 
-    monkeypatch.setattr(IntRows, "times", traced)
+    monkeypatch.setattr(series, "_convolve", traced)
     run()
     assert truncs and max(truncs) <= 24 * orders
 
@@ -190,15 +185,39 @@ def test_warm_genus_side_forms_split_no_series(data, monkeypatch):
 
     run()  # class series and shared powers are cached from here on
     calls = []
-    product = series._product
 
-    def counted(a, b):
-        calls.append((a, b))
-        return product(a, b)
+    def counting(name, method):
+        def counted(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return counted
 
-    monkeypatch.setattr(series, "_product", counted)
+    for cls in (QSeries, JacobiSeries):
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    monkeypatch.setattr(series._Series, "times", counting("times", series._Series.times))
     run()
     assert calls == []
+
+
+def test_cold_shared_powers_build_no_field_values(monkeypatch):
+    work = 24 * 3 + genera._MARGIN
+    for module in (genera, modforms):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    built = []
+    init = RadicalScalar.__init__
+
+    def counted(self, parts=None):
+        built.append(parts)
+        init(self, parts)
+
+    monkeypatch.setattr(RadicalScalar, "__init__", counted)
+    for kind in (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01,
+                 genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2):
+        assert not genera._shared_power(kind, 3, work).is_zero
+        assert built == [], kind
 
 
 #: RadicalScalars a genus may build: a few per class constant and per

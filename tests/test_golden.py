@@ -35,6 +35,12 @@ def _cases() -> dict[str, list[tuple[str, ...]]]:
         "verify-higher-lambency": [("verify", "--suite", "higher-lambency")],
         "verify-all-prec12-json": [
             ("verify", "--suite", "all", "--prec", "12", "--format", "json")],
+        "verify-sigma-prec24-json": [
+            ("verify", "--suite", "sigma", "--prec", "24", "--format", "json")],
+        "compute-1A-ell7-phi-prec24": [
+            ("compute", "--class", "1A", "--what", "phi", "--ell", "7", "--prec", "24",
+             "--sign", sign, "--format", fmt)
+            for sign in "+-" for fmt in ("text", "json")],
         "export": [("export", "--table", table, "--format", fmt)
                    for table in ("classes", "coincidences") for fmt in FORMATS],
     }
@@ -57,7 +63,10 @@ CASES = _cases()
 
 #: digests recorded at 0497ce3, before the genus products were truncated
 #: at the requested precision; the prec12 and prec24 cases recorded at
-#: 9d42eba, before the series were stored as integer rows per radical
+#: 9d42eba, before the series were stored as integer rows per radical;
+#: the sigma and 1A ell-7 cases recorded at a9df140, before the sigma
+#: dual-lattice theta series became a product of one-coordinate sums and
+#: the series products went through one integer convolution
 GOLDEN = {
     "compute-10H-ell2": "a15e271aadfd54fab9e32cfc60eeca7558031ca4ecb3c82a2b8e683fb02f45df",
     "compute-10H-ell3": "8c487e5d45c8522a6ec8430571ec6f657b7cfc0e62b943db7519576a1995ccf6",
@@ -76,6 +85,7 @@ GOLDEN = {
     "compute-1A-ell4": "04daa9350bce17a0ae1306f367171d08d0b169c6351e72825d8ce42e55d865fb",
     "compute-1A-ell5": "538ebc7281c89da1f826b1254186c34085e337007778bffe686f86ad02ff25ed",
     "compute-1A-ell7": "42c791d78ad6d51dde1223f02eb23faa5ad9d14913eb7461c2c0a87fad59e85a",
+    "compute-1A-ell7-phi-prec24": "f31758028000f6a8314b81ec6267e6983f473db2f9e604e966e1d3062401bd60",
     "compute-2B-ell2": "572d15e6ba86560088239cf05d5b2b4f8a1aa23dacb4e8fa611f2b0627b48a47",
     "compute-2B-ell3": "62d990796a57199041b48a04d8c889bb1bcc3bff1295c30906d876acb26f2fd5",
     "compute-2B-ell4": "611cb65d8e73214edf18c6c78961ec80ffc2c49941f05111f29003d88a9af3aa",
@@ -97,6 +107,7 @@ GOLDEN = {
     "verify-all-text": "21ebf12684e2b1c492636a37d96b264fdf6703ea89c4d9a03ad0b753fe538a03",
     "verify-decomposition-prec9-json": "6b7c612d9a09f62e94d39376e131dc90cc4066bfb1f3135c6c923ae3b5d92a0a",
     "verify-higher-lambency": "6c9b7c98f3555dd49a4855f0ea0d943f9257577387df02dbfd3d60e95b3fd626",
+    "verify-sigma-prec24-json": "25d758ce9efd3d2f8385683e7a31a6e94be0a61823d7582feb0a62d3904b55f4",
 }
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 import brute
 from conway_genera import modforms
 from conway_genera.scalars import RADICAL_BASIS, RadicalScalar
-from conway_genera.series import (GridError, IntRows, JacobiSeries, QSeries,
-                                  combine, first_difference)
+from conway_genera.series import GridError, JacobiSeries, QSeries, combine, first_difference
 
 
 def as_dict(series):
@@ -158,8 +157,6 @@ def test_inverse_is_two_sided(f):
 # -- the integer kernel against the field arithmetic ---------------------------
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=8)
-radicals = st.builds(lambda a, b, c: RadicalScalar({1: a, 2: b, 5: c}),
-                     fractions, st.sampled_from([0, 1, Fraction(-3, 2)]), fractions)
 # exponents on the (1/2)Z grid from q^(-1/2), as for eta_ratio_half
 jacobi_rational = st.builds(
     lambda coeffs, t: JacobiSeries({(12 * k, 2 * r): v for (k, r), v in coeffs.items()},
@@ -178,44 +175,16 @@ def qseries_over(values):
 @settings(max_examples=80, deadline=None)
 @given(jacobi_rational, qseries_over(fractions))
 def test_integer_rows_times_rational_series_is_jacobi_mul(j, f):
-    part = IntRows.from_series(f)
-    assert (IntRows.from_series(j) * part).to_jacobi() == brute.field_mul(j, f)
-
-
-def split_terms(kappa, j, f):
-    """combine terms for kappa * j * f: kappa * sqrt(d) on each sqrt(d) part of f."""
-    rows = IntRows.from_series(j)
-    return [(kappa * RadicalScalar.sqrt_term(d), rows, part)
-            for d, part in f.radical_parts().items()]
-
-
-@settings(max_examples=80, deadline=None)
-@given(jacobi_rational, qseries_over(radicals), radicals,
-       jacobi_rational, qseries_over(fractions), radicals)
-def test_combine_is_the_field_sum_of_jacobi_products(j1, f1, k1, j2, f2, k2):
-    got = combine(split_terms(k1, j1, f1) + split_terms(k2, j2, f2))
-    assert got == brute.field_mul(j1, f1) * k1 + brute.field_mul(j2, f2) * k2
-
-
-@settings(max_examples=80, deadline=None)
-@given(jacobi_rational, qseries_over(radicals), radicals,
-       jacobi_rational, qseries_over(fractions), radicals, st.integers(-12, 150))
-def test_combine_stops_at_the_requested_truncation(j1, f1, k1, j2, f2, k2, t):
-    terms = split_terms(k1, j1, f1) + split_terms(k2, j2, f2)
-    full = combine(terms)
-    cut = combine(terms, t)
-    assert cut.trunc == min(t, full.trunc)
-    assert cut == full.truncate(cut.trunc)
+    assert j.times(f) == f.times(j) == brute.field_mul(j, f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(jacobi_rational, st.integers(0, 4))
 def test_integer_kernel_powers_match_jacobi_pow(j, n):
-    rows = IntRows.from_series(j)
-    power = IntRows.one(j.trunc)
+    power = JacobiSeries.one(j.trunc)
     for _ in range(n):
-        power = power * rows
-    assert power.to_jacobi() == brute.field_pow(j, n) == j ** n
+        power = power.times(j)
+    assert power == brute.field_pow(j, n) == j ** n
 
 
 # every squarefree d | 30, so that products such as sqrt(2) sqrt(10) = 2 sqrt(5)
@@ -244,6 +213,40 @@ def series_pairs(draw):
 
 S2, S3, S10, S15 = (RadicalScalar.sqrt_term(d) for d in (2, 3, 10, 15))
 
+#: combine terms (kappa, (A, B)) over every radical of the field
+combine_terms = st.lists(st.tuples(field, series_pairs()), min_size=1, max_size=3)
+#: sqrt(15) sqrt(2) sqrt(10) = 10 sqrt(3) and sqrt(3) sqrt(3) sqrt(15) = 3 sqrt(15)
+CROSS_TERMS = [(S15, (QSeries({0: S2, 24: 1}, 48), QSeries({0: S10, 12: S3}, 48))),
+               (S3, (JacobiSeries({(0, 2): S3, (12, 0): S2}, 48), QSeries({0: S15}, 36))),
+               (RadicalScalar({1: 2, 30: -1}), (QSeries.zero(24), JacobiSeries({}, 24)))]
+
+
+def field_sum(terms):
+    """sum kappa * A * B by brute.field_mul, as a JacobiSeries."""
+    products = [brute.field_mul(a, b) * kappa for kappa, (a, b) in terms]
+    total = JacobiSeries.zero(min(p.trunc for p in products))
+    for p in products:
+        total = total + p
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(combine_terms)
+@example(CROSS_TERMS)
+def test_combine_is_the_field_sum_of_jacobi_products(terms):
+    got = combine([(kappa, a, b) for kappa, (a, b) in terms])
+    assert got == field_sum(terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(combine_terms, st.integers(-12, 150))
+@example(CROSS_TERMS, 30)
+def test_combine_stops_at_the_requested_truncation(terms, t):
+    full = field_sum(terms)
+    cut = combine([(kappa, a, b) for kappa, (a, b) in terms], t)
+    assert cut.trunc == min(t, full.trunc)
+    assert cut == full.truncate(cut.trunc)
+
 
 @settings(max_examples=150, deadline=None)
 @given(series_pairs())
@@ -267,10 +270,13 @@ def test_sqrt_cross_terms_land_on_sqrt5_and_sqrt30():
                            (48, RadicalScalar({5: 3}))]
 
 
-def test_from_series_rejects_irrational_parts():
-    assert IntRows.from_series(QSeries({0: Fraction(1, 2)}, 24)).den == 2
-    with pytest.raises(ValueError, match="irrational"):
-        IntRows.from_series(JacobiSeries({(0, 2): 1, (24, 0): S2}, 48))
+def test_times_rejects_an_irrational_factor():
+    half = QSeries({0: Fraction(1, 2)}, 24)
+    assert half.times(half) == JacobiSeries({(0, 0): Fraction(1, 4)}, 24)
+    irrational = JacobiSeries({(0, 2): 1, (24, 0): S2}, 48)
+    for a, b in ((irrational, half), (half, irrational)):
+        with pytest.raises(ValueError, match="rational"):
+            a.times(b)
 
 
 # -- the integer-row storage against the field model ---------------------------

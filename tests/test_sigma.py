@@ -2,6 +2,9 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
+import pytest
+
+import brute
 from conway_genera import genera, modforms, sigma
 from conway_genera.series import QSeries, first_difference
 
@@ -47,6 +50,11 @@ def test_coset_partition():
     for label in sigma.COSETS:
         total = total + sigma.d4_coset_theta(label, prec)
     assert first_difference(total, sigma.dual_lattice_theta(prec), prec) is None
+
+
+@pytest.mark.parametrize("prec", [1, 2, 3, 11, 12, 13, 24, 48, 504])
+def test_dual_lattice_theta_matches_box_enumeration(prec):
+    assert sigma.dual_lattice_theta(prec) == QSeries(brute.dual_lattice_box(prec), prec)
 
 
 def test_u_characters_against_lattice():
