@@ -50,21 +50,6 @@ def _moebius(n: int) -> int:
     return result
 
 
-def _euler_phi(n: int) -> int:
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 @dataclass(frozen=True)
 class FrameShape:
     """Signed multiset m -> k_m with sum_m m*k_m = 24."""

@@ -29,6 +29,10 @@ monomials in the twelve zero modes carry the trace
 nu * prod (1 +- lambda_i^{-1}).  The nu_i sign and pairing choices are
 normalized against the bundled table constants, since the global lift
 convention is not re-derived at this scale.
+
+Comparison.  `first_mismatch` reads a closed-form series into Q(zeta_N)
+and finds the first key where it and a trace differ; the oracle suite
+and the tests compare through it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from math import floor, gcd, lcm
 
 from .conway import ConwayClassRecord, FrameShape
 from .scalars import RADICAL_BASIS, RadicalScalar
+from .series import JacobiSeries, QSeries
 
 MAX_DEGREE_BOUND = 3  # combinatorial blow-up guard
 
@@ -650,3 +655,27 @@ def brute_phi(rec: ConwayClassRecord, d_sign: int = 1, ell: int = 2,
     bound = _check_bound(degree_bound)
     system = build_system(rec, j_weight=True, d_sign=d_sign, ell=ell)
     return _trace(system, bound, _PHI_WEIGHTS, True)
+
+
+def first_mismatch(brute: dict, series: QSeries | JacobiSeries) -> tuple[int, int] | None:
+    """The first (grid, y half-index) where a brute-force trace and a closed
+    form differ inside Q(zeta_N), or None where they agree.
+
+    Both sides are compared on (grid, y half-index) keys up to the highest
+    brute grid; a q-series and a trace without charges sit at y half-index
+    0, and a half-odd y power never matches.  An empty trace is compared in
+    Q(zeta_2) up to grid 0.
+    """
+    flat = {}
+    for grid, value in brute.items():
+        charges = value if isinstance(value, dict) else {0: value}
+        flat.update(((grid, 2 * c), v) for c, v in charges.items())
+    if isinstance(series, QSeries):
+        series = JacobiSeries.from_parts(series.parts, series.den, series.trunc)
+    order = next(iter(flat.values())).order if flat else 2
+    limit = max(brute) if brute else 0
+    zero = CycloNumber.zero(order)
+    for grid, ry in sorted(set(flat) | {k for k in series.coeffs if k[0] <= limit}):
+        if ry % 2 or embed_radical(series.coeff(grid, ry), order) != flat.get((grid, ry), zero):
+            return grid, ry
+    return None

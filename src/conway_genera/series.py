@@ -13,16 +13,20 @@ A QSeries is the single row 0.  The form is canonical (no zero entries,
 no empty rows, den > 0 and coprime to the numerators), so equality,
 hashing, comparison (`first_difference`) and the text dump run on ints.
 Sums, negation, shifts and scalar multiples work on the rows; a
-RadicalScalar constant mixes the radical parts.  `_convolve` multiplies
-two sets of rows and is the only series convolution.  `combine` sums
-field constants times products of series, one convolution per pair of
-radical parts, and returns its integer accumulators as a JacobiSeries;
-a product of two series is one `combine` term.  `times` is the product
-of two rational series with no field constant at all.
+RadicalScalar constant mixes the radical parts, sqrt(d) sqrt(e) =
+g sqrt(de/g^2) by `_mix`.  `_convolve` multiplies two sets of rows and
+is the only series convolution.  `combine` sums field constants times
+products of series, one convolution per pair of radical parts, and
+returns its integer accumulators as a JacobiSeries; a product of two
+series is one `combine` term.  `times` is the product of two rational
+series with no field constant at all.  QSeries.inverse is Newton's
+iteration on `*`.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
 `q_row()` and `items()` are read-only views built on first use and kept
-per instance.  Only QSeries.inverse still recurses over the field.
+per instance.  In the arithmetic the field enters only through
+constants: one product per `combine` term and the inverse of the lead
+coefficient in QSeries.inverse.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -59,6 +63,12 @@ def _pieces(x):
     if isinstance(x, (int, Fraction)):
         return ((1, x),)
     raise TypeError(f"expected a field value, got {type(x).__name__}")
+
+
+def _mix(d: int, e: int) -> tuple[int, int]:
+    """(g, h) with sqrt(d) sqrt(e) = g sqrt(h): g = gcd(d, e), h = de/g^2."""
+    g = gcd(d, e)
+    return g, d * e // (g * g)
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -192,17 +202,15 @@ class _Series:
         return min(self.trunc + (other.trunc if low_b is None else low_b),
                    other.trunc + (self.trunc if low_a is None else low_a))
 
-    def times(self, other, trunc: int | None = None) -> "JacobiSeries":
+    def times(self, other) -> "JacobiSeries":
         """self * other for two rational series, taken in integers.
 
-        Known below the min rule's index and below `trunc` if given.  No
-        RadicalScalar is built; a factor with an irrational coefficient
-        raises ValueError.
+        Known below the min rule's index.  No RadicalScalar is built; a
+        factor with an irrational coefficient raises ValueError.
         """
         if any(d != 1 for f in (self, other) for d in f.parts):
             raise ValueError("times needs two series with rational coefficients")
-        bound = self.product_trunc(other)
-        trunc = bound if trunc is None else min(bound, trunc)
+        trunc = self.product_trunc(other)
         rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc)
         return JacobiSeries.from_parts({1: rows}, self.den * other.den, trunc)
 
@@ -224,8 +232,8 @@ class _Series:
         for e, a in pieces:
             m_e = a.numerator * (cden // a.denominator)
             for d, rows in self.parts.items():
-                g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(de/g^2)
-                _add_rows(out.setdefault(d * e // (g * g), {}), rows, m_e * g)
+                g, h = _mix(d, e)
+                _add_rows(out.setdefault(h, {}), rows, m_e * g)
         return type(self).from_parts(out, self.den * cden, self.trunc)
 
     def __neg__(self):
@@ -315,26 +323,29 @@ class QSeries(_Series):
         return _power(self, n, QSeries.one(self.trunc))
 
     def inverse(self) -> "QSeries":
-        """Series b with self*b = 1 up to truncation."""
+        """Series b with self*b = 1 up to truncation.
+
+        self = q^(m/24) u with u a unit known below n = trunc - m.  Newton's
+        iteration v <- v + v (1 - u v) on `*` doubles the grid range on
+        which v = 1/u is exact at each step (Brent and Kung, J. ACM 25
+        (1978) 581); the only field operation is the inverse of u's lead
+        coefficient.  b = q^(-m/24) v is known below trunc - 2m.
+        """
         m = self.min_key()
         if m is None:
             raise ZeroDivisionError("non-invertible series")
-        # self = q^(m/24) * u with u a unit known to order trunc - m
-        n_terms = self.trunc - m
-        unit = {k - m: v for k, v in self.coeffs.items()}
-        lead_inv = unit[0].inverse()
-        inv: dict[int, RadicalScalar] = {0: lead_inv}
-        for k in range(1, n_terms):
-            acc = None
-            for j, uj in unit.items():
-                if 0 < j <= k:
-                    vk = inv.get(k - j)
-                    if vk is not None:
-                        term = uj * vk
-                        acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
-                inv[k] = -(lead_inv * acc)
-        return QSeries({k - m: v for k, v in inv.items()}, self.trunc - 2 * m)
+        unit = self.shift(-m)
+        n = unit.trunc
+        lead = RadicalScalar({d: Fraction(rows[0][0], unit.den)
+                              for d, rows in unit.parts.items() if 0 in rows[0]})
+        v = QSeries({0: lead.inverse()}, n)
+        # 1/u = 1/u_0 + O(q^(s/24)) for the least positive index s of u
+        exact = min((kq for rows in unit.parts.values() for kq in rows[0] if kq), default=n)
+        while exact < n:
+            exact = min(2 * exact, n)
+            v = QSeries.from_parts(v.parts, v.den, exact)  # v is a polynomial
+            v = v + v * (1 - unit.truncate(exact) * v)
+        return v.shift(-m)
 
     def shift(self, key: int) -> "QSeries":
         """Multiply by q^(key/24)."""
@@ -499,12 +510,11 @@ def combine(terms, trunc: int | None = None) -> JacobiSeries:
         for d, rows_a in a.parts.items():
             for e, rows_b in b.parts.items():
                 rows = _convolve(rows_a, rows_b, trunc)
-                g = gcd(d, e)  # sqrt(d) sqrt(e) = g sqrt(h)
-                h = d * e // (g * g)
+                g, h = _mix(d, e)
                 for f, c in scale.items():
-                    g2 = gcd(h, f)  # sqrt(h) sqrt(f) = g2 sqrt(hf/g2^2)
+                    g2, k = _mix(h, f)
                     m = g * g2 * c.numerator * (common // c.denominator)
-                    _add_rows(acc.setdefault(h * f // (g2 * g2), {}), rows, m)
+                    _add_rows(acc.setdefault(k, {}), rows, m)
     return JacobiSeries.from_parts(acc, common, trunc)
 
 

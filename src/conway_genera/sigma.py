@@ -21,33 +21,6 @@ from .series import QSeries, first_difference
 
 COSETS = ("0", "1", "omega", "omegabar")
 
-#: coset representatives in doubled coordinates
-_REPS = {
-    "0": (0, 0, 0, 0),
-    "1": (2, 0, 0, 0),
-    "omega": (1, 1, 1, 1),
-    "omegabar": (-1, 1, 1, 1),
-}
-
-
-def _in_coset(m: tuple[int, int, int, int], label: str) -> bool:
-    """Membership in doubled coordinates: vectors are m/2 with m integral."""
-    parities = {x % 2 for x in m}
-    if len(parities) != 1:
-        return False
-    odd = parities == {1}
-    total = sum(m) % 4
-    if label == "0":
-        return not odd and total == 0
-    if label == "1":
-        return not odd and total == 2
-    if label == "omega":
-        return odd and total == 0
-    if label == "omegabar":
-        return odd and total == 2
-    raise ValueError(f"unknown coset {label!r}")
-
-
 #: coset -> (parity of the doubled coordinates, their sum mod 4)
 _COSET_CLASS = {"0": (0, 0), "1": (0, 2), "omega": (1, 0), "omegabar": (1, 2)}
 
@@ -103,8 +76,8 @@ def dual_lattice_theta(prec: int) -> QSeries:
     for parity in (0, 1):
         line = QSeries({3 * m * m: 2 if m else 1
                         for m in range(parity, isqrt(prec // 3) + 1, 2)}, prec)
-        square = line.times(line, prec)
-        total = total + square.times(square, prec).row0()
+        square = line * line
+        total = total + square * square
     return total
 
 
@@ -194,28 +167,29 @@ def verify_sigma_isomorphism(orders: int = 6) -> list[CheckReport]:
         "coset-partition[sum = dual theta]",
         first_difference(total, dual_lattice_theta(work), prec)))
 
+    module, twisted = module_character(work), twisted_module_character(work)
     u0, u1, uw, uwb = u["0"], u["1"], u["omega"], u["omegabar"]
     ns_sum = u0 ** 3 + u0 * u1 * u1 * 3 + uw * uw * uwb * 3 + uwb ** 3
     rr_sum = u0 * u0 * u1 * 3 + u1 ** 3 + uw ** 3 + uw * uwb * uwb * 3
     reports.append(CheckReport.from_deviation(
         "module-character[8 summands]",
-        first_difference(module_character(work), ns_sum, prec)))
+        first_difference(module, ns_sum, prec)))
     reports.append(CheckReport.from_deviation(
         "twisted-module-character[8 summands]",
-        first_difference(twisted_module_character(work), rr_sum, prec)))
+        first_difference(twisted, rr_sum, prec)))
 
     # orbifold sector sums: the triality image of the same eight summands
     orb_ns = u0 ** 3 + u0 * uw * uw * 3 + u1 ** 3 + u1 * uwb * uwb * 3
     orb_rr = u0 * u0 * uw * 3 + uw ** 3 + u1 * u1 * uwb * 3 + uwb ** 3
     reports.append(CheckReport.from_deviation(
         "orbifold-sector[NS-NS]",
-        first_difference(module_character(work), orb_ns, prec)))
+        first_difference(module, orb_ns, prec)))
     reports.append(CheckReport.from_deviation(
         "orbifold-sector[R-R]",
-        first_difference(twisted_module_character(work), orb_rr, prec)))
+        first_difference(twisted, orb_rr, prec)))
 
     # no states at grading 1/2 - c/24 = 0 in the module itself
-    zero_coeff = module_character(work).coeff(0)
+    zero_coeff = module.coeff(0)
     reports.append(CheckReport(
         "module-character[no q^0 term]",
         "pass" if zero_coeff.is_zero else "fail",

@@ -3,14 +3,18 @@
 The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
 the package's series classes; `dual_lattice_box` counts the sigma
-model's dual-lattice vectors one by one.  `field_mul` is the textbook product of
-two package series, one RadicalScalar product per pair of terms, kept
-as the reference for the package's integer-row kernel; the `model_*`
+model's dual-lattice vectors one by one, and `in_coset` tests one vector
+for coset membership.  `field_mul` is the textbook product of two
+package series, one RadicalScalar product per pair of terms, kept as
+the reference for the package's integer-row kernel, and `field_inverse`
+the term-by-term inverse recursion over the field, the reference for the
+package's Newton inverse; the `model_*`
 functions are the other series operations, term by term over the field,
 kept as the reference for the package's integer-row storage.  The reference
 genus and weight-2j forms at the end are evaluated with it, term by term
 over the coefficient field.  `subset_histogram` walks every k-subset of
-the oracle's mode labels, the reference for its knapsack histogram.
+the oracle's mode labels, the reference for its knapsack histogram, and
+`euler_phi` is Euler's totient by trial division.
 """
 
 from __future__ import annotations
@@ -111,6 +115,39 @@ def dual_lattice_box(limit: int) -> dict:
     return out
 
 
+def in_coset(m: tuple[int, int, int, int], label: str) -> bool:
+    """Dual-lattice coset membership of the vector m/2, m integral."""
+    parities = {x % 2 for x in m}
+    if len(parities) != 1:
+        return False
+    odd = parities == {1}
+    total = sum(m) % 4
+    if label == "0":
+        return not odd and total == 0
+    if label == "1":
+        return not odd and total == 2
+    if label == "omega":
+        return odd and total == 0
+    if label == "omegabar":
+        return odd and total == 2
+    raise ValueError(f"unknown coset {label!r}")
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    p = 2
+    m = n
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
 # -- series products over the coefficient field -------------------------------
 
 
@@ -144,6 +181,31 @@ def field_pow(f, n: int):
     for _ in range(n):
         result = field_mul(result, f)
     return result
+
+
+def field_inverse(f):
+    """The inverse of a nonzero QSeries, one coefficient at a time over the field.
+
+    f = q^(m/24) u; with v = 1/u, v_0 = 1/u_0 and v_k = -v_0 sum_{0<j<=k}
+    u_j v_(k-j).  The inverse is known below f.trunc - 2m.
+    """
+    from conway_genera.series import QSeries
+
+    m = f.min_key()
+    unit = {k - m: v for k, v in f.coeffs.items()}
+    lead_inv = unit[0].inverse()
+    inv = {0: lead_inv}
+    for k in range(1, f.trunc - m):
+        acc = None
+        for j, uj in unit.items():
+            if 0 < j <= k:
+                vk = inv.get(k - j)
+                if vk is not None:
+                    term = uj * vk
+                    acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero:
+            inv[k] = -(lead_inv * acc)
+    return QSeries({k - m: v for k, v in inv.items()}, f.trunc - 2 * m)
 
 
 # -- the series operations on plain dicts over the coefficient field ---------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conway_genera
-from conway_genera import cli, genera, oracle
+from conway_genera import cli, genera
 from conway_genera.series import JacobiSeries, QSeries
 
 BUNDLED = Path(conway_genera.__file__).parent / "data"
@@ -157,19 +157,6 @@ def test_precision_above_the_bound_fails_before_any_series_is_built(
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(cli.MAX_ORDERS) in err
-
-
-def test_brute_comparison_reads_both_trace_shapes(data):
-    rec = data.record("2B")
-    ts, phi = genera.ts_g(rec, "g", "chi", 3), genera.phi_g(rec, 1, 3)
-    brute_ts, brute_phi = oracle.brute_ts(rec, "g", 2), oracle.brute_phi(rec, 1, 2, 2)
-    assert cli._brute_matches(brute_ts, ts)
-    assert not cli._brute_matches(brute_ts, ts + 1)
-    assert cli._brute_matches(brute_phi, phi)
-    assert not cli._brute_matches(brute_phi, phi + JacobiSeries({(24, 2): 1}, phi.trunc))
-    # an empty trace compares up to grid 0, and a half-odd y power never matches
-    assert cli._brute_matches({}, QSeries.zero(72))
-    assert not cli._brute_matches({}, JacobiSeries({(0, 1): 1}, 72))
 
 
 def test_module_entry_point_runs_the_cli():

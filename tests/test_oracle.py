@@ -10,6 +10,7 @@ from conway_genera import genera, oracle
 from conway_genera.conway import FrameShape, bundled_data
 from conway_genera.oracle import CycloNumber, OracleError
 from conway_genera.scalars import RadicalScalar
+from conway_genera.series import JacobiSeries, QSeries
 
 CLASSES = tuple(bundled_data().classes.values())
 
@@ -160,29 +161,23 @@ def test_twisted_dimensions_match_product():
         assert gen.coeff(12 * deg2) == count
 
 
-def _assert_brute_matches_q(brute, series):
-    order = next(iter(brute.values())).order
-    limit = max(brute)
-    keys = set(brute) | {k for k in series.coeffs if k <= limit}
-    for k in sorted(keys):
-        want = oracle.embed_radical(series.coeff(k), order)
-        have = brute.get(k, CycloNumber.zero(order))
-        assert want == have, f"deviation at grid {k}"
+def _assert_brute_matches(brute, series):
+    mismatch = oracle.first_mismatch(brute, series)
+    assert mismatch is None, f"deviation at (grid, y half-index) {mismatch}"
 
 
-def _assert_brute_matches_jacobi(brute, series):
-    sample = next(iter(brute.values()))
-    order = next(iter(sample.values())).order
-    limit = max(brute)
-    keys = set()
-    for grid, charges in brute.items():
-        keys.update((grid, 2 * c) for c in charges)
-    keys.update(k for k in series.coeffs if k[0] <= limit)
-    for grid, ry in sorted(keys):
-        assert ry % 2 == 0
-        want = oracle.embed_radical(series.coeff(grid, ry), order)
-        have = brute.get(grid, {}).get(ry // 2, CycloNumber.zero(order))
-        assert want == have, f"deviation at grid {grid}, y half-index {ry}"
+def test_brute_comparison_reads_both_trace_shapes(data):
+    rec = data.record("2B")
+    ts, phi = genera.ts_g(rec, "g", "chi", 3), genera.phi_g(rec, 1, 3)
+    brute_ts, brute_phi = oracle.brute_ts(rec, "g", 2), oracle.brute_phi(rec, 1, 2, 2)
+    assert oracle.first_mismatch(brute_ts, ts) is None
+    assert oracle.first_mismatch(brute_ts, ts + 1) == (0, 0)
+    assert oracle.first_mismatch(brute_phi, phi) is None
+    assert oracle.first_mismatch(brute_phi, phi + JacobiSeries({(24, 2): 1}, phi.trunc)) \
+        == (24, 2)
+    # an empty trace compares up to grid 0, and a half-odd y power never matches
+    assert oracle.first_mismatch({}, QSeries.zero(72)) is None
+    assert oracle.first_mismatch({}, JacobiSeries({(0, 1): 1}, 72)) == (0, 1)
 
 
 #: oracle degrees, each compared with the closed form at degree + 1
@@ -200,7 +195,7 @@ def _degree_id(base, degree):
 def test_brute_ts_matches_closed_forms(data, name, degree):
     rec = data.record(name)
     for which in ("g", "g_tw"):
-        _assert_brute_matches_q(oracle.brute_ts(rec, which, degree),
+        _assert_brute_matches(oracle.brute_ts(rec, which, degree),
                                 genera.ts_g(rec, which, "chi", degree + 1))
 
 
@@ -218,7 +213,7 @@ def _phi_case(rec, sign, degree):
     for sign in ((1,) if rec.d_magnitude[2].is_zero else (1, -1))])
 def test_brute_traces_match_closed_forms(data, name, sign, degree):
     rec = data.record(name)
-    _assert_brute_matches_jacobi(oracle.brute_phi(rec, sign, 2, degree),
+    _assert_brute_matches(oracle.brute_phi(rec, sign, 2, degree),
                                  genera.phi_g(rec, sign, degree + 1))
 
 
@@ -238,7 +233,7 @@ def _lambency_case(ell, name, sign, degree):
     for sign in ((1,) if rec.d_magnitude[ell].is_zero else (1, -1))])
 def test_brute_traces_match_higher_lambency_genera(data, ell, name, sign, degree):
     rec = data.record(name)
-    _assert_brute_matches_jacobi(
+    _assert_brute_matches(
         oracle.brute_phi(rec, sign, ell, degree),
         genera.phi_g_ell(genera.GenusRequest(rec, sign, ell, degree + 1)))
 

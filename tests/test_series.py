@@ -279,6 +279,33 @@ def test_times_rejects_an_irrational_factor():
             a.times(b)
 
 
+# -- the Newton inverse against the field recursion ----------------------------
+
+
+@st.composite
+def invertible(draw):
+    """A QSeries over every radical of the field on a coarse grid of step s:
+    lead term at s*m for m in [-2, 3], a few terms above it, known below
+    s*(m + t) for t in [1, 8]."""
+    step = draw(st.sampled_from([1, 6, 12, 24]))
+    low = draw(st.integers(-2, 3))
+    lead = draw(field.filter(lambda c: not c.is_zero))
+    rest = draw(st.dictionaries(st.integers(1, 7), field, max_size=4))
+    coeffs = {step * (low + k): c for k, c in rest.items()}
+    coeffs[step * low] = lead
+    return QSeries(coeffs, step * (low + draw(st.integers(1, 8))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(invertible())
+@example(QSeries({-24: S2, 0: 1, 24: S15}, 120))
+@example(QSeries({12: RadicalScalar({1: 1, 5: 1}), 36: S3}, 240))
+def test_inverse_is_the_field_recursion(f):
+    inv = f.inverse()
+    assert inv.trunc == f.trunc - 2 * f.min_key()
+    assert inv == brute.field_inverse(f)
+
+
 # -- the integer-row storage against the field model ---------------------------
 
 

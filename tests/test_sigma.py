@@ -39,7 +39,7 @@ def test_coset_thetas_match_filtered_full_box():
         counts = {}
         for m in box:
             key = 3 * sum(x * x for x in m)
-            if key < prec and sigma._in_coset(m, label):
+            if key < prec and brute.in_coset(m, label):
                 counts[key] = counts.get(key, 0) + 1
         assert sigma.d4_coset_theta(label, prec) == QSeries(counts, prec), label
 
