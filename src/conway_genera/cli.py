@@ -143,9 +143,17 @@ def _genus_requests(data, lambencies, orders):
                 yield genera.GenusRequest(rec, sign, ell, orders)
 
 
+def _sign_flips(data, lambencies, orders):
+    """One linearity-in-D check per class with nonzero D at each lambency."""
+    return [genera.verify_sign_flip(rec, ell, orders)
+            for ell in lambencies for rec in data.for_lambency(ell)
+            if not rec.d_magnitude[ell].is_zero]
+
+
 def _suite_decomposition(data, orders):
-    return [genera.verify_decomposition(req.rec, req.d_sign, orders)
-            for req in _genus_requests(data, (2,), orders)]
+    return ([genera.verify_decomposition(req.rec, req.d_sign, orders)
+             for req in _genus_requests(data, (2,), orders)]
+            + _sign_flips(data, (2,), orders))
 
 
 def _suite_k3(data, orders):
@@ -165,8 +173,10 @@ def _suite_k3(data, orders):
 
 
 def _suite_higher(data, orders):
-    return [genera.verify_decomposition_ell(req)
-            for req in _genus_requests(data, (3, 4, 5, 7), orders)]
+    lambencies = (3, 4, 5, 7)
+    return ([genera.verify_decomposition_ell(req)
+             for req in _genus_requests(data, lambencies, orders)]
+            + _sign_flips(data, lambencies, orders))
 
 
 def _suite_jacobi(data, orders):

@@ -83,6 +83,18 @@ def test_verify_coincidences_reports_skips(capsys):
     assert "[SKIP]" in out and "external" in out
 
 
+@pytest.mark.parametrize("suite,ells,count", [
+    ("decomposition", (2,), 22), ("higher-lambency", (3, 4, 5, 7), 10)])
+def test_decomposition_suites_end_with_one_sign_flip_per_class_with_d(
+        capsys, data, suite, ells, count):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--prec", "2")
+    expected = [f"[PASS] sign-flip[{rec.co0_name}, ell {ell}]"
+                for ell in ells for rec in data.for_lambency(ell)
+                if not rec.d_magnitude[ell].is_zero]
+    assert code == 0 and len(expected) == count
+    assert out.splitlines()[-count:] == expected
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "constants",
                        "--format", "json")

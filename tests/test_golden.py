@@ -102,11 +102,11 @@ GOLDEN = {
     "compute-5C-ell5": "17b6eb54c9f21c06f1a4dc05fe27a30b64c89f28ae848320553d3126f180d129",
     "compute-5C-ell7": "b5d66ac418202cf10f5fa34cd02e99af558333b3f69c05f6a511cabc84d14776",
     "export": "f5a32bef6b50d93332de3e8c496fa1bbe68fffff664e6100221337b381a77544",
-    "verify-all-json": "b02c03e533c1958cb4ce69bd7f565dfa036b51acbb9d604cae555f15a6c139b3",
-    "verify-all-prec12-json": "2dafbeae896de715e415c75fa6767ad4fbdec847f6e16d7b0cfd8f638101219f",
-    "verify-all-text": "21ebf12684e2b1c492636a37d96b264fdf6703ea89c4d9a03ad0b753fe538a03",
-    "verify-decomposition-prec9-json": "6b7c612d9a09f62e94d39376e131dc90cc4066bfb1f3135c6c923ae3b5d92a0a",
-    "verify-higher-lambency": "6c9b7c98f3555dd49a4855f0ea0d943f9257577387df02dbfd3d60e95b3fd626",
+    "verify-all-json": "0822f41081f22798d2f125c304d5a7d766e5b968d17e1fdf475960862ba5a495",
+    "verify-all-prec12-json": "238cade11d1c0905a23b8626803359cb788efcb4cc87c33931af488104bed0b5",
+    "verify-all-text": "b3910b655337137494289073dbd0981141f4ab680500760e48792eab3d7132d1",
+    "verify-decomposition-prec9-json": "b6be93facb7dae850bbf2a3097f80059ea3f45603622e9234f83ac8ebb6df559",
+    "verify-higher-lambency": "d036ae6fb7c15a050cbfe36c4a539d6443d84a8ec6b3cb6fc96b03baf926793f",
     "verify-sigma-prec24-json": "25d758ce9efd3d2f8385683e7a31a6e94be0a61823d7582feb0a62d3904b55f4",
 }
 
