@@ -16,7 +16,8 @@ from math import gcd
 #: squarefree indices d with sqrt(d) in the field
 RADICAL_BASIS = (1, 2, 3, 5, 6, 10, 15, 30)
 
-_TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(?:sqrt\((?P<rad>\d+)\))?$")
+_SIGNED_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_TERM_RE = re.compile(r"^(?P<coeff>\d+(?:/\d+)?)?(?:(?<=\d)\*(?=sqrt))?(?:sqrt\((?P<rad>\d+)\))?$")
 
 
 def _as_fraction(x) -> Fraction:
@@ -230,8 +231,11 @@ def parse_radical(text: str) -> RadicalScalar:
         raise ValueError("empty radical-scalar string")
     if s == "0":
         return RadicalScalar()
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    # split into signed terms, which must cover the text
+    terms = _SIGNED_TERM_RE.findall(s)
+    if "".join(terms) != s:
+        raise ValueError(f"cannot parse radical-scalar string {text!r}: "
+                         "expected signed terms joined by + or -")
     parts: dict[int, Fraction] = {}
     for term in terms:
         sign = Fraction(1)

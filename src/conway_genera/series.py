@@ -15,12 +15,17 @@ hashing, comparison (`first_difference`) and the text dump run on ints.
 Sums, negation, shifts and scalar multiples work on the rows; a
 RadicalScalar constant mixes the radical parts, sqrt(d) sqrt(e) =
 g sqrt(de/g^2) by `_mix`.  `_convolve` multiplies two sets of rows and
-is the only series convolution.  `combine` sums field constants times
-products of series, one convolution per pair of radical parts, and
-returns its integer accumulators as a JacobiSeries; a product of two
-series is one `combine` term.  `times` is the product of two rational
-series with no field constant at all.  QSeries.inverse is Newton's
-iteration on `*`.
+is the only series convolution.  It has two paths: a dict update per
+pair of terms for small products, and Kronecker substitution (each row
+packed into one int, one big-int product per pair of rows) from
+KRONECKER_MIN_PAIRS term pairs on.  The packed path costs a pack and an
+unpack per slot and wins only when that is small against the pairs; the
+crossover was measured on the benchmark workloads.  `combine` sums
+field constants times products of series, one convolution per pair of
+radical parts, and returns its integer accumulators as a JacobiSeries;
+a product of two series is one `combine` term.  `times` is the product
+of two rational series with no field constant at all.  QSeries.inverse
+is Newton's iteration on `*`.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
 `q_row()` and `items()` are read-only views built on first use and kept
@@ -464,13 +469,29 @@ class JacobiSeries(_Series):
         return f"JacobiSeries(<{n} integer entries>, trunc={self.trunc})"
 
 
+#: `_convolve` multiplies by Kronecker substitution when the number of
+#: term pairs, len(terms_a) * len(terms_b), is at least this; below it the
+#: dict loop is faster (the crossover measurement is in CHANGES.md).
+KRONECKER_MIN_PAIRS = 8000
+
+
 def _convolve(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
     """The integer rows of rows_a * rows_b below q grid index trunc.
 
     Rows map a y half-index to {q grid index: int}.  This is the only
     series convolution in the package: one q-series product per pair of
-    rows.  Zero entries are kept; from_parts drops them.
+    rows, by `_convolve_dict` for small products and by
+    `_convolve_kronecker` from KRONECKER_MIN_PAIRS term pairs on.  Zero
+    entries may be kept; from_parts drops them.
     """
+    pairs = sum(map(len, rows_a.values())) * sum(map(len, rows_b.values()))
+    if pairs < KRONECKER_MIN_PAIRS:
+        return _convolve_dict(rows_a, rows_b, trunc)
+    return _convolve_kronecker(rows_a, rows_b, trunc)
+
+
+def _convolve_dict(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+    """_convolve by one dict update per pair of terms."""
     out: dict[int, dict[int, int]] = {}
     for yb, row_b in rows_b.items():
         items_b = sorted(row_b.items())
@@ -483,6 +504,105 @@ def _convolve(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
                         break
                     k = ka + kb
                     acc[k] = acc.get(k, 0) + va * vb
+    return out
+
+
+def _convolve_kronecker(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+    """_convolve by Kronecker substitution, one big-int product per pair of rows.
+
+    Every key of a factor lies on low + step*Z for the factor's least key
+    `low` and the common step of both factors.  Each row becomes the
+    integer sum_i v_i 2^(bits*i) over its slots i from its first key on,
+    below the truncation; the product of two such integers holds the
+    row product in its digits (D. Harvey, J. Symb. Comp. 44 (2009) 1502).
+    Products are summed per output y, shifted to a common first slot.
+    `bits` bounds every output coefficient with a sign bit to spare, so
+    adding half of 2^bits to each of the low L digits (`bias`) makes them
+    all non-negative, and the digits are read from the bytes of
+    (x + bias) mod 2^(bits*L).  Only x mod 2^(bits*L) matters, so a
+    factor row longer than the slots its product can reach is cut to
+    them by a mask first.
+    """
+    if not rows_a or not rows_b:
+        return {}
+    low_a = min(map(min, rows_a.values()))
+    low_b = min(map(min, rows_b.values()))
+    step = 0
+    for rows, low in ((rows_a, low_a), (rows_b, low_b)):
+        for row in rows.values():
+            for k in row:
+                step = gcd(step, k - low)
+    step = step or 1
+
+    def cut(rows, below):
+        """[(y, sorted keys below `below`, row)] of the rows with such keys."""
+        out = []
+        for y, row in rows.items():
+            keys = sorted(k for k in row if k < below)
+            if keys:
+                out.append((y, keys, row))
+        return out
+
+    cut_a, cut_b = cut(rows_a, trunc - low_b), cut(rows_b, trunc - low_a)
+    if not cut_a or not cut_b:
+        return {}
+    top = 1
+    for rows in (cut_a, cut_b):
+        top *= max(max(map(abs, row.values())) for _, _, row in rows)
+    length = min(max((keys[-1] - keys[0]) // step + 1 for _, keys, _ in rows)
+                 for rows in (cut_a, cut_b))
+    bound = top * length * min(len(cut_a), len(cut_b))
+    width = (bound.bit_length() + 8) // 8   # bytes per digit, one sign bit to spare
+    bits = 8 * width
+
+    def pack(rows):
+        """[(y, first key, slots, sum_i v_i 2^(bits*i))] by Horner's rule."""
+        out = []
+        for y, keys, row in rows:
+            first = keys[0]
+            slots = (keys[-1] - first) // step + 1
+            acc, slot = 0, slots - 1
+            for k in reversed(keys):
+                i = (k - first) // step
+                acc = (acc << (bits * (slot - i))) + row[k]
+                slot = i
+            out.append((y, first, slots, acc))
+        return out
+
+    packed_a = pack(cut_a)
+    by_y: dict[int, list] = {}
+    for yb, first_b, len_b, int_b in pack(cut_b):
+        for ya, first_a, len_a, int_a in packed_a:
+            if first_a + first_b < trunc:
+                by_y.setdefault(ya + yb, []).append(
+                    (first_a + first_b, len_a, int_a, len_b, int_b))
+
+    half = 1 << (bits - 1)
+    half_digit = half.to_bytes(width, "little")
+    out: dict[int, dict[int, int]] = {}
+    for y, pairs in by_y.items():
+        base = min(p[0] for p in pairs)
+        slots = min(-((base - trunc) // step),
+                    max((first - base) // step + len_a + len_b - 1
+                        for first, len_a, _, len_b, _ in pairs))
+        x = 0
+        for first, len_a, int_a, len_b, int_b in pairs:
+            shift = (first - base) // step
+            reach = slots - shift   # >= 1, as first < trunc
+            if len_a > reach or len_b > reach:
+                mask = (1 << (bits * reach)) - 1
+                int_a, int_b = int_a & mask, int_b & mask
+            x += (int_a * int_b) << (bits * shift)
+        size = width * slots
+        biased = (x + int.from_bytes(half_digit * slots, "little")) & ((1 << (8 * size)) - 1)
+        data = biased.to_bytes(size, "little")
+        row = {}
+        for i in range(slots):
+            digit = data[i * width:(i + 1) * width]
+            if digit != half_digit:
+                row[base + step * i] = int.from_bytes(digit, "little") - half
+        if row:
+            out[y] = row
     return out
 
 

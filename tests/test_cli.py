@@ -219,6 +219,17 @@ def test_row_fixing_less_than_a_4_space_is_a_data_error(tmp_path, capsys, suite)
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["1+", "4096+"])
+def test_malformed_constant_is_a_data_error(tmp_path, capsys, text):
+    classes = _bundled("classes.json")
+    next(e for e in classes["classes"] if e["co0"] == "1A")["c_neg_g"] = text
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    code, out, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and out == ""
+    assert err.startswith("data error: row 1A: cannot parse radical-scalar string")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 #: well-formed and malformed radical strings for d_mag values
 _RADICALS = ("0", "1", "-1", "16", "1/2", "2*sqrt(2)", "-4*sqrt(3)", "sqrt(5)",
              "sqrt(7)", "", "x", "1/0", "sqrt(2)+")

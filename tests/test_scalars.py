@@ -74,6 +74,12 @@ def test_parse_zero_denominator_is_a_value_error(text):
         parse_radical(text)
 
 
+@pytest.mark.parametrize("text", ["1+", "+", "--1", "1++2", "3*", "sqrt(2)-", "1-+2", "-"])
+def test_parse_rejects_text_not_covered_by_signed_terms(text):
+    with pytest.raises(ValueError):
+        parse_radical(text)
+
+
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=7)
 elements = st.builds(
     lambda pairs: RadicalScalar(dict(pairs)),
@@ -90,9 +96,11 @@ def test_ring_axioms(a, b, c):
     assert a + (b + c) == (a + b) + c
 
 
-@settings(max_examples=60, deadline=None)
-@given(elements)
-def test_parse_format_roundtrip_random(a):
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(st.sampled_from(RADICAL_BASIS),
+                       st.fractions(-2 ** 80, 2 ** 80, max_denominator=2 ** 70)))
+def test_parse_format_roundtrip_random(parts):
+    a = RadicalScalar(parts)
     assert parse_radical(format_radical(a)) == a
 
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from conway_genera import modforms
+from conway_genera import modforms, series
 from conway_genera.scalars import RADICAL_BASIS, RadicalScalar
 from conway_genera.series import GridError, JacobiSeries, QSeries, combine, first_difference
 
@@ -361,3 +361,53 @@ def test_integer_storage_matches_the_field_model(pair, c, key, cut, through):
         assert a != b
         with pytest.raises(TypeError):
             first_difference(a, b)
+
+
+# -- the two product kernels ---------------------------------------------------
+
+@st.composite
+def int_rows(draw):
+    """Integer rows {y half-index: {q grid index: int}} as series store them:
+    ragged, each on its own q step 1, 12 or 24, some entries above 2^64."""
+    rows = {}
+    for y in draw(st.lists(st.integers(-4, 4), max_size=4, unique=True)):
+        step, first = draw(st.sampled_from((1, 12, 24))), draw(st.integers(-30, 30))
+        values = draw(st.lists(st.integers(-9, 9) | st.integers(-2 ** 80, 2 ** 80),
+                               min_size=1, max_size=10))
+        row = {first + step * i: v for i, v in enumerate(values) if v}
+        if row:
+            rows[y] = row
+    return rows
+
+
+def _rows_series(rows, trunc):
+    return JacobiSeries.from_parts({1: rows}, 1, trunc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows(), int_rows(), st.integers(-80, 400))
+@example({}, {0: {0: 1}}, 24)
+@example({0: {5: 3}}, {2: {7: -4}}, 12)
+@example({0: {5: 3}}, {2: {7: -4}}, 13)
+@example({0: {0: 255}}, {0: {0: 1}}, 1)
+@example({0: {0: -(2 ** 64), 24: 2 ** 64 - 1}}, {0: {0: 2 ** 64 - 1, 24: -(2 ** 64)}}, 48)
+@example({0: {0: 127, 1: 127}, 1: {0: 127, 1: 127}},
+         {0: {0: 127, 1: 127}, -1: {0: 127, 1: 127}}, 2)
+@example({0: {0: 1, 12: 2}, 2: {6: 5, 30: -1}}, {0: {24: 7}, 1: {1: 1, 2: 1}}, 60)
+def test_both_kernels_are_the_field_product(rows_a, rows_b, trunc):
+    by_dict = _rows_series(series._convolve_dict(rows_a, rows_b, trunc), trunc)
+    by_kronecker = _rows_series(series._convolve_kronecker(rows_a, rows_b, trunc), trunc)
+    assert by_kronecker == by_dict
+    far = 10 ** 4   # past every key, so the product is known below trunc
+    want = brute.field_mul(_rows_series(rows_a, far), _rows_series(rows_b, far))
+    assert by_dict == want.truncate(trunc)
+
+
+def test_series_arithmetic_with_every_product_packed(monkeypatch):
+    monkeypatch.setattr(series, "KRONECKER_MIN_PAIRS", 0)
+    limit = 240
+    e = modforms.eta(limit)
+    assert as_dict((e * e ** 23).truncate(limit)) == brute.brute_delta(limit)
+    phi = modforms.phi_minus21(limit)
+    assert phi * phi == brute.field_mul(phi, phi)
+    assert first_difference(e * e.inverse(), QSeries.one(limit)) is None
