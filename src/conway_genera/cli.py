@@ -126,6 +126,15 @@ def cmd_compute(args, data) -> int:
     return EXIT_OK
 
 
+def _record(data, suite: str, name: str):
+    """The record of a class the suite names; a table without it is a data error."""
+    try:
+        return data.record(name)
+    except KeyError:
+        raise DataError(f"suite {suite} needs class {name}, which the class table "
+                        "lacks") from None
+
+
 def _suite_eta(data, orders):
     return [genera.verify_eta_identity(rec, orders)
             for rec in data.classes.values()]
@@ -158,14 +167,15 @@ def _suite_decomposition(data, orders):
 
 def _suite_k3(data, orders):
     k3 = genera.k3_elliptic_genus(orders)
-    phi_e = genera.phi_g(data.record("1A"), 1, orders)
+    identity = _record(data, "k3", "1A")
+    phi_e = genera.phi_g(identity, 1, orders)
     reports = [CheckReport.from_deviation(
         "k3-genus[equals identity-class genus]",
         first_difference(k3, phi_e, 24 * orders))]
     z0 = k3.specialize_z0()
     ok = z0.coeff(0) == 24 and all(v.is_zero for k, v in z0.coeffs.items() if k)
     reports.append(CheckReport("k3-genus[z=0 value 24]", "pass" if ok else "fail"))
-    f_e = genera.f_g(data.record("1A"), 1, max(orders, 10))
+    f_e = genera.f_g(identity, 1, max(orders, 10))
     reports.append(CheckReport(
         "k3-genus[weight-2 multiplier vanishes]",
         "pass" if f_e.is_zero else "fail"))
@@ -207,7 +217,7 @@ def _suite_constants(data, orders):
 
 def _suite_fourier(data, orders):
     out = []
-    ts_e = genera.ts_g(data.record("1A"), "g", "chi", orders)
+    ts_e = genera.ts_g(_record(data, "fourier", "1A"), "g", "chi", orders)
     lead = ts_e.coeff(-12) == 1 and ts_e.coeff(0).is_zero
     out.append(CheckReport("fourier[identity-class leading shape]",
                            "pass" if lead else "fail"))
@@ -226,7 +236,7 @@ def _suite_oracle(data, orders):
     out = []
     for name, sign in (("1A", 1), ("2B", 1), ("2D", 1), ("3D", 1),
                        ("4D", 1), ("4D", -1)):
-        rec = data.record(name)
+        rec = _record(data, "oracle", name)
         ok = True
         ts = genera.ts_g(rec, "g", "chi", 3)
         brute = oracle.brute_ts(rec, "g", 2)

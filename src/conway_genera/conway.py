@@ -300,7 +300,9 @@ def load_class_data(directory: str | None = None) -> ClassData:
 
     directory defaults to the MOONSHINE_DATA_DIR override and then the
     bundled data.  Every record must pass the negation, trace and
-    squared-constant invariants or loading fails naming the row.
+    squared-constant invariants or loading fails naming the row.  Every
+    coincidence row must name known classes, each in the table of the
+    row's lambency, with signs -1, 0 or +1.
     """
     if directory is None:
         directory = default_data_dir()
@@ -366,11 +368,19 @@ def load_class_data(directory: str | None = None) -> ClassData:
                 from exc
         if kind not in ("internal", "anchor", "external"):
             raise DataError(f"coincidence row {entry}: unknown kind {kind!r}")
-        if rel.lhs_class not in classes:
-            raise DataError(f"coincidence row references unknown class {rel.lhs_class}")
-        for _, name, _ in rel.rhs:
+        if rel.lambency not in LAMBENCIES:
+            raise DataError(f"coincidence row {entry}: lambency {rel.lambency} is not "
+                            f"one of {LAMBENCIES}")
+        for name, sign in ((rel.lhs_class, rel.lhs_sign), *((n, s) for _, n, s in rel.rhs)):
             if name not in classes:
                 raise DataError(f"coincidence row references unknown class {name}")
+            if sign not in (-1, 0, 1):
+                raise DataError(f"coincidence row {entry}: sign {sign} of class {name} "
+                                "is not -1, 0 or +1")
+            if not classes[name].in_table(rel.lambency):
+                raise DataError(f"row {name}: class {name} is not in the "
+                                f"lambency-{rel.lambency} table, which a coincidence "
+                                "row uses")
         relations.append(rel)
     return ClassData(classes=classes, relations=relations)
 

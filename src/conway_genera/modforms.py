@@ -10,14 +10,14 @@ Hecke operator.
 
 Every product of (1 +- q^a) factors -- Euler products, eta and Delta,
 the eta products of Frame shapes and their half-argument ratios, the
-theta-quotient denominators and the fermion characters of the sigma
+theta-quotient normalizers and the fermion characters of the sigma
 module -- is one call of `power_product`, an integer recurrence on the
 logarithmic derivative of prod (1 - q^a)^e.  A plus sign enters as
 1 + x = (1 - x^2)/(1 - x) and an inverse as a negative exponent, so no
-series power or inverse is taken for any of them.  The theta quotients
-are rational throughout: the (1 + y^(+-1) q^e) factors of their
-numerators, the ground row and the denominator are multiplied with
-`times`, in Python ints, and no field value is built.
+series power or inverse is taken for any of them.  No product carries
+y: the y-dependence of the theta quotients comes from the theta lattice
+sums alone, squared and multiplied by their normalizer with `times`, in
+Python ints, so no field value is built.
 
 All constructors take a truncation index `prec` on the (1/24)Z grid and
 return a series truncated at exactly that index.  Results are cached;
@@ -39,7 +39,6 @@ THETA3 = "theta3"
 THETA4 = "theta4"
 THETA1SQ = "theta1sq"
 
-_QUOTIENT_KINDS = (THETA2, THETA3, THETA4, THETA1SQ)
 
 def sigma1(n: int) -> int:
     """Divisor sum of n."""
@@ -240,19 +239,17 @@ def theta_sum(i: int, prec: int) -> JacobiSeries:
     return JacobiSeries(coeffs, prec)
 
 
-def _pair_product(prec: int, sign: int, half: bool) -> JacobiSeries:
-    """prod_{n>0} [(1 + sign*y*q^e)(1 + sign*y^{-1}*q^e)]^2, e = n or n-1/2."""
-    out = JacobiSeries.one(prec)
-    n = 1
-    while True:
-        key = 24 * n - 12 if half else 24 * n
-        if key >= prec:
-            break
-        factor = JacobiSeries({(0, 0): 1, (key, 2): sign}, prec).times(
-            JacobiSeries({(0, 0): 1, (key, -2): sign}, prec))
-        out = out.times(factor.times(factor))
-        n += 1
-    return out
+#: kind -> (theta index i, constant c, q-shift h, normalizer factors).  The
+#: quotient is c * theta_sum(i)^2 * N, where N = q^(-h/24) times the product
+#: of prod_{n>=0} (1 + sign*q^((first + n*step)/24))^power over the
+#: (first, step, sign, power) factors: c N is theta_i(tau,0)^-2 for i = 2, 3, 4
+#: and -eta^-6 for THETA1SQ.
+_QUOTIENTS = {
+    THETA2: (2, Fraction(1, 4), 6, ((24, 24, -1, 2), (48, 48, -1, -4))),
+    THETA3: (3, 1, 0, ((24, 24, -1, -2), (12, 24, +1, -4))),
+    THETA4: (4, 1, 0, ((24, 24, -1, -2), (12, 24, -1, -4))),
+    THETA1SQ: (1, -1, 6, ((24, 24, -1, -6),)),
+}
 
 
 @lru_cache(maxsize=None)
@@ -260,31 +257,25 @@ def theta_quotient(kind: str, prec: int) -> JacobiSeries:
     """Normalized theta quotients entering every genus formula.
 
     THETA2/3/4 give theta_i(tau,z)^2 / theta_i(tau,0)^2; THETA1SQ gives
-    theta_1(tau,z)^2 / eta(tau)^6, which is -phi_{-2,1}.  All are built
-    from the triple-product factorizations, so the z = 0 normalizers
-    cancel exactly.  Ground row, numerator and denominator are multiplied
-    with `times`; only THETA2's ground carries a denominator (4).
+    theta_1(tau,z)^2 / eta(tau)^6, which is -phi_{-2,1}.  The numerator
+    is the lattice sum `theta_sum(i)` squared, so the y-dependence never
+    passes through a product formula; (i theta_1)^2 = -theta_1^2 gives
+    THETA1SQ its sign.  The normalizer is one `power_product`, by the
+    Jacobi triple product at z = 0:
+    theta_2(tau,0) = 2 eta(2tau)^2 / eta(tau),
+    theta_3(tau,0) = prod (1 - q^n)(1 + q^(n-1/2))^2 and
+    theta_4(tau,0) = prod (1 - q^n)(1 - q^(n-1/2))^2.
+    Both factors are multiplied with `times`, in integers.
     """
-    if kind not in _QUOTIENT_KINDS:
+    if kind not in _QUOTIENTS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
-    if kind == THETA2:
-        ground = JacobiSeries({(0, 2): Fraction(1, 4), (0, 0): Fraction(1, 2),
-                               (0, -2): Fraction(1, 4)}, prec)
-        num = _pair_product(prec, +1, half=False)
-        den_inv = _euler_product(prec, 24, +1, -4)
-    elif kind == THETA3:
-        ground = JacobiSeries.one(prec)
-        num = _pair_product(prec, +1, half=True)
-        den_inv = _half_odd_product(prec, 24, +1, -4)
-    elif kind == THETA4:
-        ground = JacobiSeries.one(prec)
-        num = _pair_product(prec, -1, half=True)
-        den_inv = _half_odd_product(prec, 24, -1, -4)
-    else:  # THETA1SQ = theta_1^2 / eta^6 = -(y - 2 + 1/y) * prod(...)
-        ground = JacobiSeries({(0, 2): -1, (0, 0): 2, (0, -2): -1}, prec)
-        num = _pair_product(prec, -1, half=False)
-        den_inv = _euler_product(prec, 24, -1, -4)
-    return ground.times(num).times(den_inv)
+    i, c, lead, factors = _QUOTIENTS[kind]
+    exponents: dict[int, int] = {}
+    for first, step, sign, power in factors:
+        _add_modes(exponents, first, step, prec + lead, sign, power)
+    normalizer = power_product(exponents, prec + lead).shift(-lead)
+    s = theta_sum(i, prec + lead // 2)
+    return (s.times(s).times(normalizer) * c).truncate(prec)
 
 
 def theta_quotient_from_sums(i: int, prec: int) -> JacobiSeries:

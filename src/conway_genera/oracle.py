@@ -360,34 +360,36 @@ class EigenSystem:
                   d_target: RadicalScalar | None = None) -> None:
         """Pin the nu sign and pairing choices to the table constants.
 
-        A sign flip on a fixed pair adjusts the ground trace without
-        touching the index multiplier; a pairing swap on a moving pair
-        flips the multiplier alone.
+        A sign flip on a fixed pair negates the ground trace, where that
+        pair contributes 2 sigma, and leaves the index multiplier alone; a
+        pairing swap on a moving pair negates the multiplier and leaves
+        its nu + nu^{-1} in the ground trace unchanged.  So each product
+        is taken once and compared with the target up to sign.
         """
         want_c = embed_radical(c_target, self.order)
-        if self.cm_trace(with_z=False) != want_c:
+        ground = self.cm_trace(with_z=False)
+        if ground != want_c:
             fixed = next((p for p in self.pairs if p.lam_exp == 0), None)
             if fixed is None:
                 raise OracleError("no fixed pair available for sign normalization")
-            fixed.sigma = -fixed.sigma
-            if self.cm_trace(with_z=False) != want_c:
+            if ground != -want_c:
                 raise OracleError(
                     "cannot match the tabulated twisted ground trace by a sign flip")
+            fixed.sigma = -fixed.sigma
         if d_target is None:
             return
         want_d = embed_radical(d_target, self.order)
-        if self.d_product() != want_d:
+        multiplier = self.d_product()
+        if multiplier != want_d:
             swap = next((p for p in self.pairs
                          if not p.distinguished and p.lam_exp != 0), None)
             if swap is None:
                 raise OracleError("no pair available for a pairing swap")
-            swap.lam_exp = (-swap.lam_exp) % self.order
-            swap.nu_exp = (-swap.nu_exp) % self.order
-            if self.d_product() != want_d:
+            if multiplier != -want_d:
                 raise OracleError(
                     "cannot match the tabulated index multiplier by a pairing swap")
-        if self.cm_trace(with_z=False) != want_c:
-            raise OracleError("pairing swap disturbed the ground-trace normalization")
+            swap.lam_exp = (-swap.lam_exp) % self.order
+            swap.nu_exp = (-swap.nu_exp) % self.order
 
     def mode_labels(self) -> list[tuple[int, int]]:
         """(eigenvalue exponent, charge) for the 24 labels a_i^(+-)."""

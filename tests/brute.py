@@ -2,7 +2,10 @@
 
 The expansions work on plain dicts {grid index: Fraction} with grid
 index = 24 * exponent, multiplied out term by term with no help from
-the package's series classes; `dual_lattice_box` counts the sigma
+the package's series classes; `triple_product_quotient` multiplies out
+the Jacobi triple product of a normalized theta quotient the same way,
+on {(q grid index, y half-index): value} dicts, the reference for the
+package's lattice-sum construction; `dual_lattice_box` counts the sigma
 model's dual-lattice vectors one by one, and `in_coset` tests one vector
 for coset membership.  `field_mul` is the textbook product of two
 package series, one RadicalScalar product per pair of terms, kept as
@@ -96,6 +99,46 @@ def brute_delta2_over_delta(limit: int) -> dict:
         out = pmul(out, factor, limit)
         n += 1
     return {k + 24: v for k, v in out.items() if k + 24 < limit}
+
+
+#: theta-quotient kind -> (ground row {y half-index: coefficient}, sign s,
+#: q grid index of the first factor: 24 for e = n, 12 for e = n - 1/2)
+_TRIPLE_PRODUCTS = {
+    "theta2": ({2: Fraction(1, 4), 0: Fraction(1, 2), -2: Fraction(1, 4)}, 1, 24),
+    "theta3": ({0: 1}, 1, 12),
+    "theta4": ({0: 1}, -1, 12),
+    "theta1sq": ({2: -1, 0: 2, -2: -1}, -1, 24),
+}
+
+
+def jmul(a: dict, b: dict, limit: int) -> dict:
+    """The product of two {(q grid index, y half-index): value} dicts below limit."""
+    out: dict = {}
+    for (qa, ya), va in a.items():
+        for (qb, yb), vb in b.items():
+            k = qa + qb
+            if k < limit:
+                out[(k, ya + yb)] = out.get((k, ya + yb), 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def triple_product_quotient(kind: str, limit: int) -> dict:
+    """A normalized theta quotient from the Jacobi triple product, factor by factor.
+
+    theta_i(tau,z)^2 / theta_i(tau,0)^2, or theta_1(tau,z)^2 / eta(tau)^6
+    for "theta1sq", is the ground row times
+    prod_{e} [(1 + s y q^e)(1 + s y^-1 q^e)]^2 (1 + s q^e)^-4 over
+    e = n or e = n - 1/2, n > 0; (1 + s x)^-4 is expanded as
+    sum_k C(k+3, 3) (-s x)^k.
+    """
+    ground, s, first = _TRIPLE_PRODUCTS[kind]
+    out = {(0, 0): 1}
+    for key in range(first, limit, 24):
+        for ry in (2, 2, -2, -2):
+            out = jmul(out, {(0, 0): 1, (key, ry): s}, limit)
+        out = jmul(out, {(k * key, 0): comb(k + 3, 3) * (-s) ** k
+                         for k in range(-(-limit // key))}, limit)
+    return jmul({(0, ry): v for ry, v in ground.items()}, out, limit)
 
 
 def dual_lattice_box(limit: int) -> dict:

@@ -286,3 +286,52 @@ def test_constants_suite_fails_a_record_the_loader_rejects():
         ClassData(classes={"1A": good, "3C": bad}, relations=[]), None)
     assert [(r.name, r.status) for r in reports] == [
         ("constants[1A]", "pass"), ("constants[3C]", "fail")]
+
+
+def _without_identity_class():
+    """The bundled tables with class 1A and every coincidence row naming it removed."""
+    classes = _bundled("classes.json")
+    classes["classes"] = [e for e in classes["classes"] if e["co0"] != "1A"]
+    coincidences = _bundled("coincidences.json")
+    coincidences["relations"] = [
+        r for r in coincidences["relations"]
+        if "1A" not in {r["lhs"]["class"], *(item["class"] for item in r["rhs"])}]
+    return classes, coincidences
+
+
+@pytest.mark.parametrize("suite", ["k3", "fourier", "oracle"])
+def test_suite_missing_a_class_it_names_is_a_data_error(tmp_path, capsys, suite):
+    path = _data_dir(tmp_path, *_without_identity_class())
+    code, out, err = run(capsys, "--data-dir", path, "verify", "--suite", suite,
+                         "--prec", "1")
+    assert code == 3 and out == ""
+    assert err.startswith(f"data error: suite {suite} needs class 1A")
+    assert "Traceback" not in err and err.count("\n") == 1
+    code, _, err = run(capsys, "--data-dir", path, "compute", "--class", "1A")
+    assert code == 2 and "not in table" in err
+
+
+def _with_relation(relation):
+    coincidences = _bundled("coincidences.json")
+    coincidences["relations"].append(relation)
+    return coincidences
+
+
+@pytest.mark.parametrize("relation, message", [
+    ({"lambency": 7, "lhs": {"class": "2B", "sign": 0}, "kind": "internal",
+      "rhs": [{"coeff": "1", "class": "2C", "sign": 0}]},
+     "data error: row 2B: class 2B is not in the lambency-7 table"),
+    ({"lambency": 6, "lhs": {"class": "1A", "sign": 0}, "kind": "internal",
+      "rhs": [{"coeff": "1", "class": "2B", "sign": 0}]},
+     "lambency 6 is not one of (2, 3, 4, 5, 7)"),
+    ({"lambency": 2, "lhs": {"class": "2C", "sign": 0}, "kind": "internal",
+      "rhs": [{"coeff": "1", "class": "2B", "sign": 2}]},
+     "sign 2 of class 2B is not -1, 0 or +1"),
+], ids=["class-outside-the-lambency-table", "unsupported-lambency", "sign-outside-range"])
+def test_coincidence_row_verify_cannot_evaluate_is_a_data_error(
+        tmp_path, capsys, relation, message):
+    path = _data_dir(tmp_path, _bundled("classes.json"), _with_relation(relation))
+    code, out, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and out == ""
+    assert err.startswith("data error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1

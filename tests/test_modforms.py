@@ -208,13 +208,24 @@ def test_theta_quotient_ground_rows():
     assert pm == {-2: 1, 0: -2, 2: 1}
 
 
+#: grid indices for the triple-product check: below, at and past the first
+#: half-integer and integer q-orders, and half an order past 6 and past the
+#: 48 q-orders that compute and verify accept
+_THETA_GRIDS = (1, 2, 3, 12, 13, 24, 25, 6 * 24 + 12, 48 * 24 + 12)
+
+
 def test_theta_sums_match_products():
+    for prec in _THETA_GRIDS:
+        for kind in (mf.THETA2, mf.THETA3, mf.THETA4, mf.THETA1SQ):
+            got = mf.theta_quotient(kind, prec)
+            assert got.trunc == prec
+            assert {k: v.rational_value() for k, v in got.coeffs.items()} \
+                == brute.triple_product_quotient(kind, prec), (kind, prec)
     # 12 orders cover the deep benchmark's work grid of 252 (10 orders + genera._MARGIN)
     prec = 24 * 12
     for i, kind in ((2, mf.THETA2), (3, mf.THETA3), (4, mf.THETA4)):
         from_sums = mf.theta_quotient_from_sums(i, prec)
-        from_products = mf.theta_quotient(kind, prec)
-        assert first_difference(from_sums, from_products, prec) is None
+        assert first_difference(from_sums, mf.theta_quotient(kind, prec), prec) is None
     # theta_1^2 / eta^6 = -(i theta_1)^2 / eta^6, eta from Euler's pentagonal series
     work = prec + 24
     eta6 = QSeries(brute.pentagonal_eta(work), work) ** 6

@@ -357,3 +357,55 @@ def test_normalization_follows_requested_sign(data):
     want = oracle.embed_radical(rec.c_neg_g, plus.order)
     assert plus.cm_trace(with_z=False) == want
     assert minus.cm_trace(with_z=False) == want
+
+
+#: every system the oracle builds: (class, None, 1) for the graded traces and
+#: (class, lambency, D sign) for each genus, one sign where D vanishes
+_SYSTEMS = [(rec.co0_name, None, 1) for rec in CLASSES] + [
+    (rec.co0_name, ell, sign) for rec in CLASSES for ell in sorted(rec.d_magnitude)
+    for sign in ((1,) if rec.d_magnitude[ell].is_zero else (1, -1))]
+
+
+def test_every_normalized_system_matches_the_table_constants(data):
+    """The table constants hold on every system normalize leaves."""
+    built = 0
+    for name, ell, sign in _SYSTEMS:
+        rec = data.record(name)
+        if (name, ell, sign) == ("1A", 7, -1):
+            with pytest.raises(OracleError, match="no pair available for a pairing swap"):
+                oracle.build_system(rec, j_weight=True, d_sign=sign, ell=ell)
+            continue
+        system = oracle.build_system(rec, j_weight=ell is not None, d_sign=sign, ell=ell or 2)
+        assert system.cm_trace(False) == oracle.embed_radical(rec.c_neg_g, system.order)
+        if ell is not None:
+            assert system.d_product() == oracle.embed_radical(rec.d_signed(ell, sign),
+                                                              system.order), (name, ell, sign)
+        built += 1
+    assert built == 133
+
+
+def test_normalize_takes_each_product_once(data, monkeypatch):
+    calls = []
+    for method in ("cm_trace", "d_product"):
+        original = getattr(oracle.EigenSystem, method)
+
+        def counted(self, *args, _method=method, _original=original, **kwargs):
+            calls.append(_method)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.EigenSystem, method, counted)
+    for name, sign in (("1A", 1), ("4D", 1), ("4D", -1), ("10H", -1), ("15D", 1)):
+        calls.clear()
+        oracle.build_system(data.record(name), j_weight=True, d_sign=sign)
+        assert sorted(calls) == ["cm_trace", "d_product"], (name, sign)
+
+
+@pytest.mark.parametrize("c_shift, d_shift, message", [
+    (1, 0, "cannot match the tabulated twisted ground trace by a sign flip"),
+    (0, 1, "cannot match the tabulated index multiplier by a pairing swap")])
+def test_normalize_rejects_targets_no_sign_matches(data, c_shift, d_shift, message):
+    rec = data.record("4D")
+    system = oracle.EigenSystem(rec.fs_g)
+    system.mark_distinguished(2)
+    with pytest.raises(OracleError, match=message):
+        system.normalize(rec.c_neg_g + c_shift, rec.d_signed(2, 1) + d_shift)
