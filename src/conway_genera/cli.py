@@ -10,12 +10,11 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import genera, modforms, oracle, sigma
 from .conway import DataError, _validate_record, bundled_data, load_class_data
 from .report import CheckReport, Suite
-from .scalars import format_radical
+from .scalars import format_radical, format_terms, ratio_text
 from .series import QSeries, first_difference
 
 EXIT_OK = 0
@@ -66,30 +65,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _series_payload(series) -> list[dict]:
-    rows = []
-    if isinstance(series, QSeries):
-        items = [((k, 0), v) for k, v in series.items()]
+def _write(rows, fmt: str, columns, text_line) -> None:
+    """Print rows as JSON, as CSV under the header `columns`, or as one
+    text_line(row) each.  A mapping goes into a CSV cell as key:value
+    pairs joined by ';'."""
+    if fmt == "json":
+        print(json.dumps(rows, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([";".join(f"{k}:{v}" for k, v in row[c].items())
+                             if isinstance(row[c], dict) else row[c] for c in columns])
     else:
-        items = series.items()
-    for (kq, ry), v in items:
-        rows.append({"q_exp": str(Fraction(kq, 24)),
-                     "y_exp": str(Fraction(ry, 2)),
-                     "coeff": format_radical(v)})
-    return rows
-
-
-def _emit_series(series, fmt: str, out) -> None:
-    if fmt == "text":
-        out.write(series.dump() + "\n")
-    elif fmt == "json":
-        out.write(json.dumps({"coefficients": _series_payload(series)},
-                             sort_keys=True, indent=2) + "\n")
-    else:
-        writer = csv.writer(out)
-        writer.writerow(["q_exp", "y_exp", "coeff"])
-        for row in _series_payload(series):
-            writer.writerow([row["q_exp"], row["y_exp"], row["coeff"]])
+        for row in rows:
+            print(text_line(row))
 
 
 def _prec_above_bound(prec) -> bool:
@@ -122,7 +112,14 @@ def cmd_compute(args, data) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit_series(series, args.format, sys.stdout)
+    if args.format == "text":
+        print(series.dump())
+        return EXIT_OK
+    rows = [{"q_exp": ratio_text(kq, 24), "y_exp": ratio_text(ry, 2),
+             "coeff": format_terms((d, n, series.den) for d, n in terms)}
+            for (kq, ry), terms in series.int_items()]
+    _write({"coefficients": rows} if args.format == "json" else rows, args.format,
+           ("q_exp", "y_exp", "coeff"), None)
     return EXIT_OK
 
 
@@ -148,7 +145,7 @@ def _genus_requests(data, lambencies, orders):
     """Every tabulated (class, D sign) at each lambency; one sign where D vanishes."""
     for ell in lambencies:
         for rec in data.for_lambency(ell):
-            for sign in (1,) if rec.d_magnitude[ell].is_zero else (1, -1):
+            for sign in rec.d_signs(ell):
                 yield genera.GenusRequest(rec, sign, ell, orders)
 
 
@@ -156,7 +153,7 @@ def _sign_flips(data, lambencies, orders):
     """One linearity-in-D check per class with nonzero D at each lambency."""
     return [genera.verify_sign_flip(rec, ell, orders)
             for ell in lambencies for rec in data.for_lambency(ell)
-            if not rec.d_magnitude[ell].is_zero]
+            if len(rec.d_signs(ell)) > 1]
 
 
 def _suite_decomposition(data, orders):
@@ -237,16 +234,10 @@ def _suite_oracle(data, orders):
     for name, sign in (("1A", 1), ("2B", 1), ("2D", 1), ("3D", 1),
                        ("4D", 1), ("4D", -1)):
         rec = _record(data, "oracle", name)
-        ok = True
-        ts = genera.ts_g(rec, "g", "chi", 3)
-        brute = oracle.brute_ts(rec, "g", 2)
-        ok = ok and oracle.first_mismatch(brute, ts) is None
-        ts_tw = genera.ts_g(rec, "g_tw", "chi", 3)
-        brute_tw = oracle.brute_ts(rec, "g_tw", 2)
-        ok = ok and oracle.first_mismatch(brute_tw, ts_tw) is None
-        phi = genera.phi_g(rec, sign, 3)
-        brute_phi = oracle.brute_phi(rec, sign, 2, 2)
-        ok = ok and oracle.first_mismatch(brute_phi, phi) is None
+        pairs = [(oracle.brute_ts(rec, which, 2), genera.ts_g(rec, which, "chi", 3))
+                 for which in ("g", "g_tw")]
+        pairs.append((oracle.brute_phi(rec, sign, 2, 2), genera.phi_g(rec, sign, 3)))
+        ok = all(oracle.first_mismatch(brute, closed) is None for brute, closed in pairs)
         label = f"oracle[{name}, D sign {sign:+d}]" if name == "4D" \
             else f"oracle[{name}]"
         out.append(CheckReport(label, "pass" if ok else "fail"))
@@ -261,7 +252,7 @@ def _suite_sigma(data, orders):
 #: constants and oracle run at a fixed precision and ignore --prec.
 _SUITES = {
     "eta-identity": (_suite_eta, 8, 1),
-    "theta": (_suite_theta, 4, 2),
+    "theta": (_suite_theta, 4, modforms.THETA_MIN_ORDERS),
     "decomposition": (_suite_decomposition, 5, 1),
     "k3": (_suite_k3, 5, 1),
     "higher-lambency": (_suite_higher, 4, 1),
@@ -307,38 +298,25 @@ def cmd_verify(args, data) -> int:
 
 
 def cmd_list_classes(args, data) -> int:
-    rows = []
-    for rec in data.classes.values():
-        rows.append({
-            "co0": rec.co0_name,
-            "co1": rec.co1_name,
-            "pi_g": str(rec.fs_g),
-            "pi_neg_g": str(rec.fs_neg_g),
-            "chi": rec.chi,
-            "rank": rec.rank,
-            "c_neg_g": format_radical(rec.c_neg_g),
-            "d_mag": {str(ell): format_radical(mag)
-                      for ell, mag in sorted(rec.d_magnitude.items())},
-            "gamma_g": rec.gamma_g,
-            "gamma_neg_g": rec.gamma_neg_g,
-            "level": rec.level,
-        })
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["co0", "co1", "pi_g", "pi_neg_g", "chi", "rank",
-                         "c_neg_g", "d_mag", "gamma_g", "gamma_neg_g", "level"])
-        for row in rows:
-            writer.writerow([row["co0"], row["co1"], row["pi_g"], row["pi_neg_g"],
-                             row["chi"], row["rank"], row["c_neg_g"],
-                             ";".join(f"{k}:{v}" for k, v in row["d_mag"].items()),
-                             row["gamma_g"], row["gamma_neg_g"], row["level"]])
-    else:
-        for row in rows:
-            mags = ", ".join(f"ell {k}: {v}" for k, v in row["d_mag"].items())
-            print(f"{row['co0']:>4} ({row['co1']:>4})  pi: {row['pi_g']:<28} "
-                  f"chi {row['chi']:>3}  C- {row['c_neg_g']:>5}  [{mags}]")
+    rows = [{
+        "co0": rec.co0_name,
+        "co1": rec.co1_name,
+        "pi_g": str(rec.fs_g),
+        "pi_neg_g": str(rec.fs_neg_g),
+        "chi": rec.chi,
+        "rank": rec.rank,
+        "c_neg_g": format_radical(rec.c_neg_g),
+        "d_mag": {str(ell): format_radical(mag)
+                  for ell, mag in sorted(rec.d_magnitude.items())},
+        "gamma_g": rec.gamma_g,
+        "gamma_neg_g": rec.gamma_neg_g,
+        "level": rec.level,
+    } for rec in data.classes.values()]
+    _write(rows, args.format, ("co0", "co1", "pi_g", "pi_neg_g", "chi", "rank", "c_neg_g",
+                               "d_mag", "gamma_g", "gamma_neg_g", "level"),
+           lambda row: (f"{row['co0']:>4} ({row['co1']:>4})  pi: {row['pi_g']:<28} "
+                        f"chi {row['chi']:>3}  C- {row['c_neg_g']:>5}  ["
+                        + ", ".join(f"ell {k}: {v}" for k, v in row["d_mag"].items()) + "]"))
     return EXIT_OK
 
 
@@ -354,18 +332,9 @@ def cmd_export(args, data) -> int:
         "rhs": [{"coeff": str(c), "class": n, "sign": s} for c, n, s in rel.rhs],
         "level": rel.level,
     } for rel in data.relations]
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["lambency", "class", "sign", "kind", "source", "level"])
-        for row in rows:
-            writer.writerow([row["lambency"], row["class"], row["sign"],
-                             row["kind"], row["source"], row["level"]])
-    else:
-        for row in rows:
-            print(f"ell {row['lambency']:>2} {row['class']:>4} "
-                  f"sign {row['sign']:+d}  {row['kind']:<8} {row['source']}")
+    _write(rows, args.format, ("lambency", "class", "sign", "kind", "source", "level"),
+           lambda row: (f"ell {row['lambency']:>2} {row['class']:>4} "
+                        f"sign {row['sign']:+d}  {row['kind']:<8} {row['source']}"))
     return EXIT_OK
 
 

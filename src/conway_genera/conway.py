@@ -207,7 +207,15 @@ class ConwayClassRecord:
     def in_table(self, ell: int) -> bool:
         return ell in self.d_magnitude
 
+    def d_signs(self, ell: int) -> tuple[int, ...]:
+        """The D signs that give distinct genera: one sign where D vanishes."""
+        return (1,) if self.d_magnitude[ell].is_zero else (1, -1)
+
     def d_signed(self, ell: int, sign: int) -> RadicalScalar:
+        """D for a table sign as the product formula takes it: the bundled D
+        column pairs with the formula by the identity, pinned by the
+        sign-carrying coincidence rows (12I at index 1, 4B at index 2).  The
+        genera and the oracle's `build_system` both read D here."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return self.d_magnitude[ell] * sign
@@ -251,14 +259,26 @@ def default_data_dir() -> str | None:
     return os.environ.get("MOONSHINE_DATA_DIR") or None
 
 
-def _read_json(directory: str | None, filename: str):
-    if directory is not None:
-        path = os.path.join(directory, filename)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    ref = resources.files("conway_genera").joinpath("data", filename)
-    with ref.open("r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _read_rows(directory: str | None, filename: str, what: str, key: str) -> list:
+    """The `key` list of a data file in directory, or of the bundled one.
+
+    A file that cannot be read or parsed, or that lacks the list, is a
+    DataError naming `what` data.
+    """
+    try:
+        if directory is None:
+            handle = resources.files("conway_genera").joinpath("data", filename).open(
+                "r", encoding="utf-8")
+        else:
+            handle = open(os.path.join(directory, filename), "r", encoding="utf-8")
+        with handle:
+            raw = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {what} data: {exc}") from exc
+    try:
+        return raw[key]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{what} data has no '{key}' list: {exc!r}") from exc
 
 
 def _validate_record(rec: ConwayClassRecord) -> None:
@@ -306,17 +326,8 @@ def load_class_data(directory: str | None = None) -> ClassData:
     """
     if directory is None:
         directory = default_data_dir()
-    try:
-        raw = _read_json(directory, "classes.json")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read class data: {exc}") from exc
-
-    try:
-        entries = raw["classes"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"class data has no 'classes' list: {exc!r}") from exc
     classes: dict[str, ConwayClassRecord] = {}
-    for entry in entries:
+    for entry in _read_rows(directory, "classes.json", "class", "classes"):
         try:
             rec = ConwayClassRecord(
                 co0_name=entry["co0"],
@@ -338,17 +349,8 @@ def load_class_data(directory: str | None = None) -> ClassData:
             raise DataError(f"row {rec.co0_name}: duplicate class name")
         classes[rec.co0_name] = rec
 
-    try:
-        raw_rel = _read_json(directory, "coincidences.json")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read coincidence data: {exc}") from exc
-
-    try:
-        entries = raw_rel["relations"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"coincidence data has no 'relations' list: {exc!r}") from exc
     relations = []
-    for entry in entries:
+    for entry in _read_rows(directory, "coincidences.json", "coincidence", "relations"):
         try:
             kind = entry["kind"]
             rhs = tuple(

@@ -52,17 +52,11 @@ from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
-from .scalars import RadicalScalar
 from .series import JacobiSeries, QSeries, combine, first_difference
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
 _MARGIN = 12
-
-#: Sign pairing between the bundled D column and the product formula;
-#: pinned by the sign-carrying coincidence rows (12I at index 1, 4B at
-#: index 2) and recorded in the data notes.
-TABLE_D_ORIENTATION = 1
 
 
 def _grid(orders: int) -> int:
@@ -75,11 +69,6 @@ def _assert_fixed_four(rec: ConwayClassRecord) -> None:
     # every tabulated class fixes at least a 4-space, hence C_g = 0
     if rec.fs_g.cyclo().get(1, 0) < 4:
         raise ValueError(f"class {rec.co0_name} does not fix a 4-space")
-
-
-def effective_d(rec: ConwayClassRecord, ell: int, d_sign: int) -> RadicalScalar:
-    """The multiplier plugged into the product formula for a table sign."""
-    return rec.d_signed(ell, d_sign * TABLE_D_ORIENTATION)
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class GenusRequest:
             raise ValueError("d_sign must be +1 or -1")
         if self.orders < 1:
             raise ValueError("precision must be at least one q-order")
-        if self.rec.d_magnitude[self.ell].is_zero and self.d_sign != 1:
+        if self.d_sign not in self.rec.d_signs(self.ell):
             object.__setattr__(self, "d_sign", 1)
 
 
@@ -225,7 +214,7 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
 def _d_term(rec: ConwayClassRecord, ell: int, d_sign: int, scale):
     """scale * (-1)^ell D Q1^(ell-1) eta_g: the D-linear part of phi^(ell) at scale 1/2."""
     sign_ell = -1 if ell % 2 else 1
-    return (effective_d(rec, ell, d_sign) * (sign_ell * scale), (THETA1SQ, ell - 1), _ETA_G)
+    return (rec.d_signed(ell, d_sign) * (sign_ell * scale), (THETA1SQ, ell - 1), _ETA_G)
 
 
 def _f_terms(rec: ConwayClassRecord, scale, shared):
@@ -259,7 +248,7 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     exponents must cancel and the result is returned on the integer grid.
     """
     terms = _f_terms(rec, Fraction(-1, 2), lambda kind: (kind, 1))
-    terms.append((effective_d(rec, 2, d_sign) * Fraction(-1, 2), (THETA1SQ, 0), _ETA_G))
+    terms.append((rec.d_signed(2, d_sign) * Fraction(-1, 2), (THETA1SQ, 0), _ETA_G))
     return _class_form(rec, orders, terms, "F_g").row0()
 
 

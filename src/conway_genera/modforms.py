@@ -39,6 +39,9 @@ THETA3 = "theta3"
 THETA4 = "theta4"
 THETA1SQ = "theta1sq"
 
+#: the least q-orders at which `verify_theta_identities` runs
+THETA_MIN_ORDERS = 2
+
 
 def sigma1(n: int) -> int:
     """Divisor sum of n."""
@@ -324,8 +327,8 @@ def verify_theta_identities(prec: int) -> list[CheckReport]:
     Each is an exact coefficient identity on the (1/2)Z grid; any
     nonzero deviation is reported with the offending exponent.
     """
-    if prec < 48:
-        raise ValueError("theta identity verification needs prec >= 48")
+    if prec < 24 * THETA_MIN_ORDERS:
+        raise ValueError(f"theta identity verification needs prec >= {24 * THETA_MIN_ORDERS}")
     p01 = phi01(prec)
     pm21 = phi_minus21(prec)
     twelfth = p01 * Fraction(1, 12)

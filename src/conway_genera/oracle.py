@@ -190,10 +190,6 @@ class CycloNumber:
     def __repr__(self):
         return f"CycloNumber(order={self.order}, vec={[str(x) for x in self.vec]})"
 
-    def to_radical(self) -> RadicalScalar:
-        """Express in Q(sqrt2, sqrt3, sqrt5); hard failure when impossible."""
-        return _to_radical(self)
-
 
 def _sqrt_embedding(order: int, p: int) -> CycloNumber | None:
     """sqrt(p) inside Q(zeta_order), when present, for p in {2, 3, 5}."""
@@ -241,38 +237,6 @@ def embed_radical(x: RadicalScalar, order: int) -> CycloNumber:
             raise OracleError(f"sqrt({d}) is not available in Q(zeta_{order})")
         out = out + available[d] * a
     return out
-
-
-def _to_radical(c: CycloNumber) -> RadicalScalar:
-    cols = _radical_columns(c.order)
-    width = len(cols)
-    rows = len(c.vec)
-    # Fraction entries: the pivot division below must stay exact
-    matrix = [[Fraction(col.vec[i]) for _, col in cols] + [Fraction(c.vec[i])]
-              for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, rows) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        lead = matrix[row][col]
-        matrix[row] = [x / lead for x in matrix[row]]
-        for r in range(rows):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[row])]
-        pivots.append((row, col))
-        row += 1
-    solution = [Fraction(0)] * width
-    for r, col in pivots:
-        solution[col] = matrix[r][-1]
-    result = RadicalScalar({cols[j][0]: solution[j] for j in range(width)})
-    if embed_radical(result, c.order) != c:
-        raise OracleError(
-            "cyclotomic value is not expressible over sqrt(2), sqrt(3), sqrt(5)")
-    return result
 
 
 # -- eigenvalue systems ------------------------------------------------------

@@ -125,6 +125,15 @@ class _Series:
         self._store(parts, den, trunc)
         return self
 
+    @classmethod
+    def zero(cls, trunc: int):
+        return cls.from_parts({}, 1, trunc)
+
+    @classmethod
+    def one(cls, trunc: int):
+        """1, stored as the q^0 entry of row 0."""
+        return cls.from_parts({1: {0: {0: 1}}}, 1, trunc)
+
     def _store(self, parts, den: int, trunc: int) -> None:
         clean: dict[int, dict[int, dict[int, int]]] = {}
         g = den
@@ -285,16 +294,6 @@ class QSeries(_Series):
     def _view_key(key: tuple[int, int]) -> int:
         return key[0]
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc: int) -> "QSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "QSeries":
-        return cls({0: 1}, trunc)
-
     # -- inspection ------------------------------------------------------
 
     def coeff(self, key: int) -> RadicalScalar:
@@ -408,14 +407,6 @@ class JacobiSeries(_Series):
     @staticmethod
     def _view_key(key: tuple[int, int]) -> tuple[int, int]:
         return key
-
-    @classmethod
-    def zero(cls, trunc: int) -> "JacobiSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "JacobiSeries":
-        return cls({(0, 0): 1}, trunc)
 
     def coeff(self, kq: int, ry: int) -> RadicalScalar:
         if kq >= self.trunc:

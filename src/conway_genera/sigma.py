@@ -81,62 +81,43 @@ def dual_lattice_theta(prec: int) -> QSeries:
     return total
 
 
-def _fermion_char(dim: int, prec: int, insert_z: bool = False) -> QSeries:
-    """Graded dimension of the dim-dimensional fermion algebra.
+def _sectors(dim: int, prec: int) -> tuple[QSeries, QSeries, QSeries, QSeries]:
+    """Graded dimensions of the dim-dimensional fermion algebra's sectors by
+    parity: (NS even, NS odd, R even, R odd).
 
-    Ground at -dim/48; the involution-inserted variant flips the sign of
-    every mode factor.
+    The NS ground state sits at -dim/48, and inserting the involution flips
+    the sign of every mode factor; the parity halves are the half sum and
+    half difference of the two traces.  The R sector has 2^(dim/2) ground
+    states at grading dim/16 - dim/48 = dim/24, and its paired zero modes
+    kill the inserted trace, so each parity holds half of it.
     """
-    sign = -1 if insert_z else 1
-    prod = modforms._half_odd_product(prec + dim // 2, 24, sign, dim)
-    return prod.shift(-dim // 2).truncate(prec)
-
-
-def _twisted_fermion_char(dim: int, prec: int, insert_z: bool = False) -> QSeries:
-    """Graded dimension of the canonically-twisted module.
-
-    2^(dim/2) ground states at grading dim/16 - dim/48 = dim/24; the
-    involution kills the ground space outright (paired zero modes).
-    """
-    ground_key = dim  # 24 * dim/24
-    if insert_z:
-        return QSeries.zero(prec)
-    prod = modforms._euler_product(max(prec - ground_key, 0), 24, +1, dim)
-    return (prod * (2 ** (dim // 2))).shift(ground_key).truncate(prec)
+    plain, flipped = (
+        modforms._half_odd_product(prec + dim // 2, 24, sign, dim).shift(-dim // 2).truncate(prec)
+        for sign in (1, -1))
+    half = Fraction(1, 2)
+    r_half = (modforms._euler_product(max(prec - dim, 0), 24, +1, dim)
+              * 2 ** (dim // 2 - 1)).shift(dim).truncate(prec)
+    return (plain + flipped) * half, (plain - flipped) * half, r_half, r_half
 
 
 @lru_cache(maxsize=None)
 def u_characters(prec: int) -> dict[str, QSeries]:
-    """Characters of the four irreducible modules of the 8-fermion algebra."""
-    plain = _fermion_char(8, prec)
-    flipped = _fermion_char(8, prec, insert_z=True)
-    half = Fraction(1, 2)
-    tw_plain = _twisted_fermion_char(8, prec)
-    tw_flip = _twisted_fermion_char(8, prec, insert_z=True)
-    return {
-        "0": (plain + flipped) * half,
-        "1": (plain - flipped) * half,
-        "omega": (tw_plain + tw_flip) * half,
-        "omegabar": (tw_plain - tw_flip) * half,
-    }
+    """Characters of the four irreducible modules of the 8-fermion algebra:
+    the cosets 0, 1, omega, omegabar are its NS even, NS odd, R even and R
+    odd sectors."""
+    return dict(zip(COSETS, _sectors(8, prec)))
 
 
 def module_character(prec: int) -> QSeries:
-    """Graded dimension of the 24-fermion module (even + twisted-odd)."""
-    half = Fraction(1, 2)
-    even = (_fermion_char(24, prec) + _fermion_char(24, prec, True)) * half
-    tw_odd = (_twisted_fermion_char(24, prec)
-              - _twisted_fermion_char(24, prec, True)) * half
-    return even + tw_odd
+    """Graded dimension of the 24-fermion module (NS even + R odd)."""
+    ns_even, _, _, r_odd = _sectors(24, prec)
+    return ns_even + r_odd
 
 
 def twisted_module_character(prec: int) -> QSeries:
-    """Graded dimension of its canonically-twisted companion."""
-    half = Fraction(1, 2)
-    odd = (_fermion_char(24, prec) - _fermion_char(24, prec, True)) * half
-    tw_even = (_twisted_fermion_char(24, prec)
-               + _twisted_fermion_char(24, prec, True)) * half
-    return odd + tw_even
+    """Graded dimension of its canonically-twisted companion (NS odd + R even)."""
+    _, ns_odd, r_even, _ = _sectors(24, prec)
+    return ns_odd + r_even
 
 
 def verify_sigma_isomorphism(orders: int = 6) -> list[CheckReport]:

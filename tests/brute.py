@@ -16,8 +16,10 @@ functions are the other series operations, term by term over the field,
 kept as the reference for the package's integer-row storage.  The reference
 genus and weight-2j forms at the end are evaluated with it, term by term
 over the coefficient field.  `subset_histogram` walks every k-subset of
-the oracle's mode labels, the reference for its knapsack histogram, and
-`euler_phi` is Euler's totient by trial division.
+the oracle's mode labels, the reference for its knapsack histogram,
+`euler_phi` is Euler's totient by trial division, and `to_radical` reads
+an oracle value back into Q(sqrt 2, sqrt 3, sqrt 5) by Gaussian
+elimination.
 """
 
 from __future__ import annotations
@@ -371,7 +373,7 @@ MARGIN = 48
 
 def radical_phi_g_ell(req):
     """The genus of a GenusRequest, computed over Q(sqrt 2, sqrt 3, sqrt 5)."""
-    from conway_genera import genera, modforms
+    from conway_genera import modforms
     from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 
     rec, ell = req.rec, req.ell
@@ -382,7 +384,7 @@ def radical_phi_g_ell(req):
     q3 = field_pow(modforms.theta_quotient(THETA3, work), power)
     q4 = field_pow(modforms.theta_quotient(THETA4, work), power)
     q1 = field_pow(modforms.theta_quotient(THETA1SQ, work), power)
-    d_val = genera.effective_d(rec, ell, req.d_sign)
+    d_val = rec.d_signed(ell, req.d_sign)
     sign_ell = -1 if ell % 2 else 1
     total = (field_mul(q4, modforms.eta_ratio_half(rec.fs_g, work))
              - field_mul(q3, modforms.eta_ratio_half(rec.fs_neg_g, work))) * Fraction(-1, 2)
@@ -403,11 +405,11 @@ def radical_phi_g_ell(req):
 
 def radical_f_g(rec, d_sign=1, orders=5):
     """The weight-2 multiplier F of a class, computed over the field."""
-    from conway_genera import genera, modforms
+    from conway_genera import modforms
 
     prec = 24 * orders
     work = prec + MARGIN
-    d_val = genera.effective_d(rec, 2, d_sign)
+    d_val = rec.d_signed(2, d_sign)
     total = (field_mul(modforms.lambda2_half("plain", work),
                        modforms.eta_ratio_half(rec.fs_g, work))
              - field_mul(modforms.lambda2_half("shifted", work),
@@ -420,7 +422,7 @@ def radical_f_g(rec, d_sign=1, orders=5):
 
 def radical_f_2j_g(rec, j, orders=5):
     """The weight-2j form F_{2j} of a class, computed over the field."""
-    from conway_genera import genera, modforms
+    from conway_genera import modforms
 
     prec = 24 * orders
     work = prec + MARGIN
@@ -456,3 +458,43 @@ def subset_histogram(labels: list[tuple[int, int]], order: int,
             rows[(exp % order, charge)] += count
         table.append(rows)
     return table
+
+
+# -- cyclotomic values back in the radical field --------------------------------
+
+
+def to_radical(c):
+    """A CycloNumber in Q(sqrt2, sqrt3, sqrt5), by Gaussian elimination on the
+    embedded radical basis; OracleError when it is not expressible there."""
+    from conway_genera.oracle import OracleError, _radical_columns, embed_radical
+    from conway_genera.scalars import RadicalScalar
+
+    cols = _radical_columns(c.order)
+    width = len(cols)
+    rows = len(c.vec)
+    # Fraction entries: the pivot division below must stay exact
+    matrix = [[Fraction(col.vec[i]) for _, col in cols] + [Fraction(c.vec[i])]
+              for i in range(rows)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(width):
+        pivot = next((r for r in range(row, rows) if matrix[r][col] != 0), None)
+        if pivot is None:
+            continue
+        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
+        lead = matrix[row][col]
+        matrix[row] = [x / lead for x in matrix[row]]
+        for r in range(rows):
+            if r != row and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[row])]
+        pivots.append((row, col))
+        row += 1
+    solution = [Fraction(0)] * width
+    for r, col in pivots:
+        solution[col] = matrix[r][-1]
+    result = RadicalScalar({cols[j][0]: solution[j] for j in range(width)})
+    if embed_radical(result, c.order) != c:
+        raise OracleError(
+            "cyclotomic value is not expressible over sqrt(2), sqrt(3), sqrt(5)")
+    return result

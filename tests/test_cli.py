@@ -190,6 +190,19 @@ def _bundled(name):
     return json.loads((BUNDLED / name).read_text())
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("classes.json", "{", "cannot read class data: Expecting property name"),
+    ("coincidences.json", "{", "cannot read coincidence data: Expecting property name"),
+    ("classes.json", "[]", "class data has no 'classes' list: TypeError("),
+    ("coincidences.json", "{}", "coincidence data has no 'relations' list: KeyError('relations')"),
+], ids=["classes-json", "coincidences-json", "classes-list", "relations-list"])
+def test_unreadable_table_is_a_data_error_naming_it(tmp_path, capsys, name, text, message):
+    path = _data_dir(tmp_path, _bundled("classes.json"), _bundled("coincidences.json"))
+    (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and err.startswith(f"data error: {message}")
+
+
 def test_classes_without_class_list_is_a_data_error(tmp_path, capsys):
     path = _data_dir(tmp_path, {"rows": []}, _bundled("coincidences.json"))
     code, _, err = run(capsys, "--data-dir", path, "list-classes")

@@ -249,7 +249,7 @@ def test_f_is_minus_half_of_f2_plus_the_d_term(data):
     for rec in data.classes.values():
         eta_g = modforms.eta_product(rec.fs_g, 24 * orders)
         for sign in (1, -1):
-            d_term = eta_g * genera.effective_d(rec, 2, sign)
+            d_term = eta_g * rec.d_signed(2, sign)
             expected = (genera.f_2j_g(rec, 1, orders) + d_term) * Fraction(-1, 2)
             got = genera.f_g(rec, sign, orders)
             assert got.trunc == expected.trunc and got.coeffs == expected.coeffs, \

@@ -24,6 +24,8 @@ LAMBENCIES = (2, 3, 4, 5, 7)
 FORMATS = ("text", "json", "csv")
 #: classes whose index-1 genus is also guarded at 24 q-orders
 DEEP_CLASSES = ("10H", "12L")
+#: classes whose trace series T^s_g and twisted companion are guarded
+TRACE_CLASSES = ("1A", "2B", "5C", "12L")
 
 
 def _cases() -> dict[str, list[tuple[str, ...]]]:
@@ -43,6 +45,9 @@ def _cases() -> dict[str, list[tuple[str, ...]]]:
             for sign in "+-" for fmt in ("text", "json")],
         "export": [("export", "--table", table, "--format", fmt)
                    for table in ("classes", "coincidences") for fmt in FORMATS],
+        "compute-trace-series": [
+            ("compute", "--class", name, "--what", what, "--format", fmt)
+            for name in TRACE_CLASSES for what in ("ts", "ts-tw") for fmt in FORMATS],
     }
     for name in CLASSES:
         for ell in LAMBENCIES:
@@ -66,7 +71,9 @@ CASES = _cases()
 #: 9d42eba, before the series were stored as integer rows per radical;
 #: the sigma and 1A ell-7 cases recorded at a9df140, before the sigma
 #: dual-lattice theta series became a product of one-coordinate sums and
-#: the series products went through one integer convolution
+#: the series products went through one integer convolution; the
+#: trace-series case recorded at 74c11a5, before compute, list-classes and
+#: export shared one output writer
 GOLDEN = {
     "compute-10H-ell2": "a15e271aadfd54fab9e32cfc60eeca7558031ca4ecb3c82a2b8e683fb02f45df",
     "compute-10H-ell3": "8c487e5d45c8522a6ec8430571ec6f657b7cfc0e62b943db7519576a1995ccf6",
@@ -101,6 +108,7 @@ GOLDEN = {
     "compute-5C-ell4": "876a78c21543dc4868e04aa88189df590d1b8c98a8f83cc5bf8878058df02941",
     "compute-5C-ell5": "17b6eb54c9f21c06f1a4dc05fe27a30b64c89f28ae848320553d3126f180d129",
     "compute-5C-ell7": "b5d66ac418202cf10f5fa34cd02e99af558333b3f69c05f6a511cabc84d14776",
+    "compute-trace-series": "d50a59585b0ba0036652436551ed6de4d2cb5c636949f46c36b2711654d386f9",
     "export": "f5a32bef6b50d93332de3e8c496fa1bbe68fffff664e6100221337b381a77544",
     "verify-all-json": "0822f41081f22798d2f125c304d5a7d766e5b968d17e1fdf475960862ba5a495",
     "verify-all-prec12-json": "238cade11d1c0905a23b8626803359cb788efcb4cc87c33931af488104bed0b5",

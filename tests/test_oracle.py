@@ -73,13 +73,13 @@ def test_sqrt_embeddings_square_correctly():
 def test_embed_and_recover_radical():
     x = RadicalScalar({1: Fraction(3, 2), 6: -2})
     c = oracle.embed_radical(x, 24)
-    assert c.to_radical() == x
+    assert brute.to_radical(c) == x
 
 
 def test_to_radical_rejects_outside_field():
     z5 = CycloNumber.root(5, 1)
     with pytest.raises(OracleError):
-        z5.to_radical()
+        brute.to_radical(z5)
 
 
 def test_cm_ground_trace_identity():
@@ -90,15 +90,15 @@ def test_cm_ground_trace_identity():
 def test_cm_ground_trace_negated_identity():
     fs = FrameShape.from_pairs([(2, 24), (1, -24)])
     t = oracle.cm_ground_trace(fs, with_z=True)
-    assert (t * t).to_radical() == RadicalScalar.from_rational(2 ** 24)
+    assert brute.to_radical(t * t) == RadicalScalar.from_rational(2 ** 24)
     flipped = oracle.cm_ground_trace(fs, with_z=True, sign_choice=-1)
     assert flipped == -t
-    assert t.to_radical().as_rational()[1] in (4096, -4096)
+    assert brute.to_radical(t).as_rational()[1] in (4096, -4096)
 
 
 def test_cm_ground_trace_3c_negative(data):
     t = oracle.cm_ground_trace(data.record("3C").fs_neg_g, with_z=True)
-    assert (t * t).to_radical() == RadicalScalar.from_rational(64)
+    assert brute.to_radical(t * t) == RadicalScalar.from_rational(64)
 
 
 def test_cm_trace_squares_match_oracles(data):
@@ -106,7 +106,7 @@ def test_cm_trace_squares_match_oracles(data):
     for name in ("1A", "3B", "5C", "8D"):
         rec = data.record(name)
         t = oracle.cm_ground_trace(rec.fs_neg_g, with_z=True)
-        assert (t * t).to_radical() \
+        assert brute.to_radical(t * t) \
             == RadicalScalar.from_rational(c_squared_oracle(rec.fs_g))
 
 
@@ -351,8 +351,8 @@ def test_normalization_follows_requested_sign(data):
     rec = data.record("4D")
     plus = oracle.build_system(rec, j_weight=True, d_sign=1)
     minus = oracle.build_system(rec, j_weight=True, d_sign=-1)
-    assert plus.d_product().to_radical() == rec.d_signed(2, 1)
-    assert minus.d_product().to_radical() == rec.d_signed(2, -1)
+    assert brute.to_radical(plus.d_product()) == rec.d_signed(2, 1)
+    assert brute.to_radical(minus.d_product()) == rec.d_signed(2, -1)
     # and the ground trace stayed pinned in both cases
     want = oracle.embed_radical(rec.c_neg_g, plus.order)
     assert plus.cm_trace(with_z=False) == want

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -93,8 +92,7 @@ def test_twisted_module_character_ground(data):
     prec = 24 * 4
     ch = sigma.twisted_module_character(prec)
     # both routes: direct fermionic count vs the assembled characters
-    half = Fraction(1, 2)
-    odd = (sigma._fermion_char(24, prec) - sigma._fermion_char(24, prec, True)) * half
+    _, odd, _, _ = sigma._sectors(24, prec)
     assert ch.coeff(0) == odd.coeff(0)    # 24 half-modes at the bottom
     assert ch.coeff(0) == 24
 
