@@ -264,10 +264,11 @@ _SUITES = {
     "sigma": (_suite_sigma, 6, 1),
 }
 
-#: the greatest --prec that compute and verify accept, in q-orders: twice
-#: the deepest precision the package is benchmarked at.  Series grow with
-#: the precision, so an unbounded one runs until memory runs out.
-MAX_ORDERS = 48
+#: the greatest --prec that compute and verify accept, in q-orders, set
+#: where `verify --suite all` still takes seconds and tens of MB (the
+#: figures are in CHANGES.md).  Series grow with the precision, so an
+#: unbounded one runs until memory runs out.
+MAX_ORDERS = 96
 
 
 def cmd_verify(args, data) -> int:

@@ -25,6 +25,21 @@ in series.combine, whose integer rows per radical are the returned form.
 The weak Jacobi check and every comparison read those rows;
 RadicalScalar coefficients are built only when a caller reads them.
 
+Every B_i = Q_i^m is a weak Jacobi form of index m = ell - 1, even in z,
+so it is kept as its theta rows r = 0..m alone (series.theta_rows).  The
+elliptic law is assumed in one place: _shared_base cuts each first power
+taken from modforms -- the four theta quotients and phi_{0,1}, all of
+index 1 -- to rows 0..1, and the cut checks in integers that every
+dropped coefficient equals its partner among the kept rows, once per
+base and precision; the weight-2 forms carry no y and are not cut.  A
+higher power, and each monomial phi_{0,1}^a Q1^b, is the product of its
+two factors expanded to full rows, with only its own theta rows
+computed.  _class_form sums against the four one-row S_i on rows 0..m
+and expands the result to full rows once, at the end, so every form it
+returns has all of its rows.  The elliptic part of the weak Jacobi check
+on a genus therefore re-reads what the base guard checked; its own
+content is weakness and the integer grid.
+
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: they come from the weight-2 forms Lambda_2(tau/2),
 Lambda_2(tau/2 + 1/2) and -2 Lambda_2(tau) and from the eta ratios, never
@@ -52,7 +67,8 @@ from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
-from .series import JacobiSeries, QSeries, combine, first_difference
+from .series import (JacobiSeries, QSeries, combine, expand_theta_rows, first_difference,
+                     theta_rows)
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
@@ -149,17 +165,33 @@ _L2_NEG2 = "lambda2_neg2"
 _BINOMIAL = "binomial"
 
 
+#: the y-free shared forms, index 0 at every power
+_WEIGHT2 = (_L2_PLAIN, _L2_SHIFTED, _L2_NEG2)
+
+
+def _index(kind: str | tuple[str, str], power: int) -> int:
+    """The index of a shared power: its power, or 0 for a y-free form."""
+    return 0 if kind in _WEIGHT2 else power
+
+
 def _shared_base(kind: str, work: int) -> QSeries | JacobiSeries:
-    """The first power of a shared form."""
-    if kind == _PHI01:
-        return modforms.phi01(work)
+    """The first power of a shared form; a form with y as its theta rows 0..1."""
     if kind == _L2_PLAIN:
         return modforms.lambda2_half("plain", work)
     if kind == _L2_SHIFTED:
         return modforms.lambda2_half("shifted", work)
     if kind == _L2_NEG2:
         return modforms.lambda_n(2, work) * -2
-    return modforms.theta_quotient(kind, work)
+    form = modforms.phi01(work) if kind == _PHI01 else modforms.theta_quotient(kind, work)
+    return theta_rows(form, 1)
+
+
+def _theta_product(a, m_a: int, b, m_b: int) -> JacobiSeries:
+    """The theta rows 0..m_a+m_b of a * b, for a and b kept as theta rows of
+    index m_a and m_b: both are expanded to full rows, and only the pairs
+    of rows that land on a kept row are multiplied."""
+    m = m_a + m_b
+    return expand_theta_rows(a, m_a).times(expand_theta_rows(b, m_b), range(0, 2 * m + 1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -167,23 +199,27 @@ def _shared_power(kind: str | tuple[str, str], power: int,
                   work: int) -> QSeries | JacobiSeries:
     """A theta quotient, phi_{0,1}, a weight-2 form or a (_BINOMIAL, L) form to a power.
 
-    Class-independent, so built once per (kind, power, work) per process.
+    Kept as its theta rows 0.._index(kind, power).  Class-independent, so
+    built once per (kind, power, work) per process.
     """
     if power == 0:
         return JacobiSeries.one(work)
     if isinstance(kind, tuple):  # (_BINOMIAL, L): (phi_{0,1}/12 + L theta_1^2/eta^6)^power
+        # each monomial is kept as theta rows 0..power and L^j is y-free
         return combine([
             (Fraction(comb(power, j), 12 ** (power - j)), _monomial(power - j, j, work),
              _shared_power(kind[1], j, work)) for j in range(power + 1)])
     if power == 1:
         return _shared_base(kind, work)
-    return _shared_power(kind, power - 1, work).times(_shared_power(kind, 1, work))
+    return _theta_product(_shared_power(kind, power - 1, work), _index(kind, power - 1),
+                          _shared_power(kind, 1, work), _index(kind, 1))
 
 
 @lru_cache(maxsize=None)
 def _monomial(a: int, b: int, work: int) -> JacobiSeries:
-    """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b."""
-    return _shared_power(_PHI01, a, work).times(_shared_power(THETA1SQ, b, work))
+    """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b,
+    kept as its theta rows 0..a+b."""
+    return _theta_product(_shared_power(_PHI01, a, work), a, _shared_power(THETA1SQ, b, work), b)
 
 
 #: positions of r_g, r_{-g}, eta_g and eta_{-g} among the class series
@@ -195,8 +231,12 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
 
     Terms are (kappa, (kind, power), slot), read as _shared_power(kind,
     power) times the class series r_g, r_{-g}, eta_g or eta_{-g} at `slot`.
+    Every shared power has the same index m and is kept as its theta rows
+    0..m, and the class series are y-free, so the sum is taken on rows
+    0..m alone and expanded to full rows once, at the end.
     """
     _assert_fixed_four(rec)
+    index, = {_index(kind, power) for _, (kind, power), _ in terms}
     prec = _grid(orders)
     work = prec + _MARGIN
     series = (modforms.eta_ratio_half(rec.fs_g, work),
@@ -206,9 +246,10 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
                      for kappa, (kind, power), slot in terms], prec)
     if total.trunc < prec:
         raise ValueError(f"internal truncation shortfall in {what}")
+    # the expansion shifts q by whole orders, so the theta rows settle the grid
     if any(kq % 24 for rows in total.parts.values() for row in rows.values() for kq in row):
         raise ValueError(f"{what} for {rec.co0_name} left the integer q-grid")
-    return total
+    return expand_theta_rows(total, index)
 
 
 def _d_term(rec: ConwayClassRecord, ell: int, d_sign: int, scale):
@@ -285,11 +326,15 @@ def _decomposition_deviation(req: GenusRequest) -> dict | None:
     c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)).  By linearity in the class
     series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
     (_BINOMIAL, L) power ell - 1, in place of L^j."""
-    rec, power = req.rec, req.ell - 1
-    terms = _f_terms(rec, Fraction(1, 2), lambda kind: ((_BINOMIAL, kind), power))
-    terms.append(_d_term(rec, req.ell, req.d_sign, Fraction(1, 2)))
-    rhs = _class_form(rec, req.orders, terms, "decomposition")
+    rhs = _class_form(req.rec, req.orders, _decomposition_terms(req), "decomposition")
     return first_difference(phi_g_ell(req), rhs, _grid(req.orders))
+
+
+def _decomposition_terms(req: GenusRequest):
+    """The _class_form terms of the decomposition's right-hand side."""
+    terms = _f_terms(req.rec, Fraction(1, 2), lambda kind: ((_BINOMIAL, kind), req.ell - 1))
+    terms.append(_d_term(req.rec, req.ell, req.d_sign, Fraction(1, 2)))
+    return terms
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,

@@ -20,12 +20,24 @@ pair of terms for small products, and Kronecker substitution (each row
 packed into one int, one big-int product per pair of rows) from
 KRONECKER_MIN_PAIRS term pairs on.  The packed path costs a pack and an
 unpack per slot and wins only when that is small against the pairs; the
-crossover was measured on the benchmark workloads.  `combine` sums
+crossover was measured on captured products.  `_convolve` and `times`
+take an optional set of output y-rows and never multiply a pair of rows
+that lands outside it, in either path.  `combine` sums
 field constants times products of series, one convolution per pair of
 radical parts, and returns its integer accumulators as a JacobiSeries;
 a product of two series is one `combine` term.  `times` is the product
 of two rational series with no field constant at all.  QSeries.inverse
 is Newton's iteration on `*`.
+
+A weak Jacobi form of index m that is even in z is fixed by its theta
+rows, the y-rows r = 0..m: by the elliptic law every other row is a
+shifted copy of one of them (Eichler and Zagier, The Theory of Jacobi
+Forms, section 5).  `theta_rows` cuts a form to those rows and is the
+one place where the law is checked: every dropped coefficient must
+equal its partner among the kept rows, compared in integers, or it
+raises.  `expand_theta_rows` rebuilds the full rows from theta rows by
+the law and checks nothing, so it must only see rows that came from a
+checked cut or from products and sums of such forms.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
 `q_row()` and `items()` are read-only views built on first use and kept
@@ -42,7 +54,7 @@ immutable; operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
 from .scalars import ZERO, RadicalScalar, format_terms, ratio_text
@@ -216,16 +228,18 @@ class _Series:
         return min(self.trunc + (other.trunc if low_b is None else low_b),
                    other.trunc + (self.trunc if low_a is None else low_a))
 
-    def times(self, other) -> "JacobiSeries":
+    def times(self, other, keep=None) -> "JacobiSeries":
         """self * other for two rational series, taken in integers.
 
-        Known below the min rule's index.  No RadicalScalar is built; a
-        factor with an irrational coefficient raises ValueError.
+        Known below the min rule's index; when `keep` is given, only the
+        y-rows with a half-index in it are computed and returned.  No
+        RadicalScalar is built; a factor with an irrational coefficient
+        raises ValueError.
         """
         if any(d != 1 for f in (self, other) for d in f.parts):
             raise ValueError("times needs two series with rational coefficients")
         trunc = self.product_trunc(other)
-        rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc)
+        rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc, keep)
         return JacobiSeries.from_parts({1: rows}, self.den * other.den, trunc)
 
     def _plus(self, other, cls):
@@ -461,32 +475,40 @@ class JacobiSeries(_Series):
 
 
 #: `_convolve` multiplies by Kronecker substitution when the number of
-#: term pairs, len(terms_a) * len(terms_b), is at least this; below it the
-#: dict loop is faster (the crossover measurement is in CHANGES.md).
-KRONECKER_MIN_PAIRS = 8000
+#: term pairs it multiplies, len(row_a) * len(row_b) summed over the pairs
+#: of rows whose output row is kept, is at least this; below it the dict
+#: loop is faster (the crossover measurement is in CHANGES.md).
+KRONECKER_MIN_PAIRS = 2000
 
 
-def _convolve(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+def _convolve(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int, int]]:
     """The integer rows of rows_a * rows_b below q grid index trunc.
 
-    Rows map a y half-index to {q grid index: int}.  This is the only
-    series convolution in the package: one q-series product per pair of
-    rows, by `_convolve_dict` for small products and by
-    `_convolve_kronecker` from KRONECKER_MIN_PAIRS term pairs on.  Zero
-    entries may be kept; from_parts drops them.
+    Rows map a y half-index to {q grid index: int}.  Only the output rows
+    whose y half-index is in `keep` (every row when None) are computed: a
+    pair of rows that lands outside it is never multiplied.  This is the
+    only series convolution in the package: one q-series product per pair
+    of rows, by `_convolve_dict` for small products and by
+    `_convolve_kronecker` from KRONECKER_MIN_PAIRS term pairs on, counting
+    only the pairs of rows that are multiplied.  Zero entries may be
+    kept; from_parts drops them.
     """
-    pairs = sum(map(len, rows_a.values())) * sum(map(len, rows_b.values()))
+    sizes_b = [(yb, len(row_b)) for yb, row_b in rows_b.items()]
+    pairs = sum(len(row_a) * size_b for ya, row_a in rows_a.items()
+                for yb, size_b in sizes_b if keep is None or ya + yb in keep)
     if pairs < KRONECKER_MIN_PAIRS:
-        return _convolve_dict(rows_a, rows_b, trunc)
-    return _convolve_kronecker(rows_a, rows_b, trunc)
+        return _convolve_dict(rows_a, rows_b, trunc, keep)
+    return _convolve_kronecker(rows_a, rows_b, trunc, keep)
 
 
-def _convolve_dict(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+def _convolve_dict(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int, int]]:
     """_convolve by one dict update per pair of terms."""
     out: dict[int, dict[int, int]] = {}
     for yb, row_b in rows_b.items():
         items_b = sorted(row_b.items())
         for ya, row_a in rows_a.items():
+            if keep is not None and ya + yb not in keep:
+                continue
             acc = out.setdefault(ya + yb, {})
             for ka, va in row_a.items():
                 bound = trunc - ka
@@ -498,7 +520,7 @@ def _convolve_dict(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
     return out
 
 
-def _convolve_kronecker(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+def _convolve_kronecker(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int, int]]:
     """_convolve by Kronecker substitution, one big-int product per pair of rows.
 
     Every key of a factor lies on low + step*Z for the factor's least key
@@ -506,7 +528,8 @@ def _convolve_kronecker(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]
     integer sum_i v_i 2^(bits*i) over its slots i from its first key on,
     below the truncation; the product of two such integers holds the
     row product in its digits (D. Harvey, J. Symb. Comp. 44 (2009) 1502).
-    Products are summed per output y, shifted to a common first slot.
+    Only rows that meet a partner inside `keep` are packed.  Products are
+    summed per output y, shifted to a common first slot.
     `bits` bounds every output coefficient with a sign bit to spare, so
     adding half of 2^bits to each of the low L digits (`bias`) makes them
     all non-negative, and the digits are read from the bytes of
@@ -535,6 +558,11 @@ def _convolve_kronecker(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]
         return out
 
     cut_a, cut_b = cut(rows_a, trunc - low_b), cut(rows_b, trunc - low_a)
+    if keep is not None:
+        meet = {(ya, yb) for ya, _, _ in cut_a for yb, _, _ in cut_b if ya + yb in keep}
+        used_a, used_b = {ya for ya, _ in meet}, {yb for _, yb in meet}
+        cut_a = [r for r in cut_a if r[0] in used_a]
+        cut_b = [r for r in cut_b if r[0] in used_b]
     if not cut_a or not cut_b:
         return {}
     top = 1
@@ -564,7 +592,7 @@ def _convolve_kronecker(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]
     by_y: dict[int, list] = {}
     for yb, first_b, len_b, int_b in pack(cut_b):
         for ya, first_a, len_a, int_a in packed_a:
-            if first_a + first_b < trunc:
+            if first_a + first_b < trunc and (keep is None or ya + yb in keep):
                 by_y.setdefault(ya + yb, []).append(
                     (first_a + first_b, len_a, int_a, len_b, int_b))
 
@@ -639,6 +667,56 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return result
+
+
+def expand_theta_rows(f, m: int):
+    """The full y-rows of an even index-m form from its theta rows 0..m.
+
+    A weak Jacobi form of index m is even in z and obeys the elliptic
+    law, so its coefficient depends only on 4mn - r^2 and r mod 2m, and
+    its rows r = 0..m fix it (Eichler and Zagier, The Theory of Jacobi
+    Forms, section 5): c(n, r) = c(n - (r^2 - r'^2)/4m, r') with r' = |r
+    reduced mod 2m into [-m, m)|.  Each kept row r' is copied to every
+    row r = +-r' mod 2m, shifted up by the integer (r^2 - r'^2)/4m
+    q-orders, as far as it stays below f.trunc, so the result is known
+    wherever f is.  Index 0 (a y-free form) returns f itself.
+    """
+    if m == 0:
+        return f
+    trunc = f.trunc
+    out: dict[int, dict[int, dict[int, int]]] = {}
+    for d, rows in f.parts.items():
+        full = out[d] = {}
+        for ry, row in rows.items():
+            r0 = ry // 2
+            room = trunc - min(row)   # rows shifted by room or more are empty
+            top = isqrt(r0 * r0 + m * room // 6) + 1
+            for r in range(-top, top + 1):
+                shift = 6 * (r * r - r0 * r0) // m   # grid units of (r^2 - r0^2)/4m q-orders
+                if shift < room and ((r - r0) % (2 * m) == 0 or (r + r0) % (2 * m) == 0):
+                    full[2 * r] = {kq + shift: n for kq, n in row.items() if kq + shift < trunc}
+    return JacobiSeries.from_parts(out, f.den, trunc)
+
+
+def theta_rows(f, m: int) -> JacobiSeries:
+    """The theta rows 0..m of an even index-m form, checked in integers.
+
+    The rows r = 0..m (y half-indices 0, 2, .., 2m) are kept; every
+    other coefficient below f.trunc must equal its partner among them
+    under the elliptic law and evenness (see expand_theta_rows), and a
+    mismatch, a half-integer y power or an uneven form raises ValueError
+    at the first deviation.
+    """
+    kept = JacobiSeries.from_parts(
+        {d: {ry: row for ry, row in rows.items() if 0 <= ry <= 2 * m and ry % 2 == 0}
+         for d, rows in f.parts.items()}, f.den, f.trunc)
+    full = expand_theta_rows(kept, m)
+    if full != f:
+        dev = first_difference(f, full)
+        raise ValueError(f"the form does not obey the index-{m} elliptic law: "
+                         f"q^{dev['q_exp']} y^{dev['y_exp']} is {dev['lhs']}, "
+                         f"its theta-row partner {dev['rhs']}")
+    return kept
 
 
 def first_difference(a, b, through: int | None = None):

@@ -14,8 +14,10 @@ the term-by-term inverse recursion over the field, the reference for the
 package's Newton inverse; the `model_*`
 functions are the other series operations, term by term over the field,
 kept as the reference for the package's integer-row storage.  The reference
-genus and weight-2j forms at the end are evaluated with it, term by term
-over the coefficient field.  `subset_histogram` walks every k-subset of
+genus and weight-2j forms are evaluated with it, term by term over the
+coefficient field; the full-row assembly multiplies out every y-row of
+the genus-side forms, the reference for the package's theta-row
+assembly.  `subset_histogram` walks every k-subset of
 the oracle's mode labels, the reference for its knapsack histogram,
 `euler_phi` is Euler's totient by trial division, and `to_radical` reads
 an oracle value back into Q(sqrt 2, sqrt 3, sqrt 5) by Gaussian
@@ -27,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 
@@ -433,6 +436,82 @@ def radical_f_2j_g(rec, j, orders=5):
     total = total - field_mul(field_pow(modforms.lambda_n(2, work) * (-2), j),
                               modforms.eta_product(rec.fs_neg_g, work)) * rec.c_neg_g
     return total.truncate(prec)
+
+
+# -- full-row genus assembly ----------------------------------------------------
+#
+# The genus-side forms with every y-row of every shared power multiplied
+# out by `times` and summed by `combine`: the assembly genera used before
+# it kept the shared powers as theta rows.  No row is cut, expanded or
+# checked against the elliptic law, so agreement with genera._class_form
+# shows that the theta-row products and the final expansion lose nothing.
+
+
+def _full_base(kind, work):
+    from conway_genera import genera, modforms
+
+    if kind == genera._PHI01:
+        return modforms.phi01(work)
+    if kind == genera._L2_PLAIN:
+        return modforms.lambda2_half("plain", work)
+    if kind == genera._L2_SHIFTED:
+        return modforms.lambda2_half("shifted", work)
+    if kind == genera._L2_NEG2:
+        return modforms.lambda_n(2, work) * -2
+    return modforms.theta_quotient(kind, work)
+
+
+@lru_cache(maxsize=None)
+def full_shared_power(kind, power, work):
+    """genera._shared_power with all of its y-rows."""
+    from conway_genera.series import JacobiSeries, combine
+
+    if power == 0:
+        return JacobiSeries.one(work)
+    if isinstance(kind, tuple):
+        return combine([
+            (Fraction(comb(power, j), 12 ** (power - j)), full_monomial(power - j, j, work),
+             full_shared_power(kind[1], j, work)) for j in range(power + 1)])
+    if power == 1:
+        return _full_base(kind, work)
+    return full_shared_power(kind, power - 1, work).times(full_shared_power(kind, 1, work))
+
+
+@lru_cache(maxsize=None)
+def full_monomial(a, b, work):
+    """genera._monomial with all of its y-rows."""
+    from conway_genera import genera
+    from conway_genera.modforms import THETA1SQ
+
+    return full_shared_power(genera._PHI01, a, work).times(full_shared_power(THETA1SQ, b, work))
+
+
+def full_class_form(rec, orders, terms):
+    """genera._class_form's terms summed over the full-row shared powers."""
+    from conway_genera import genera, modforms
+    from conway_genera.series import combine
+
+    prec = 24 * orders
+    work = prec + genera._MARGIN
+    series = (modforms.eta_ratio_half(rec.fs_g, work),
+              modforms.eta_ratio_half(rec.fs_neg_g, work),
+              modforms.eta_product(rec.fs_g, work), modforms.eta_product(rec.fs_neg_g, work))
+    return combine([(kappa, full_shared_power(kind, power, work), series[slot])
+                    for kappa, (kind, power), slot in terms], prec)
+
+
+def full_phi_g_ell(req):
+    """The genus of a GenusRequest by the full-row assembly."""
+    from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
+
+    rec, ell, power = req.rec, req.ell, req.ell - 1
+    sign_ell = -1 if ell % 2 else 1
+    return full_class_form(rec, req.orders, [
+        (Fraction(-1, 2), (THETA4, power), 0),
+        (Fraction(1, 2), (THETA3, power), 1),
+        (rec.d_signed(ell, req.d_sign) * Fraction(sign_ell, 2), (THETA1SQ, power), 2),
+        (rec.c_neg_g * Fraction(-1, 2), (THETA2, power), 3),
+    ])
 
 
 # -- oracle subset histogram by literal subsets -------------------------------

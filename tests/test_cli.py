@@ -153,9 +153,9 @@ def test_compute_nonpositive_precision_is_a_usage_error(capsys, what, prec):
 
 @pytest.mark.parametrize("argv", [
     ("compute", "--class", "2B", "--prec", "100000"),
-    ("compute", "--class", "2B", "--what", "f", "--prec", "49"),
+    ("compute", "--class", "2B", "--what", "f", "--prec", str(cli.MAX_ORDERS + 1)),
     ("verify", "--suite", "jacobi", "--prec", "100000"),
-    ("verify", "--suite", "all", "--prec", "49"),
+    ("verify", "--suite", "all", "--prec", str(cli.MAX_ORDERS + 1)),
 ])
 def test_precision_above_the_bound_fails_before_any_series_is_built(
         capsys, monkeypatch, argv):

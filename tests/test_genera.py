@@ -144,6 +144,72 @@ def test_genus_headroom_is_exact(data):
             assert genera._monomial(a, power - a, work).min_key() >= 0, (a, power)
 
 
+def test_theta_row_assembly_matches_the_full_row_reference(data):
+    orders = 6
+    count = 0
+    for ell in (2, 3, 4, 5, 7):
+        for rec in data.for_lambency(ell):
+            for sign in rec.d_signs(ell):
+                req = GenusRequest(rec, sign, ell, orders)
+                assert genera.phi_g_ell(req) == brute.full_phi_g_ell(req), \
+                    (rec.co0_name, sign, ell)
+                terms = genera._decomposition_terms(req)
+                assert (genera._class_form(rec, orders, terms, "decomposition")
+                        == brute.full_class_form(rec, orders, terms)), (rec.co0_name, sign, ell)
+                count += 1
+    assert count == 92
+
+
+def test_theta_row_assembly_matches_the_full_row_reference_at_24_orders(data):
+    one = data.record("1A")
+    for sign in one.d_signs(7):
+        req = GenusRequest(one, sign, 7, 24)
+        assert genera.phi_g_ell(req) == brute.full_phi_g_ell(req), sign
+    # only 1A has a lambency-7 row: the other classes take the index-6
+    # genus products with D = 1
+    for name in ("2B", "12L"):
+        rec = data.record(name)
+        terms = [(Fraction(-1, 2), (THETA4, 6), genera._R_G),
+                 (Fraction(1, 2), (THETA3, 6), genera._R_NEG),
+                 (Fraction(-1, 2), (THETA1SQ, 6), genera._ETA_G),
+                 (rec.c_neg_g * Fraction(-1, 2), (THETA2, 6), genera._ETA_NEG)]
+        assert (genera._class_form(rec, 24, terms, "index-6 form")
+                == brute.full_class_form(rec, 24, terms)), name
+
+
+def _perturbed(f, ry, kq):
+    parts = {d: {y: dict(row) for y, row in rows.items()} for d, rows in f.parts.items()}
+    parts[1].setdefault(ry, {})[kq] = parts[1].get(ry, {}).get(kq, 0) + 1
+    return JacobiSeries.from_parts(parts, f.den, f.trunc)
+
+
+def test_base_row_guard_fires_on_a_perturbed_coefficient(monkeypatch):
+    work = 24 * 5 + genera._MARGIN + 1   # a working grid no other test builds
+    base = modforms.phi01(work)
+    assert series.theta_rows(base, 1) == genera._shared_power(genera._PHI01, 1, work)
+    # y^-1 q^1, y^2 q^1 and y^-3 q^4 are dropped rows; y^1 q^2 is kept and
+    # has dropped partners; y^(1/2) is off the integer y grid
+    for ry, kq in ((-2, 24), (4, 24), (-6, 96), (2, 48), (1, 0)):
+        with pytest.raises(ValueError, match="index-1 elliptic law"):
+            series.theta_rows(_perturbed(base, ry, kq), 1)
+    bad = _perturbed(base, -2, 24)
+    monkeypatch.setattr(modforms, "phi01", lambda prec: bad)
+    with pytest.raises(ValueError, match="index-1 elliptic law"):
+        genera._shared_power(genera._PHI01, 1, work + 1)
+
+
+def test_theta_rows_round_trip_the_monomials():
+    work = 24 * 4 + genera._MARGIN
+    for a in range(4):
+        for b in range(4 - a):
+            m = a + b
+            rows = genera._monomial(a, b, work)
+            assert set(rows.parts[1]) <= set(range(0, 2 * m + 1, 2)), (a, b)
+            full = series.expand_theta_rows(rows, m)
+            assert full == brute.full_monomial(a, b, work), (a, b)
+            assert series.theta_rows(full, m) == rows, (a, b)
+
+
 def test_genus_products_stop_at_requested_precision(data, monkeypatch):
     orders = 3
     cases = [GenusRequest(data.record(name), sign, ell, orders)

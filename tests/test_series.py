@@ -403,6 +403,30 @@ def test_both_kernels_are_the_field_product(rows_a, rows_b, trunc):
     assert by_dict == want.truncate(trunc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(int_rows(), int_rows(), st.integers(-80, 400), st.sets(st.integers(-9, 9)))
+@example({0: {0: 1}, 2: {0: 1}}, {0: {0: 1}, -2: {0: 1}}, 24, {0})
+@example({0: {0: 1}}, {2: {0: 1}}, 24, set())
+def test_both_kernels_compute_only_the_kept_rows(rows_a, rows_b, trunc, keep):
+    full = series._convolve_dict(rows_a, rows_b, trunc)
+    want = _rows_series({y: row for y, row in full.items() if y in keep}, trunc)
+    for kernel in (series._convolve_dict, series._convolve_kronecker, series._convolve):
+        got = kernel(rows_a, rows_b, trunc, keep)
+        assert set(got) <= keep and _rows_series(got, trunc) == want, kernel.__name__
+
+
+def test_kernel_routing_counts_only_the_pairs_of_kept_rows(monkeypatch):
+    rows = {0: {24 * i: 1 for i in range(50)}, 2: {24 * i: 1 for i in range(50)}}
+    called = []
+    for name in ("_convolve_dict", "_convolve_kronecker"):
+        monkeypatch.setattr(series, name, lambda *args, name=name: called.append(name))
+    monkeypatch.setattr(series, "KRONECKER_MIN_PAIRS", 5000)
+    series._convolve(rows, rows, 10 ** 4)              # 4 pairs of rows, 10000 term pairs
+    series._convolve(rows, rows, 10 ** 4, {4})         # 1 pair of rows, 2500 term pairs
+    series._convolve(rows, rows, 10 ** 4, range(0, 3, 2))   # 3 pairs of rows
+    assert called == ["_convolve_kronecker", "_convolve_dict", "_convolve_kronecker"]
+
+
 def test_series_arithmetic_with_every_product_packed(monkeypatch):
     monkeypatch.setattr(series, "KRONECKER_MIN_PAIRS", 0)
     limit = 240
