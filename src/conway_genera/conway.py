@@ -281,6 +281,13 @@ def _read_rows(directory: str | None, filename: str, what: str, key: str) -> lis
         raise DataError(f"{what} data has no '{key}' list: {exc!r}") from exc
 
 
+def _typed(value, kind: type, field: str):
+    """value itself if it is a `kind`, else a TypeError naming the table field."""
+    if not isinstance(value, kind):
+        raise TypeError(f"field {field} has type {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 def _validate_record(rec: ConwayClassRecord) -> None:
     row = rec.co0_name
     try:
@@ -330,13 +337,13 @@ def load_class_data(directory: str | None = None) -> ClassData:
     for entry in _read_rows(directory, "classes.json", "class", "classes"):
         try:
             rec = ConwayClassRecord(
-                co0_name=entry["co0"],
-                co1_name=entry["co1"],
+                co0_name=_typed(entry["co0"], str, "co0"),
+                co1_name=_typed(entry["co1"], str, "co1"),
                 fs_g=FrameShape.from_pairs(entry["pi_g"]),
                 fs_neg_g=FrameShape.from_pairs(entry["pi_neg_g"]),
-                c_neg_g=parse_radical(entry["c_neg_g"]),
-                d_magnitude={int(ell): parse_radical(text)
-                             for ell, text in entry["d_mag"].items()},
+                c_neg_g=parse_radical(_typed(entry["c_neg_g"], str, "c_neg_g")),
+                d_magnitude={int(ell): parse_radical(_typed(text, str, f"d_mag[{ell}]"))
+                             for ell, text in _typed(entry["d_mag"], dict, "d_mag").items()},
                 gamma_g=entry["gamma_g"],
                 gamma_neg_g=entry["gamma_neg_g"],
                 level=entry.get("level"),
@@ -354,11 +361,12 @@ def load_class_data(directory: str | None = None) -> ClassData:
         try:
             kind = entry["kind"]
             rhs = tuple(
-                (Fraction(item["coeff"]), item["class"], int(item["sign"]))
+                (Fraction(item["coeff"]), _typed(item["class"], str, "rhs class"),
+                 int(item["sign"]))
                 for item in entry.get("rhs", ()))
             rel = CoincidenceRelation(
                 lambency=int(entry["lambency"]),
-                lhs_class=entry["lhs"]["class"],
+                lhs_class=_typed(entry["lhs"]["class"], str, "lhs.class"),
                 lhs_sign=int(entry["lhs"]["sign"]),
                 kind=kind,
                 rhs=rhs,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 from math import isqrt
 
 from . import modforms
@@ -25,43 +26,32 @@ COSETS = ("0", "1", "omega", "omegabar")
 _COSET_CLASS = {"0": (0, 0), "1": (0, 2), "omega": (1, 0), "omegabar": (1, 2)}
 
 
-def _coordinates(radius: int, parity: int) -> list[int]:
-    """Doubled coordinates of one parity with absolute value at most radius."""
-    return [m for m in range(-radius, radius + 1) if m % 2 == parity]
-
-
 @lru_cache(maxsize=None)
 def d4_coset_theta(label: str, prec: int) -> QSeries:
     """Theta series of one dual-lattice coset, sum over q^(|v|^2/2).
 
     Exponent grid: |v|^2/2 = sum(m^2)/8 for doubled coordinates m, i.e.
-    grid index 3*sum(m^2).  Only coordinates of the coset's parity are
-    visited; the coordinate sum mod 4 then separates the two cosets of
-    each parity.
+    grid index 3*sum(m^2).  Vectors of the coset's parity are counted one
+    coordinate at a time by (partial sum of m^2, coordinate sum mod 4),
+    dropping partial norms with 3*sum(m^2) >= prec; the full sum mod 4
+    then separates the two cosets of each parity.
     """
     if label not in COSETS:
         raise ValueError(f"unknown coset {label!r}")
     parity, residue = _COSET_CLASS[label]
-    rng = _coordinates(isqrt(prec // 3), parity)  # need 3*sum(m^2) < prec
-    counts: dict[int, int] = {}
-    for m1 in rng:
-        s1 = m1 * m1
-        if 3 * s1 >= prec:
-            continue
-        for m2 in rng:
-            s2 = s1 + m2 * m2
-            if 3 * s2 >= prec:
-                continue
-            for m3 in rng:
-                s3 = s2 + m3 * m3
-                if 3 * s3 >= prec:
-                    continue
-                t3 = m1 + m2 + m3
-                for m4 in rng:
-                    key = 3 * (s3 + m4 * m4)
-                    if key < prec and (t3 + m4) % 4 == residue:
-                        counts[key] = counts.get(key, 0) + 1
-    return QSeries(counts, prec)
+    radius = isqrt(prec // 3)
+    coordinates = [m for m in range(-radius, radius + 1) if m % 2 == parity]
+    counts = {(0, 0): 1}
+    for _ in range(4):
+        step: dict[tuple[int, int], int] = {}
+        for (norm, total), count in counts.items():
+            for m in coordinates:
+                key = (norm + m * m, (total + m) % 4)
+                if 3 * key[0] < prec:
+                    step[key] = step.get(key, 0) + count
+        counts = step
+    return QSeries({3 * norm: count for (norm, total), count in counts.items()
+                    if total == residue}, prec)
 
 
 def dual_lattice_theta(prec: int) -> QSeries:
@@ -121,53 +111,36 @@ def twisted_module_character(prec: int) -> QSeries:
 
 
 def verify_sigma_isomorphism(orders: int = 6) -> list[CheckReport]:
-    """All character identities of the orbifold comparison, exactly."""
+    """All character identities of the orbifold comparison, exactly: each
+    table row is a report name and a chain of series equal below q^orders."""
     prec = 24 * orders
     work = prec + 24
-    reports: list[CheckReport] = []
-
-    thetas = {label: d4_coset_theta(label, work) for label in COSETS}
+    th = {label: d4_coset_theta(label, work) for label in COSETS}
     eta4_inv = modforms._euler_product(work, 24, -1, -4).shift(-4)
     u = u_characters(work)
-
-    for label in COSETS:
-        lhs = u[label]
-        rhs = (thetas[label] * eta4_inv)
-        reports.append(CheckReport.from_deviation(
-            f"boson-fermion[{label}]", first_difference(lhs, rhs, prec)))
-
-    for label in ("omega", "omegabar"):
-        reports.append(CheckReport.from_deviation(
-            f"triality[1 = {label}]", first_difference(u["1"], u[label], prec)))
-    reports.append(CheckReport.from_deviation(
-        "triality[lattice: omega = omegabar = 1]",
-        first_difference(thetas["omega"], thetas["1"], prec)))
-
-    total = thetas["0"] + thetas["1"] + thetas["omega"] + thetas["omegabar"]
-    reports.append(CheckReport.from_deviation(
-        "coset-partition[sum = dual theta]",
-        first_difference(total, dual_lattice_theta(work), prec)))
-
+    u0, u1, uw, uwb = u.values()
     module, twisted = module_character(work), twisted_module_character(work)
-    u0, u1, uw, uwb = u["0"], u["1"], u["omega"], u["omegabar"]
-    ns_sum = u0 ** 3 + u0 * u1 * u1 * 3 + uw * uw * uwb * 3 + uwb ** 3
-    rr_sum = u0 * u0 * u1 * 3 + u1 ** 3 + uw ** 3 + uw * uwb * uwb * 3
-    reports.append(CheckReport.from_deviation(
-        "module-character[8 summands]",
-        first_difference(module, ns_sum, prec)))
-    reports.append(CheckReport.from_deviation(
-        "twisted-module-character[8 summands]",
-        first_difference(twisted, rr_sum, prec)))
-
-    # orbifold sector sums: the triality image of the same eight summands
-    orb_ns = u0 ** 3 + u0 * uw * uw * 3 + u1 ** 3 + u1 * uwb * uwb * 3
-    orb_rr = u0 * u0 * uw * 3 + uw ** 3 + u1 * u1 * uwb * 3 + uwb ** 3
-    reports.append(CheckReport.from_deviation(
-        "orbifold-sector[NS-NS]",
-        first_difference(module, orb_ns, prec)))
-    reports.append(CheckReport.from_deviation(
-        "orbifold-sector[R-R]",
-        first_difference(twisted, orb_rr, prec)))
+    identities = [
+        *((f"boson-fermion[{label}]", u[label], th[label] * eta4_inv) for label in COSETS),
+        ("triality[1 = omega]", u1, uw),
+        ("triality[1 = omegabar]", u1, uwb),
+        ("triality[lattice: omega = omegabar = 1]", th["omega"], th["omegabar"], th["1"]),
+        ("coset-partition[sum = dual theta]",
+         th["0"] + th["1"] + th["omega"] + th["omegabar"], dual_lattice_theta(work)),
+        ("module-character[8 summands]", module,
+         u0 ** 3 + u0 * u1 * u1 * 3 + uw * uw * uwb * 3 + uwb ** 3),
+        ("twisted-module-character[8 summands]", twisted,
+         u0 * u0 * u1 * 3 + u1 ** 3 + uw ** 3 + uw * uwb * uwb * 3),
+        # orbifold sector sums: the triality image of the same eight summands
+        ("orbifold-sector[NS-NS]", module,
+         u0 ** 3 + u0 * uw * uw * 3 + u1 ** 3 + u1 * uwb * uwb * 3),
+        ("orbifold-sector[R-R]", twisted,
+         u0 * u0 * uw * 3 + uw ** 3 + u1 * u1 * uwb * 3 + uwb ** 3),
+    ]
+    reports = []
+    for name, *chain in identities:
+        deviations = (first_difference(a, b, prec) for a, b in pairwise(chain))
+        reports.append(CheckReport.from_deviation(name, next(filter(None, deviations), None)))
 
     # no states at grading 1/2 - c/24 = 0 in the module itself
     zero_coeff = module.coeff(0)

@@ -243,6 +243,37 @@ def test_malformed_constant_is_a_data_error(tmp_path, capsys, text):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, path, value, message", [
+    ("classes.json", ("classes", 0, "c_neg_g"), 0,
+     "row 1A: field c_neg_g has type int, not str"),
+    ("classes.json", ("classes", 0, "d_mag", "7"), 1,
+     "row 1A: field d_mag[7] has type int, not str"),
+    ("classes.json", ("classes", 0, "d_mag"), [1, 2],
+     "row 1A: field d_mag has type list, not dict"),
+    ("classes.json", ("classes", 0, "co0"), ["1A"],
+     "row ['1A']: field co0 has type list, not str"),
+    ("classes.json", ("classes", 0, "co1"), ["1A"],
+     "row 1A: field co1 has type list, not str"),
+    ("coincidences.json", ("relations", 0, "lhs", "class"), ["1A"],
+     "TypeError('field lhs.class has type list, not str')"),
+    ("coincidences.json", ("relations", 2, "rhs", 0, "class"), ["2B"],
+     "TypeError('field rhs class has type list, not str')"),
+], ids=["c_neg_g-number", "d_mag-value-number", "d_mag-list", "co0-list", "co1-list",
+        "lhs-class-list", "rhs-class-list"])
+def test_wrongly_typed_field_is_a_data_error(tmp_path, capsys, name, path, value, message):
+    tables = {n: _bundled(n) for n in ("classes.json", "coincidences.json")}
+    *keys, last = path
+    target = tables[name]
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    directory = _data_dir(tmp_path, tables["classes.json"], tables["coincidences.json"])
+    code, out, err = run(capsys, "--data-dir", directory, "list-classes")
+    assert code == 3 and out == ""
+    assert err.startswith("data error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 #: well-formed and malformed radical strings for d_mag values
 _RADICALS = ("0", "1", "-1", "16", "1/2", "2*sqrt(2)", "-4*sqrt(3)", "sqrt(5)",
              "sqrt(7)", "", "x", "1/0", "sqrt(2)+")

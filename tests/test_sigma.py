@@ -30,17 +30,22 @@ def test_nontrivial_cosets_share_theta():
     assert t1 == tw == twb
 
 
-def test_coset_thetas_match_filtered_full_box():
-    prec = 24 * 3
+#: precisions at and around the grid edges 3 * sum(m^2), and deep's sigma grid
+BOX_PRECS = [1, 2, 3, 11, 12, 13, 24, 48, 504]
+
+
+@pytest.mark.parametrize("prec", BOX_PRECS)
+def test_coset_thetas_match_filtered_full_box(prec):
     radius = isqrt(prec // 3)
-    box = list(product(range(-radius, radius + 1), repeat=4))
+    counts = {label: {} for label in sigma.COSETS}
+    for m in product(range(-radius, radius + 1), repeat=4):
+        key = 3 * sum(x * x for x in m)
+        if key < prec:
+            for label in sigma.COSETS:
+                if brute.in_coset(m, label):
+                    counts[label][key] = counts[label].get(key, 0) + 1
     for label in sigma.COSETS:
-        counts = {}
-        for m in box:
-            key = 3 * sum(x * x for x in m)
-            if key < prec and brute.in_coset(m, label):
-                counts[key] = counts.get(key, 0) + 1
-        assert sigma.d4_coset_theta(label, prec) == QSeries(counts, prec), label
+        assert sigma.d4_coset_theta(label, prec) == QSeries(counts[label], prec), label
 
 
 def test_coset_partition():
@@ -51,7 +56,7 @@ def test_coset_partition():
     assert first_difference(total, sigma.dual_lattice_theta(prec), prec) is None
 
 
-@pytest.mark.parametrize("prec", [1, 2, 3, 11, 12, 13, 24, 48, 504])
+@pytest.mark.parametrize("prec", BOX_PRECS)
 def test_dual_lattice_theta_matches_box_enumeration(prec):
     assert sigma.dual_lattice_theta(prec) == QSeries(brute.dual_lattice_box(prec), prec)
 
@@ -101,3 +106,19 @@ def test_sigma_isomorphism_suite():
     reports = sigma.verify_sigma_isomorphism(6)
     assert len(reports) == 13
     assert all(r.status == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("label, lhs, rhs", [("omega", "9", "8"), ("omegabar", "8", "9")])
+def test_lattice_triality_fails_when_either_odd_coset_differs(monkeypatch, label, lhs, rhs):
+    exact = sigma.d4_coset_theta
+
+    def off_by_one(coset, prec):  # one more vector at |v|^2/2 = 1/2
+        theta = exact(coset, prec)
+        return theta + QSeries({12: 1}, prec) if coset == label else theta
+
+    monkeypatch.setattr(sigma, "d4_coset_theta", off_by_one)
+    reports = {r.name: r for r in sigma.verify_sigma_isomorphism(2)}
+    lattice = reports["triality[lattice: omega = omegabar = 1]"]
+    assert lattice.status == "fail"
+    assert lattice.first_deviation == {"q_exp": "1/2", "y_exp": "0", "lhs": lhs, "rhs": rhs}
+    assert reports["triality[1 = omega]"].status == "pass"
