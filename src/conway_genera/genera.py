@@ -22,7 +22,6 @@ _class_form, builds every genus-side form as such a sum, each product
 B_i S_i in integers.  The radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter
 only through the kappa_i, as one integer multiplier per radical and term
 in series.combine, whose integer rows per radical are the returned form.
-The weak Jacobi check and every comparison read those rows;
 RadicalScalar coefficients are built only when a caller reads them.
 
 Every B_i = Q_i^m is a weak Jacobi form of index m = ell - 1, even in z,
@@ -35,10 +34,12 @@ base and precision; the weight-2 forms carry no y and are not cut.  A
 higher power, and each monomial phi_{0,1}^a Q1^b, is the product of its
 two factors expanded to full rows, with only its own theta rows
 computed.  _class_form sums against the four one-row S_i on rows 0..m
-and expands the result to full rows once, at the end, so every form it
-returns has all of its rows.  The elliptic part of the weak Jacobi check
-on a genus therefore re-reads what the base guard checked; its own
-content is weakness and the integer grid.
+and returns those rows, the only form of a genus-side series here: the
+checks compare rows and expand them only where they differ, to report
+the least full-row key; phi_g_ell expands a genus for its callers.  The
+weak Jacobi check is the base guard's cut (series.cut_theta_rows), so on
+a genus, where law and evenness hold by construction, it adds weakness
+and the integer grid.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: they come from the weight-2 forms Lambda_2(tau/2),
@@ -61,14 +62,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
-from .series import (JacobiSeries, QSeries, combine, expand_theta_rows, first_difference,
-                     theta_rows)
+from .series import (JacobiSeries, QSeries, combine, cut_theta_rows, expand_theta_rows,
+                     first_difference, theta_rows)
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
@@ -233,10 +234,9 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
     power) times the class series r_g, r_{-g}, eta_g or eta_{-g} at `slot`.
     Every shared power has the same index m and is kept as its theta rows
     0..m, and the class series are y-free, so the sum is taken on rows
-    0..m alone and expanded to full rows once, at the end.
+    0..m alone and returned as those rows.
     """
     _assert_fixed_four(rec)
-    index, = {_index(kind, power) for _, (kind, power), _ in terms}
     prec = _grid(orders)
     work = prec + _MARGIN
     series = (modforms.eta_ratio_half(rec.fs_g, work),
@@ -249,7 +249,7 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
     # the expansion shifts q by whole orders, so the theta rows settle the grid
     if any(kq % 24 for rows in total.parts.values() for row in rows.values() for kq in row):
         raise ValueError(f"{what} for {rec.co0_name} left the integer q-grid")
-    return expand_theta_rows(total, index)
+    return total
 
 
 def _d_term(rec: ConwayClassRecord, ell: int, d_sign: int, scale):
@@ -266,8 +266,8 @@ def _f_terms(rec: ConwayClassRecord, scale, shared):
             (-scale * rec.c_neg_g, shared(_L2_NEG2), _ETA_NEG)]
 
 
-def phi_g_ell(req: GenusRequest) -> JacobiSeries:
-    """The weight-0, index-(ell-1) genus attached to a table row."""
+def _genus_rows(req: GenusRequest) -> JacobiSeries:
+    """The theta rows 0..ell-1 of the genus of a table row."""
     rec, power = req.rec, req.ell - 1
     return _class_form(rec, req.orders, [
         (Fraction(-1, 2), (THETA4, power), _R_G),
@@ -275,6 +275,21 @@ def phi_g_ell(req: GenusRequest) -> JacobiSeries:
         _d_term(rec, req.ell, req.d_sign, Fraction(1, 2)),
         (rec.c_neg_g * Fraction(-1, 2), (THETA2, power), _ETA_NEG),
     ], "genus")
+
+
+def phi_g_ell(req: GenusRequest) -> JacobiSeries:
+    """The weight-0, index-(ell-1) genus attached to a table row."""
+    return expand_theta_rows(_genus_rows(req), req.ell - 1)
+
+
+def _rows_deviation(a: JacobiSeries, b: JacobiSeries, index: int, orders: int) -> dict | None:
+    """first_difference of two index-m forms' full rows, from their theta rows:
+    each full-row coefficient copies a theta-row one at a lower or equal q
+    order, so only forms that differ are expanded."""
+    prec = _grid(orders)
+    if first_difference(a, b, prec) is None:
+        return None
+    return first_difference(expand_theta_rows(a, index), expand_theta_rows(b, index), prec)
 
 
 def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSeries:
@@ -312,10 +327,9 @@ def k3_elliptic_genus(orders: int = 5) -> JacobiSeries:
     ratio_e = modforms.eta_ratio_half(fs_e, work)      # Delta(tau/2)/Delta(tau)
     ratio_neg = modforms.eta_ratio_half(fs_neg, work)  # Delta^2/(Delta(2tau) Delta(tau/2))
     eta_neg = modforms.eta_product(fs_neg, work)       # Delta(2tau)/Delta(tau)
-    total = modforms.theta_quotient(THETA3, work) * ratio_neg * Fraction(1, 2)
-    total = total - modforms.theta_quotient(THETA4, work) * ratio_e * Fraction(1, 2)
-    total = total - modforms.theta_quotient(THETA2, work) * eta_neg * (2 ** 11)
-    return total.truncate(prec)
+    return combine([(Fraction(1, 2), modforms.theta_quotient(THETA3, work), ratio_neg),
+                    (Fraction(-1, 2), modforms.theta_quotient(THETA4, work), ratio_e),
+                    (-2 ** 11, modforms.theta_quotient(THETA2, work), eta_neg)], prec)
 
 
 # -- verification suites ---------------------------------------------------
@@ -327,7 +341,7 @@ def _decomposition_deviation(req: GenusRequest) -> dict | None:
     series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
     (_BINOMIAL, L) power ell - 1, in place of L^j."""
     rhs = _class_form(req.rec, req.orders, _decomposition_terms(req), "decomposition")
-    return first_difference(phi_g_ell(req), rhs, _grid(req.orders))
+    return _rows_deviation(_genus_rows(req), rhs, req.ell - 1, req.orders)
 
 
 def _decomposition_terms(req: GenusRequest):
@@ -353,44 +367,23 @@ def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
 
 def verify_jacobi_invariance(phi: JacobiSeries, index_m: int,
                              name: str = "jacobi-invariance") -> CheckReport:
-    """Weak Jacobi structure at index m.
+    """Weak Jacobi structure at index m >= 0.
 
-    Checks (i) no negative q-exponents and (ii) the coefficient at
-    (n, r) depends only on 4mn - r^2 and r mod 2m, over every stored
-    coefficient and its in-range partners (absent partners count as 0).
-    Coefficients are compared as their integer terms over phi.den.
+    Checks (i) no negative q-exponents, (ii) integer q- and y-exponents
+    and (iii) evenness in z and the elliptic law, c(n, r) = c(n, -r) and
+    a function of 4mn - r^2 and r mod 2m, by series.cut_theta_rows;
+    index 0 asks for a y-free form.
     """
-    terms = dict(phi.int_items())
-    for (kq, ry) in terms:
-        if kq < 0:
-            return CheckReport(name, "fail", {
-                "q_exp": str(Fraction(kq, 24)), "y_exp": str(Fraction(ry, 2)),
-                "lhs": phi.text_at(kq, ry), "rhs": "0 (weakness)"})
-        if kq % 24 or ry % 2:
-            return CheckReport(name, "fail", {
-                "q_exp": str(Fraction(kq, 24)), "y_exp": str(Fraction(ry, 2)),
-                "lhs": "off-grid exponent", "rhs": "integer grid"})
-    n_max = phi.trunc // 24  # q^n known for n < n_max
-    groups: dict[tuple[int, int], tuple[int, int]] = {}
-    for (kq, ry) in terms:
-        n, r = kq // 24, ry // 2
-        key = (4 * index_m * n - r * r, r % (2 * index_m))
-        groups.setdefault(key, (n, r))
-    for (disc, rmod), (n0, r0) in sorted(groups.items()):
-        base = terms.get((24 * n0, 2 * r0), ())
-        r_bound = isqrt(max(4 * index_m * n_max - disc, 0))
-        for r in range(-r_bound, r_bound + 1):
-            if (r - rmod) % (2 * index_m) or (disc + r * r) % (4 * index_m):
-                continue
-            n = (disc + r * r) // (4 * index_m)
-            if n < 0 or n >= n_max:
-                continue
-            val = terms.get((24 * n, 2 * r), ())
-            if val != base:
-                return CheckReport(name, "fail", {
-                    "q_exp": f"{n0} vs {n}", "y_exp": f"{r0} vs {r}",
-                    "lhs": phi.text_at(24 * n0, 2 * r0), "rhs": phi.text_at(24 * n, 2 * r)})
-    return CheckReport(name, "pass")
+    deviation = cut_theta_rows(phi, index_m)[1]   # ValueError at a negative index
+    bad = [(kq, ry) for rows in phi.parts.values() for ry, row in rows.items() for kq in row
+           if kq < 0 or kq % 24 or ry % 2]
+    if bad:
+        kq, ry = min(bad)
+        lhs, rhs = ((phi.text_at(kq, ry), "0 (weakness)") if kq < 0
+                    else ("off-grid exponent", "integer grid"))
+        return CheckReport(name, "fail", {"q_exp": str(Fraction(kq, 24)),
+                                          "y_exp": str(Fraction(ry, 2)), "lhs": lhs, "rhs": rhs})
+    return CheckReport.from_deviation(name, deviation)
 
 
 def verify_coincidences(data: ClassData, orders: int = 5,
@@ -405,7 +398,7 @@ def verify_coincidences(data: ClassData, orders: int = 5,
     def genus(name: str, sign: int | None, ell: int) -> JacobiSeries:
         key = (name, sign or 1, ell)
         if key not in built:
-            built[key] = phi_g_ell(GenusRequest(data.record(name), sign or 1, ell, orders))
+            built[key] = _genus_rows(GenusRequest(data.record(name), sign or 1, ell, orders))
         return built[key]
 
     reports = []
@@ -422,7 +415,7 @@ def verify_coincidences(data: ClassData, orders: int = 5,
         for coeff, name, sign in rel.rhs:
             rhs = rhs + genus(name, sign, rel.lambency) * coeff
         reports.append(CheckReport.from_deviation(
-            label, first_difference(lhs, rhs, _grid(orders)), note=rel.source))
+            label, _rows_deviation(lhs, rhs, rel.lambency - 1, orders), note=rel.source))
     return reports
 
 
@@ -433,9 +426,8 @@ def _relation_label(rel: CoincidenceRelation) -> str:
 
 def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> CheckReport:
     """phi(+) - phi(-) is the explicit D-linear term, by linearity in D."""
-    plus = phi_g_ell(GenusRequest(rec, 1, ell, orders))
-    minus = phi_g_ell(GenusRequest(rec, -1, ell, orders))
+    plus, minus = (_genus_rows(GenusRequest(rec, sign, ell, orders)) for sign in (1, -1))
     expected = _class_form(rec, orders, [_d_term(rec, ell, 1, 1)], "D term")
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
     return CheckReport.from_deviation(
-        name, first_difference(plus - minus, expected, _grid(orders)))
+        name, _rows_deviation(plus - minus, expected, ell - 1, orders))

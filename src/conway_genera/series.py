@@ -32,12 +32,12 @@ is Newton's iteration on `*`.
 A weak Jacobi form of index m that is even in z is fixed by its theta
 rows, the y-rows r = 0..m: by the elliptic law every other row is a
 shifted copy of one of them (Eichler and Zagier, The Theory of Jacobi
-Forms, section 5).  `theta_rows` cuts a form to those rows and is the
-one place where the law is checked: every dropped coefficient must
-equal its partner among the kept rows, compared in integers, or it
-raises.  `expand_theta_rows` rebuilds the full rows from theta rows by
-the law and checks nothing, so it must only see rows that came from a
-checked cut or from products and sums of such forms.
+Forms, section 5).  `cut_theta_rows` cuts a form to those rows and is the
+one check of the law: it returns them with the form's first deviation
+from their expansion, compared in integers.  `theta_rows` raises on it;
+the weak Jacobi check reports it.  `expand_theta_rows` rebuilds the full
+rows by the law and checks nothing, so it must only see checked rows or
+products and sums of them.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
 `q_row()` and `items()` are read-only views built on first use and kept
@@ -698,21 +698,27 @@ def expand_theta_rows(f, m: int):
     return JacobiSeries.from_parts(out, f.den, trunc)
 
 
-def theta_rows(f, m: int) -> JacobiSeries:
-    """The theta rows 0..m of an even index-m form, checked in integers.
+def cut_theta_rows(f, m: int):
+    """(the theta rows 0..m of f, first_difference(f, their expansion)).
 
-    The rows r = 0..m (y half-indices 0, 2, .., 2m) are kept; every
-    other coefficient below f.trunc must equal its partner among them
-    under the elliptic law and evenness (see expand_theta_rows), and a
-    mismatch, a half-integer y power or an uneven form raises ValueError
-    at the first deviation.
+    The deviation is None exactly when f obeys the index-m elliptic law
+    and is even in z below f.trunc; at index 0, when f is y-free.
     """
+    if m < 0:
+        raise ValueError(f"index {m} is negative")
+    if isinstance(f, QSeries):
+        f = JacobiSeries.from_parts(f.parts, f.den, f.trunc)
     kept = JacobiSeries.from_parts(
         {d: {ry: row for ry, row in rows.items() if 0 <= ry <= 2 * m and ry % 2 == 0}
          for d, rows in f.parts.items()}, f.den, f.trunc)
-    full = expand_theta_rows(kept, m)
-    if full != f:
-        dev = first_difference(f, full)
+    return kept, first_difference(f, expand_theta_rows(kept, m))
+
+
+def theta_rows(f, m: int) -> JacobiSeries:
+    """The theta rows 0..m of an even index-m form; ValueError at the first
+    deviation of cut_theta_rows (the law, evenness or a half-integer y)."""
+    kept, dev = cut_theta_rows(f, m)
+    if dev is not None:
         raise ValueError(f"the form does not obey the index-{m} elliptic law: "
                          f"q^{dev['q_exp']} y^{dev['y_exp']} is {dev['lhs']}, "
                          f"its theta-row partner {dev['rhs']}")

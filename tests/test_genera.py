@@ -153,9 +153,10 @@ def test_theta_row_assembly_matches_the_full_row_reference(data):
                 req = GenusRequest(rec, sign, ell, orders)
                 assert genera.phi_g_ell(req) == brute.full_phi_g_ell(req), \
                     (rec.co0_name, sign, ell)
-                terms = genera._decomposition_terms(req)
-                assert (genera._class_form(rec, orders, terms, "decomposition")
-                        == brute.full_class_form(rec, orders, terms)), (rec.co0_name, sign, ell)
+                rows = genera._class_form(rec, orders, genera._decomposition_terms(req),
+                                          "decomposition")
+                assert (series.expand_theta_rows(rows, ell - 1) == brute.full_class_form(
+                    rec, orders, genera._decomposition_terms(req))), (rec.co0_name, sign, ell)
                 count += 1
     assert count == 92
 
@@ -173,8 +174,8 @@ def test_theta_row_assembly_matches_the_full_row_reference_at_24_orders(data):
                  (Fraction(1, 2), (THETA3, 6), genera._R_NEG),
                  (Fraction(-1, 2), (THETA1SQ, 6), genera._ETA_G),
                  (rec.c_neg_g * Fraction(-1, 2), (THETA2, 6), genera._ETA_NEG)]
-        assert (genera._class_form(rec, 24, terms, "index-6 form")
-                == brute.full_class_form(rec, 24, terms)), name
+        rows = genera._class_form(rec, 24, terms, "index-6 form")
+        assert series.expand_theta_rows(rows, 6) == brute.full_class_form(rec, 24, terms), name
 
 
 def _perturbed(f, ry, kq):
@@ -374,24 +375,56 @@ def test_jacobi_invariance_samples(data):
     assert genera.verify_jacobi_invariance(phi5, 4).ok
 
 
+def _bumped(phi, bumps):
+    coeffs = dict(phi.coeffs)
+    for key, value in bumps.items():
+        coeffs[key] = coeffs.get(key, RadicalScalar()) + value
+    return JacobiSeries(coeffs, phi.trunc)
+
+
 def test_jacobi_invariance_detects_corruption(data):
     phi = genera.phi_g(data.record("1A"), 1, 4)
-    coeffs = dict(phi.coeffs)
-    coeffs[(24, 2)] = coeffs.get((24, 2), RadicalScalar()) + 1
-    corrupted = JacobiSeries(coeffs, phi.trunc)
-    report = genera.verify_jacobi_invariance(corrupted, 1)
+    report = genera.verify_jacobi_invariance(_bumped(phi, {(24, 2): 1}), 1)
+    # q^1 y^-1 is the kept q^1 y^1 by evenness: the form keeps its value there
     assert report.status == "fail"
-    assert report.first_deviation is not None
+    assert report.first_deviation == {"q_exp": "1", "y_exp": "-1", "lhs": "-128",
+                                      "rhs": "-127"}
 
 
 def test_jacobi_invariance_detects_corruption_of_an_irrational_part(data):
     phi = genera.phi_g(data.record("10H"), -1, 4)
-    coeffs = dict(phi.coeffs)
-    coeffs[(24, 2)] = coeffs[(24, 2)] + RadicalScalar.sqrt_term(5)
-    report = genera.verify_jacobi_invariance(JacobiSeries(coeffs, phi.trunc), 1)
+    report = genera.verify_jacobi_invariance(
+        _bumped(phi, {(24, 2): RadicalScalar.sqrt_term(5)}), 1)
     assert report.status == "fail"
-    assert report.first_deviation["lhs"] != report.first_deviation["rhs"]
-    assert "sqrt(5)" in report.first_deviation["lhs"] + report.first_deviation["rhs"]
+    assert report.first_deviation == {"q_exp": "1", "y_exp": "-1",
+                                      "lhs": "15/2 + 5/2*sqrt(5)", "rhs": "15/2 + 7/2*sqrt(5)"}
+
+
+def test_jacobi_invariance_detects_a_form_odd_in_z(data):
+    phi = genera.phi_g_ell(GenusRequest(data.record("2B"), 1, 3, 6))
+    # q^1 y^1, q^2 y^-3 and q^4 y^5 share 8n - r^2 = 7 and r = 1 mod 4, so the
+    # bumped form still obeys the elliptic law; only evenness fails
+    odd = _bumped(phi, {(24, 2): 1, (48, -6): 1, (96, 10): 1})
+    report = genera.verify_jacobi_invariance(odd, 2)
+    assert report.status == "fail"
+    assert report.first_deviation == {"q_exp": "1", "y_exp": "-1", "lhs": phi.text_at(24, -2),
+                                      "rhs": odd.text_at(24, 2)}
+
+
+def test_jacobi_invariance_at_index_zero_asks_for_a_y_free_form(data):
+    phi = genera.phi_g_ell(GenusRequest(data.record("2B"), 1, 3, 4))
+    assert genera.verify_jacobi_invariance(phi.row0(), 0).ok
+    assert genera.verify_jacobi_invariance(JacobiSeries.one(96), 0).ok
+    report = genera.verify_jacobi_invariance(phi, 0)
+    assert report.status == "fail"
+    assert report.first_deviation == {"q_exp": "0", "y_exp": "-1", "lhs": phi.text_at(0, -2),
+                                      "rhs": "0"}
+
+
+def test_jacobi_invariance_rejects_a_negative_index(data):
+    phi = genera.phi_g(data.record("1A"), 1, 2)
+    with pytest.raises(ValueError, match="negative"):
+        genera.verify_jacobi_invariance(phi, -1)
 
 
 def test_sign_flip_relation(data):
@@ -414,13 +447,13 @@ def test_coincidences(data):
 
 def test_coincidences_build_each_genus_once(data, monkeypatch):
     calls = []
-    phi_g_ell = genera.phi_g_ell
+    genus_rows = genera._genus_rows
 
     def counted(req):
         calls.append((req.rec.co0_name, req.d_sign, req.ell))
-        return phi_g_ell(req)
+        return genus_rows(req)
 
-    monkeypatch.setattr(genera, "phi_g_ell", counted)
+    monkeypatch.setattr(genera, "_genus_rows", counted)
     genera.verify_coincidences(data, 5, lambency=2)
     assert len(calls) == len(set(calls)) == 23
 
