@@ -2,26 +2,22 @@
 
 For a class record with Frame shapes pi(g), pi(-g), twisted-trace
 constant C(-g) and index multiplier D, the weight-0 index-(ell-1) genus
-is linear in four class q-series:
+is linear in four class q-series and in the two constants:
 
-    phi^(ell) = sum_i kappa_i B_i^(ell) S_i
+    phi^(ell) = 1/2 (-B_1 r_g + B_2 r_{-g} + (-1)^ell D B_3 eta_g - C(-g) B_4 eta_{-g})
 
-      i   B_i^(ell)        S_i        kappa_i
-      1   Q4^(ell-1)       r_g        -1/2
-      2   Q3^(ell-1)       r_{-g}     +1/2
-      3   Q1^(ell-1)       eta_g      (-1)^ell D/2
-      4   Q2^(ell-1)       eta_{-g}   -C(-g)/2
-
-with r_h the half-argument ratio of eta_h, Q2/Q3/Q4 the normalized
-squared theta quotients and Q1 = theta_1^2/eta^6.  The B_i do not depend
-on the class: each power is a rational series over a power-of-two
-denominator, multiplied with `times` in integers, built once per process
-and shared by every class, sign and lambency.  The S_i have integer
-coefficients and are the cached series of modforms.  One assembler,
-_class_form, builds every genus-side form as such a sum, each product
-B_i S_i in integers.  The radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter
-only through the kappa_i, as one integer multiplier per radical and term
-in series.combine, whose integer rows per radical are the returned form.
+with r_h the half-argument ratio of eta_h and B_1..B_4 = Q4, Q3, Q1, Q2
+to the power ell-1 (_GENUS_SLOTS): Q2/Q3/Q4 the normalized squared theta
+quotients and Q1 = theta_1^2/eta^6.  This one combination is
+_class_form, the assembler of every genus-side form: a caller names the
+shared power in each slot (or none), the signed D and a rational scale.
+The B_i do not depend on the class: each power is a rational series over
+a power-of-two denominator, multiplied with `times` in integers, built
+once per process and shared by every class, sign and lambency.  The
+class series have integer coefficients and are the cached series of
+modforms.  The radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter only through
+the constants, as one integer multiplier per radical and term in
+series.combine, whose integer rows per radical are the returned form.
 RadicalScalar coefficients are built only when a caller reads them.
 
 Every B_i = Q_i^m is a weak Jacobi form of index m = ell - 1, even in z,
@@ -33,20 +29,22 @@ dropped coefficient equals its partner among the kept rows, once per
 base and precision; the weight-2 forms carry no y and are not cut.  A
 higher power, and each monomial phi_{0,1}^a Q1^b, is the product of its
 two factors expanded to full rows, with only its own theta rows
-computed.  _class_form sums against the four one-row S_i on rows 0..m
-and returns those rows, the only form of a genus-side series here: the
-checks compare rows and expand them only where they differ, to report
-the least full-row key; phi_g_ell expands a genus for its callers.  The
-weak Jacobi check is the base guard's cut (series.cut_theta_rows), so on
-a genus, where law and evenness hold by construction, it adds weakness
-and the integer grid.
+computed.  _class_form sums against the four y-free class series on
+rows 0..m and returns those rows, the only form of a genus-side series
+here: the checks compare rows and expand them only where they differ, to
+report the least full-row key; phi_g_ell expands a genus for its
+callers.  The weak Jacobi check is the base guard's cut
+(series.cut_theta_rows), so on a genus, where law and evenness hold by
+construction, it adds weakness and the integer grid.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
-independent route: they come from the weight-2 forms Lambda_2(tau/2),
-Lambda_2(tau/2 + 1/2) and -2 Lambda_2(tau) and from the eta ratios, never
-from the theta quotients; F is -(F_2 + D eta_g)/2.  The decomposition
-check assembles F's terms with each L^j replaced by the binomial
-expansion of (phi_{0,1}/12 + L Q1)^(ell-1), a theta-quotient power.
+independent route: the same combination at scale 2 with no eta_g term
+(_F_SLOTS), over the weight-2 forms Lambda_2(tau/2), Lambda_2(tau/2 +
+1/2) and -2 Lambda_2(tau), never over the theta quotients; F is -(F_2 +
+D eta_g)/2, scale -1 with eta_g against 1.  The decomposition's right-hand
+side is the genus with each theta-quotient power replaced by the
+binomial expansion of (phi_{0,1}/12 + L Q1)^(ell-1), L the Lambda_2 form
+of F_{2j} in that slot.
 
 Precision arguments here count integer q-orders; grid indices are used
 internally.  Every product stops at the requested precision prec.  The
@@ -54,7 +52,7 @@ factors are built to work = prec + _MARGIN, and the margin is exactly
 what the min rule needs: every tabulated class fixes a 4-space, so the
 Frame shapes of g and -g have degree 24, eta_g starts at q^1 and r_g at
 q^(-1/2) (grid -12), while every shared power starts at q^0 or above.
-So each B_i S_i is known below work - 12 = prec.
+So each B_i times its class series is known below work - 12 = prec.
 """
 
 from __future__ import annotations
@@ -107,6 +105,11 @@ class GenusRequest:
             raise ValueError("precision must be at least one q-order")
         if self.d_sign not in self.rec.d_signs(self.ell):
             object.__setattr__(self, "d_sign", 1)
+
+    @property
+    def d(self):
+        """(-1)^ell D: the constant of Q1^(ell-1) eta_g in twice the genus."""
+        return self.rec.d_signed(self.ell, self.d_sign) * (-1 if self.ell % 2 else 1)
 
 
 # -- graded traces -------------------------------------------------------
@@ -223,18 +226,21 @@ def _monomial(a: int, b: int, work: int) -> JacobiSeries:
     return _theta_product(_shared_power(_PHI01, a, work), a, _shared_power(THETA1SQ, b, work), b)
 
 
-#: positions of r_g, r_{-g}, eta_g and eta_{-g} among the class series
-_R_G, _R_NEG, _ETA_G, _ETA_NEG = range(4)
+#: the shared forms against r_g, r_{-g}, eta_g and eta_{-g} in a genus, all
+#: to the power ell - 1, and in F_{2j}, all to the power j, with no eta_g term
+_GENUS_SLOTS = (THETA4, THETA3, THETA1SQ, THETA2)
+_F_SLOTS = (_L2_PLAIN, _L2_SHIFTED, None, _L2_NEG2)
 
 
-def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> JacobiSeries:
-    """A genus-side form: sum kappa * shared power * class series, exact below prec.
+def _class_form(rec: ConwayClassRecord, orders: int, shared, d, scale,
+                what: str) -> JacobiSeries:
+    """scale/2 (-P0 r_g + P1 r_{-g} + d P2 eta_g - C(-g) P3 eta_{-g}), exact below prec.
 
-    Terms are (kappa, (kind, power), slot), read as _shared_power(kind,
-    power) times the class series r_g, r_{-g}, eta_g or eta_{-g} at `slot`.
-    Every shared power has the same index m and is kept as its theta rows
-    0..m, and the class series are y-free, so the sum is taken on rows
-    0..m alone and returned as those rows.
+    shared[i] is the (kind, power) of P_i = _shared_power(kind, power), or
+    None for an empty slot; a slot whose constant is zero is skipped before
+    its power is built.  Every shared power has the same index m and is
+    kept as its theta rows 0..m, and the class series are y-free, so the
+    sum is taken on rows 0..m alone and returned as those rows.
     """
     _assert_fixed_four(rec)
     prec = _grid(orders)
@@ -242,8 +248,9 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
     series = (modforms.eta_ratio_half(rec.fs_g, work),
               modforms.eta_ratio_half(rec.fs_neg_g, work),
               modforms.eta_product(rec.fs_g, work), modforms.eta_product(rec.fs_neg_g, work))
-    total = combine([(kappa, _shared_power(kind, power, work), series[slot])
-                     for kappa, (kind, power), slot in terms], prec)
+    total = combine([(kappa * Fraction(scale, 2), _shared_power(*power, work), s)
+                     for kappa, power, s in zip((-1, 1, d, -rec.c_neg_g), shared, series)
+                     if power and kappa], prec)
     if total.trunc < prec:
         raise ValueError(f"internal truncation shortfall in {what}")
     # the expansion shifts q by whole orders, so the theta rows settle the grid
@@ -252,29 +259,10 @@ def _class_form(rec: ConwayClassRecord, orders: int, terms, what: str) -> Jacobi
     return total
 
 
-def _d_term(rec: ConwayClassRecord, ell: int, d_sign: int, scale):
-    """scale * (-1)^ell D Q1^(ell-1) eta_g: the D-linear part of phi^(ell) at scale 1/2."""
-    sign_ell = -1 if ell % 2 else 1
-    return (rec.d_signed(ell, d_sign) * (sign_ell * scale), (THETA1SQ, ell - 1), _ETA_G)
-
-
-def _f_terms(rec: ConwayClassRecord, scale, shared):
-    """scale * F as _class_form terms, shared(L) in place of L^j in
-    F_{2j} = -L_plain^j r_g + L_shifted^j r_{-g} - C(-g) L_neg2^j eta_{-g}."""
-    return [(-scale, shared(_L2_PLAIN), _R_G),
-            (scale, shared(_L2_SHIFTED), _R_NEG),
-            (-scale * rec.c_neg_g, shared(_L2_NEG2), _ETA_NEG)]
-
-
 def _genus_rows(req: GenusRequest) -> JacobiSeries:
     """The theta rows 0..ell-1 of the genus of a table row."""
-    rec, power = req.rec, req.ell - 1
-    return _class_form(rec, req.orders, [
-        (Fraction(-1, 2), (THETA4, power), _R_G),
-        (Fraction(1, 2), (THETA3, power), _R_NEG),
-        _d_term(rec, req.ell, req.d_sign, Fraction(1, 2)),
-        (rec.c_neg_g * Fraction(-1, 2), (THETA2, power), _ETA_NEG),
-    ], "genus")
+    return _class_form(req.rec, req.orders, [(kind, req.ell - 1) for kind in _GENUS_SLOTS],
+                       req.d, 1, "genus")
 
 
 def phi_g_ell(req: GenusRequest) -> JacobiSeries:
@@ -303,16 +291,17 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     F = -(F_2 + D eta_g)/2, assembled on the (1/2)Z grid; the half-integer
     exponents must cancel and the result is returned on the integer grid.
     """
-    terms = _f_terms(rec, Fraction(-1, 2), lambda kind: (kind, 1))
-    terms.append((rec.d_signed(2, d_sign) * Fraction(-1, 2), (THETA1SQ, 0), _ETA_G))
-    return _class_form(rec, orders, terms, "F_g").row0()
+    # the eta_g slot holds Q1^0 = 1
+    shared = [(kind, 1) if kind else (THETA1SQ, 0) for kind in _F_SLOTS]
+    return _class_form(rec, orders, shared, rec.d_signed(2, d_sign), -1, "F_g").row0()
 
 
 def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
     """The weight-2j companion forms; j = 0 must give the constant 2 chi."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    total = _class_form(rec, orders, _f_terms(rec, 1, lambda kind: (kind, j)), "F_{2j}").row0()
+    shared = [(kind, j) if kind else None for kind in _F_SLOTS]
+    total = _class_form(rec, orders, shared, 0, 2, "F_{2j}").row0()
     if j == 0 and first_difference(total, QSeries({0: 2 * rec.chi}, total.trunc)):
         raise ValueError(f"F_0 for {rec.co0_name} is not the constant 2 chi")
     return total
@@ -335,20 +324,20 @@ def k3_elliptic_genus(orders: int = 5) -> JacobiSeries:
 # -- verification suites ---------------------------------------------------
 
 
-def _decomposition_deviation(req: GenusRequest) -> dict | None:
-    """First deviation of phi^(ell) from D term + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j},
+def _decomposition_rows(req: GenusRequest) -> JacobiSeries:
+    """The theta rows of D term + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j}, with
     c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)).  By linearity in the class
     series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
-    (_BINOMIAL, L) power ell - 1, in place of L^j."""
-    rhs = _class_form(req.rec, req.orders, _decomposition_terms(req), "decomposition")
-    return _rows_deviation(_genus_rows(req), rhs, req.ell - 1, req.orders)
+    (_BINOMIAL, L) power ell - 1, in place of L^j: the genus with those
+    powers in place of the theta-quotient powers."""
+    shared = [((_BINOMIAL, kind) if kind else theta, req.ell - 1)
+              for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS)]
+    return _class_form(req.rec, req.orders, shared, req.d, 1, "decomposition")
 
 
-def _decomposition_terms(req: GenusRequest):
-    """The _class_form terms of the decomposition's right-hand side."""
-    terms = _f_terms(req.rec, Fraction(1, 2), lambda kind: ((_BINOMIAL, kind), req.ell - 1))
-    terms.append(_d_term(req.rec, req.ell, req.d_sign, Fraction(1, 2)))
-    return terms
+def _decomposition_deviation(req: GenusRequest) -> dict | None:
+    """First deviation of phi^(ell) from its binomial decomposition."""
+    return _rows_deviation(_genus_rows(req), _decomposition_rows(req), req.ell - 1, req.orders)
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
@@ -426,8 +415,9 @@ def _relation_label(rel: CoincidenceRelation) -> str:
 
 def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> CheckReport:
     """phi(+) - phi(-) is the explicit D-linear term, by linearity in D."""
-    plus, minus = (_genus_rows(GenusRequest(rec, sign, ell, orders)) for sign in (1, -1))
-    expected = _class_form(rec, orders, [_d_term(rec, ell, 1, 1)], "D term")
+    plus, minus = (GenusRequest(rec, sign, ell, orders) for sign in (1, -1))
+    expected = _class_form(rec, orders, (None, None, (THETA1SQ, ell - 1), None), plus.d, 2,
+                           "D term")
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
-    return CheckReport.from_deviation(
-        name, _rows_deviation(plus - minus, expected, ell - 1, orders))
+    return CheckReport.from_deviation(name, _rows_deviation(
+        _genus_rows(plus) - _genus_rows(minus), expected, ell - 1, orders))

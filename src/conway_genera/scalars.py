@@ -51,11 +51,6 @@ class RadicalScalar:
     def from_rational(cls, value) -> "RadicalScalar":
         return cls({1: _as_fraction(value)})
 
-    @classmethod
-    def sqrt_term(cls, d: int, coeff=1) -> "RadicalScalar":
-        """coeff * sqrt(d) for squarefree d | 30."""
-        return cls({d: _as_fraction(coeff)})
-
     @property
     def parts(self) -> dict[int, Fraction]:
         return dict(self._parts)

@@ -39,11 +39,11 @@ the weak Jacobi check reports it.  `expand_theta_rows` rebuilds the full
 rows by the law and checks nothing, so it must only see checked rows or
 products and sums of them.
 
-RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`,
-`q_row()` and `items()` are read-only views built on first use and kept
-per instance.  In the arithmetic the field enters only through
-constants: one product per `combine` term and the inverse of the lead
-coefficient in QSeries.inverse.
+RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`
+and `items()` are read-only views built on first use and kept per
+instance.  In the arithmetic the field enters only through constants:
+one product per `combine` term and the inverse of the lead coefficient
+in QSeries.inverse.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -426,12 +426,6 @@ class JacobiSeries(_Series):
         if kq >= self.trunc:
             raise _beyond(kq)
         return self.coeffs.get((kq, ry), ZERO)
-
-    def q_row(self, kq: int) -> dict[int, RadicalScalar]:
-        """All y half-index coefficients at one q grid index."""
-        if kq >= self.trunc:
-            raise _beyond(kq)
-        return {ry: v for (k, ry), v in self.coeffs.items() if k == kq}
 
     def __add__(self, other):
         if not isinstance(other, (QSeries, JacobiSeries)):

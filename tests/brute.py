@@ -500,17 +500,42 @@ def full_class_form(rec, orders, terms):
                     for kappa, (kind, power), slot in terms], prec)
 
 
+def full_genus(rec, orders, power, d_val):
+    """The index-`power` genus products of a class, with d_val in place of
+    (-1)^ell D, by the full-row assembly."""
+    from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
+
+    return full_class_form(rec, orders, [
+        (Fraction(-1, 2), (THETA4, power), 0),
+        (Fraction(1, 2), (THETA3, power), 1),
+        (d_val * Fraction(1, 2), (THETA1SQ, power), 2),
+        (rec.c_neg_g * Fraction(-1, 2), (THETA2, power), 3),
+    ])
+
+
 def full_phi_g_ell(req):
     """The genus of a GenusRequest by the full-row assembly."""
-    from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
+    sign_ell = -1 if req.ell % 2 else 1
+    return full_genus(req.rec, req.orders, req.ell - 1,
+                      req.rec.d_signed(req.ell, req.d_sign) * sign_ell)
+
+
+def full_decomposition_rhs(req):
+    """The right-hand side of the binomial decomposition of a genus,
+    (-1)^ell D Q1^(ell-1) eta_g / 2 + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j}
+    with c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)), by the full-row assembly:
+    F_{2j} = -L_plain^j r_g + L_shifted^j r_{-g} - C(-g) L_neg2^j eta_{-g},
+    each sum over j one binomial power (phi01/12 + L Q1)^(ell-1)."""
+    from conway_genera import genera
+    from conway_genera.modforms import THETA1SQ
 
     rec, ell, power = req.rec, req.ell, req.ell - 1
     sign_ell = -1 if ell % 2 else 1
     return full_class_form(rec, req.orders, [
-        (Fraction(-1, 2), (THETA4, power), 0),
-        (Fraction(1, 2), (THETA3, power), 1),
+        (Fraction(-1, 2), ((genera._BINOMIAL, genera._L2_PLAIN), power), 0),
+        (Fraction(1, 2), ((genera._BINOMIAL, genera._L2_SHIFTED), power), 1),
         (rec.d_signed(ell, req.d_sign) * Fraction(sign_ell, 2), (THETA1SQ, power), 2),
-        (rec.c_neg_g * Fraction(-1, 2), (THETA2, power), 3),
+        (rec.c_neg_g * Fraction(-1, 2), ((genera._BINOMIAL, genera._L2_NEG2), power), 3),
     ])
 
 

@@ -332,6 +332,25 @@ def test_constants_suite_fails_a_record_the_loader_rejects():
         ("constants[1A]", "pass"), ("constants[3C]", "fail")]
 
 
+def test_fourier_suite_fails_a_class_whose_eta_ratio_is_perturbed(monkeypatch):
+    from conway_genera import modforms
+    from conway_genera.conway import bundled_data
+    data = bundled_data()
+    target = data.record("3C").fs_g
+    ratio = modforms.eta_ratio_half
+
+    def perturbed(fs, prec):
+        out = ratio(fs, prec)
+        return out + QSeries({24: 1}, out.trunc) if fs == target else out
+
+    monkeypatch.setattr(modforms, "eta_ratio_half", perturbed)
+    failed = {r.name for r in cli._suite_fourier(data, 4) if r.status == "fail"}
+    touched = {rec.co0_name for rec in data.classes.values()
+               if target in (rec.fs_g, rec.fs_neg_g)}
+    assert "3C" in touched
+    assert failed == {f"fourier[twisted constant, {name}]" for name in touched}
+
+
 def _without_identity_class():
     """The bundled tables with class 1A and every coincidence row naming it removed."""
     classes = _bundled("classes.json")

@@ -13,12 +13,11 @@ def rs(**kw):
 
 
 def test_sqrt2_times_sqrt3_is_sqrt6():
-    assert RadicalScalar.sqrt_term(2) * RadicalScalar.sqrt_term(3) \
-        == RadicalScalar.sqrt_term(6)
+    assert RadicalScalar({2: 1}) * RadicalScalar({3: 1}) == RadicalScalar({6: 1})
 
 
 def test_pure_sqrt5_multiple_squares_to_rational():
-    d = RadicalScalar.sqrt_term(5, 25)
+    d = RadicalScalar({5: 25})
     assert d * d == RadicalScalar.from_rational(3125)
 
 
@@ -31,7 +30,7 @@ def test_conjugate_product():
 def test_is_rational():
     ok, val = RadicalScalar.from_rational(4096).as_rational()
     assert ok and val == 4096
-    ok, val = RadicalScalar.sqrt_term(2, 32).as_rational()
+    ok, val = RadicalScalar({2: 32}).as_rational()
     assert not ok and val is None
     ok, val = RadicalScalar().as_rational()
     assert ok and val == 0
@@ -45,9 +44,9 @@ def test_inverse():
 
 
 def test_division():
-    x = RadicalScalar.sqrt_term(30)
-    assert x / RadicalScalar.sqrt_term(5) == RadicalScalar.sqrt_term(6)
-    assert x / 2 == RadicalScalar.sqrt_term(30, Fraction(1, 2))
+    x = RadicalScalar({30: 1})
+    assert x / RadicalScalar({5: 1}) == RadicalScalar({6: 1})
+    assert x / 2 == RadicalScalar({30: Fraction(1, 2)})
 
 
 def test_basis_is_enforced():
@@ -62,9 +61,9 @@ def test_format_and_parse_roundtrip():
     assert parse_radical("0") == RadicalScalar()
     assert parse_radical("4096") == RadicalScalar.from_rational(4096)
     assert parse_radical("-8") == RadicalScalar.from_rational(-8)
-    assert parse_radical("25*sqrt(5)") == RadicalScalar.sqrt_term(5, 25)
-    assert parse_radical("1/2*sqrt(6)") == RadicalScalar.sqrt_term(6, Fraction(1, 2))
-    assert parse_radical("sqrt(3)") == RadicalScalar.sqrt_term(3)
+    assert parse_radical("25*sqrt(5)") == RadicalScalar({5: 25})
+    assert parse_radical("1/2*sqrt(6)") == RadicalScalar({6: Fraction(1, 2)})
+    assert parse_radical("sqrt(3)") == RadicalScalar({3: 1})
     assert parse_radical("3 - 1/2*sqrt(2)") == rs(d1=3, d2=Fraction(-1, 2))
 
 

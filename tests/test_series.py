@@ -107,7 +107,7 @@ def test_specialize_z0():
 
 
 def test_dump_format():
-    f = JacobiSeries({(25, 1): RadicalScalar.sqrt_term(2),
+    f = JacobiSeries({(25, 1): RadicalScalar({2: 1}),
                       (0, -2): Fraction(1, 2)}, 48)
     assert f.dump() == "0 -1 1/2\n25/24 1/2 sqrt(2)"
 
@@ -211,7 +211,7 @@ def series_pairs(draw):
     return one(t_a), one(t_b)
 
 
-S2, S3, S10, S15 = (RadicalScalar.sqrt_term(d) for d in (2, 3, 10, 15))
+S2, S3, S10, S15 = (RadicalScalar({d: 1}) for d in (2, 3, 10, 15))
 
 #: combine terms (kappa, (A, B)) over every radical of the field
 combine_terms = st.lists(st.tuples(field, series_pairs()), min_size=1, max_size=3)
