@@ -143,14 +143,9 @@ def ts_g(rec: ConwayClassRecord, which: str = "g", form: str = "chi",
 
 
 def verify_eta_identity(rec: ConwayClassRecord, orders: int = 8) -> CheckReport:
-    """2 chi - r_{-g} + r_g + C(-g) eta_{-g} - C_g eta_g = 0, exactly."""
-    _assert_fixed_four(rec)
-    prec = _grid(orders)
-    combo = (modforms.eta_ratio_half(rec.fs_g, prec)
-             - modforms.eta_ratio_half(rec.fs_neg_g, prec)
-             + modforms.eta_product(rec.fs_neg_g, prec) * rec.c_neg_g
-             + 2 * rec.chi)
-    dev = first_difference(combo, QSeries.zero(prec), prec)
+    """The direct form of the twisted trace equals its chi form, -chi:
+    r_g - r_{-g} + C(-g) eta_{-g} + 2 chi = 0 (C_g = 0), exactly."""
+    dev = first_difference(ts_g(rec, "g_tw", "direct", orders), ts_g(rec, "g_tw", "chi", orders))
     return CheckReport.from_deviation(f"eta-identity[{rec.co0_name}]", dev)
 
 

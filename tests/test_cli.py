@@ -96,12 +96,20 @@ def test_decomposition_suites_end_with_one_sign_flip_per_class_with_d(
 
 
 def test_verify_json_format(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "constants",
+    code, out, _ = run(capsys, "verify", "--suite", "fourier", "--prec", "1",
                        "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload[0]["suite"] == "constants"
+    assert payload[0]["suite"] == "fourier"
     assert payload[0]["ok"] is True
+
+
+def test_removed_constants_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--suite", "constants"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'constants'" in err and "Traceback" not in err
 
 
 def test_list_classes(capsys):
@@ -317,38 +325,6 @@ def test_coincidence_row_without_lambency_is_a_data_error(tmp_path, capsys):
     path = _data_dir(tmp_path, _bundled("classes.json"), coincidences)
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
     assert code == 3 and err.startswith("data error:")
-
-
-def test_constants_suite_fails_a_record_the_loader_rejects():
-    from dataclasses import replace
-
-    from conway_genera.conway import ClassData, bundled_data
-    data = bundled_data()
-    good = data.record("1A")
-    bad = replace(data.record("3C"), c_neg_g=data.record("3C").c_neg_g + 1)
-    reports = cli._suite_constants(
-        ClassData(classes={"1A": good, "3C": bad}, relations=[]), None)
-    assert [(r.name, r.status) for r in reports] == [
-        ("constants[1A]", "pass"), ("constants[3C]", "fail")]
-
-
-def test_fourier_suite_fails_a_class_whose_eta_ratio_is_perturbed(monkeypatch):
-    from conway_genera import modforms
-    from conway_genera.conway import bundled_data
-    data = bundled_data()
-    target = data.record("3C").fs_g
-    ratio = modforms.eta_ratio_half
-
-    def perturbed(fs, prec):
-        out = ratio(fs, prec)
-        return out + QSeries({24: 1}, out.trunc) if fs == target else out
-
-    monkeypatch.setattr(modforms, "eta_ratio_half", perturbed)
-    failed = {r.name for r in cli._suite_fourier(data, 4) if r.status == "fail"}
-    touched = {rec.co0_name for rec in data.classes.values()
-               if target in (rec.fs_g, rec.fs_neg_g)}
-    assert "3C" in touched
-    assert failed == {f"fourier[twisted constant, {name}]" for name in touched}
 
 
 def _without_identity_class():

@@ -263,12 +263,8 @@ def test_warm_genus_side_forms_split_no_series(data, monkeypatch):
     assert calls == []
 
 
-def test_cold_shared_powers_build_no_field_values(monkeypatch):
+def test_cold_shared_powers_build_no_field_values(cold_caches, monkeypatch):
     work = 24 * 3 + genera._MARGIN
-    for module in (genera, modforms):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
     built = []
     init = RadicalScalar.__init__
 

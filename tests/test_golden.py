@@ -73,7 +73,8 @@ CASES = _cases()
 #: dual-lattice theta series became a product of one-coordinate sums and
 #: the series products went through one integer convolution; the
 #: trace-series case recorded at 74c11a5, before compute, list-classes and
-#: export shared one output writer
+#: export shared one output writer; the three verify-all cases re-recorded
+#: when the constants suite and the fourier twisted-constant rows were deleted
 GOLDEN = {
     "compute-10H-ell2": "a15e271aadfd54fab9e32cfc60eeca7558031ca4ecb3c82a2b8e683fb02f45df",
     "compute-10H-ell3": "8c487e5d45c8522a6ec8430571ec6f657b7cfc0e62b943db7519576a1995ccf6",
@@ -110,9 +111,9 @@ GOLDEN = {
     "compute-5C-ell7": "b5d66ac418202cf10f5fa34cd02e99af558333b3f69c05f6a511cabc84d14776",
     "compute-trace-series": "d50a59585b0ba0036652436551ed6de4d2cb5c636949f46c36b2711654d386f9",
     "export": "f5a32bef6b50d93332de3e8c496fa1bbe68fffff664e6100221337b381a77544",
-    "verify-all-json": "0822f41081f22798d2f125c304d5a7d766e5b968d17e1fdf475960862ba5a495",
-    "verify-all-prec12-json": "238cade11d1c0905a23b8626803359cb788efcb4cc87c33931af488104bed0b5",
-    "verify-all-text": "b3910b655337137494289073dbd0981141f4ab680500760e48792eab3d7132d1",
+    "verify-all-json": "96afc16654d41633ee1b12c266dde7614648ea774a9a479773dad89180f10584",
+    "verify-all-prec12-json": "efe52925e6a534c7d46a59a3f6519c86455e9b084e31ce017618b67f8b3f5c28",
+    "verify-all-text": "3903b9d089357bc8d69e76c4d5f163ac322686eb0e3be04b0607560bafcb3550",
     "verify-decomposition-prec9-json": "b6be93facb7dae850bbf2a3097f80059ea3f45603622e9234f83ac8ebb6df559",
     "verify-higher-lambency": "d036ae6fb7c15a050cbfe36c4a539d6443d84a8ec6b3cb6fc96b03baf926793f",
     "verify-sigma-prec24-json": "25d758ce9efd3d2f8385683e7a31a6e94be0a61823d7582feb0a62d3904b55f4",

@@ -66,11 +66,7 @@ def test_power_product_rejects_inexact_steps_and_bad_exponents():
         mf.power_product({0: 1}, 48)
 
 
-def test_products_use_no_series_power_inverse_or_product(data, monkeypatch):
-    for module in (mf, sigma, genera):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+def test_products_use_no_series_power_inverse_or_product(data, cold_caches, monkeypatch):
     calls = {"mul": 0, "pow": 0, "inverse": 0, "jacobi_mul": 0}
     mul, pow_, inverse = QSeries.__mul__, QSeries.__pow__, QSeries.inverse
     jacobi_mul = JacobiSeries.__mul__

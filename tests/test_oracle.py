@@ -203,7 +203,8 @@ def _phi_case(rec, sign, degree):
     marks = ()
     if rec.co0_name == "5C":
         marks = pytest.mark.xfail(strict=True,
-                                  reason="ROADMAP item 2: 5C D-sign discrepancy")
+                                  reason="ROADMAP item 4: EigenSystem.normalize flips "
+                                         "sigma on a distinguished pair")
     return pytest.param(rec.co0_name, sign, degree, marks=marks,
                         id=_degree_id(f"{rec.co0_name}-{sign}", degree))
 
