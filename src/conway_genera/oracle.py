@@ -7,19 +7,21 @@ a cyclotomic field, and traces are accumulated exactly.  Agreement with
 the series produced by the genera module at low degree validates both
 sides.
 
-Enumeration.  The k-subsets of the mode labels are counted by their
-(eigenvalue exponent, charge) profile, one label at a time (a 0/1
-knapsack over subset sizes), and one walk combines the levels of the
-mode tower the same way.  The walk starts from the ground state; in the
-twisted sector its start states are the 2^12 monomials in the twelve
-zero modes, counted as one more subset histogram.  Traces are then
-integer counts per (degree, charge, parity, exponent), reduced into the
-cyclotomic field once per coefficient; the field coordinates stay
-Python ints wherever they are integral.  `enumerate_basis` runs the
-same walk over literal monomials, which the counts are tested against.
-Each sector is enumerated once per assembled trace; its plain and
-involution-inserted traces differ only in the parity weights of the
-same counts.
+Enumeration.  Counts are packed ints: base-2^bits digit e counts the
+states of eigenvalue exponent e mod N, so a mode label of exponent e
+rotates a count by e digits, and one integer product folded at x^N = 1
+(x = 2^bits, Kronecker substitution) convolves two counts.  The
+k-subsets of the mode labels are counted per charge, one label at a
+time (a 0/1 knapsack over subset sizes), and one walk combines the
+levels of the mode tower by such products; in the twisted sector it
+starts from the 2^12 zero-mode monomials, counted per charge and
+parity.  The digits of each (degree, charge, parity) are read once and
+reduced into the cyclotomic field once per coefficient; the field
+coordinates stay Python ints wherever they are integral.
+`enumerate_basis` runs the same walk over literal monomials, which the
+counts are tested against.  Each sector is enumerated once per assembled
+trace; its plain and involution-inserted traces differ only in the
+parity weights of the same counts.
 
 Conventions.  A class with eigenvalue pairs (lambda_i, lambda_i^{-1}),
 i = 1..12, acts on each mode label by its eigenvalue; the central
@@ -38,11 +40,11 @@ and the tests compare through it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm
+from math import comb, floor, gcd, lcm
 
 from .conway import ConwayClassRecord, FrameShape
 from .scalars import RADICAL_BASIS, RadicalScalar
@@ -87,12 +89,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _rational(x) -> int | Fraction:
-    """x as an int when it is integral, else as a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class CycloNumber:
     """An element of Q(zeta_N), reduced mod the N-th cyclotomic polynomial.
 
@@ -109,8 +105,8 @@ class CycloNumber:
         if len(v) > deg:
             v = self._reduce(order, v)  # before conversion: ints reduce faster
         self.order = order
-        self.vec = tuple(x if type(x) is int else _rational(x) for x in v) \
-            + (0,) * (deg - len(v))
+        self.vec = tuple(x if type(x) is int or x.denominator != 1 else x.numerator
+                         for x in v) + (0,) * (deg - len(v))
 
     @staticmethod
     def _reduce(order: int, v: list) -> list:
@@ -132,12 +128,6 @@ class CycloNumber:
     def from_rational(cls, order: int, value) -> "CycloNumber":
         return cls(order, [value])
 
-    @classmethod
-    def root(cls, order: int, k: int) -> "CycloNumber":
-        """zeta_N^k."""
-        k %= order
-        return cls(order, [0] * k + [1])
-
     def _check(self, other: "CycloNumber") -> None:
         if self.order != other.order:
             raise OracleError("mixed cyclotomic orders")
@@ -158,8 +148,6 @@ class CycloNumber:
         return CycloNumber(self.order, [-a for a in self.vec])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(self.order, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -191,23 +179,20 @@ class CycloNumber:
         return f"CycloNumber(order={self.order}, vec={[str(x) for x in self.vec]})"
 
 
+#: p -> (m, {k: coefficient of zeta_m^k}) summing to sqrt(p)
+_SQRT_SUMS = {2: (8, {1: 1, -1: 1}), 3: (12, {1: 1, -1: 1}),
+              5: (5, {1: 1, 2: -1, 3: -1, 4: 1})}
+
+
 def _sqrt_embedding(order: int, p: int) -> CycloNumber | None:
     """sqrt(p) inside Q(zeta_order), when present, for p in {2, 3, 5}."""
-    if p == 2:
-        if order % 8:
-            return None
-        return CycloNumber.root(order, order // 8) + CycloNumber.root(order, -(order // 8))
-    if p == 3:
-        if order % 12:
-            return None
-        return CycloNumber.root(order, order // 12) + CycloNumber.root(order, -(order // 12))
-    if p == 5:
-        if order % 5:
-            return None
-        k = order // 5
-        return (CycloNumber.root(order, k) - CycloNumber.root(order, 2 * k)
-                - CycloNumber.root(order, 3 * k) + CycloNumber.root(order, 4 * k))
-    raise ValueError(p)
+    m, terms = _SQRT_SUMS[p]
+    if order % m:
+        return None
+    vec = [0] * order
+    for k, a in terms.items():
+        vec[k * (order // m)] += a
+    return CycloNumber(order, vec)
 
 
 @lru_cache(maxsize=None)
@@ -231,12 +216,14 @@ def _radical_columns(order: int) -> tuple[tuple[int, CycloNumber], ...]:
 def embed_radical(x: RadicalScalar, order: int) -> CycloNumber:
     """Image of a radical scalar in Q(zeta_order)."""
     available = dict(_radical_columns(order))
-    out = CycloNumber.zero(order)
+    vec = [0] * len(available[1].vec)
     for d, a in x.parts.items():
         if d not in available:
             raise OracleError(f"sqrt({d}) is not available in Q(zeta_{order})")
-        out = out + available[d] * a
-    return out
+        for i, c in enumerate(available[d].vec):
+            if c:
+                vec[i] += c * a
+    return CycloNumber(order, vec)
 
 
 # -- eigenvalue systems ------------------------------------------------------
@@ -297,28 +284,23 @@ class EigenSystem:
         for p in fixed[:count]:
             p.distinguished = True
 
-    def _nu_pair(self, pair: _Pair) -> tuple[CycloNumber, CycloNumber]:
-        nu = CycloNumber.root(self.order, pair.nu_exp) * pair.sigma
-        inv = CycloNumber.root(self.order, -pair.nu_exp) * pair.sigma
-        return nu, inv
+    def _nu_product(self, pairs: list[_Pair], sign: int) -> CycloNumber:
+        """prod sigma_i (x^a_i + sign x^-a_i) at x = zeta_N, a_i the nu exponents:
+        a dense integer list mod x^N - 1, reduced mod Phi_N once."""
+        n = self.order
+        vec = [1] + [0] * (n - 1)
+        for p in pairs:
+            a = p.nu_exp
+            vec = [p.sigma * (vec[i - a] + sign * vec[(i + a) % n]) for i in range(n)]
+        return CycloNumber(n, vec)
 
     def cm_trace(self, with_z: bool) -> CycloNumber:
         """prod over the twelve pairs of (nu_i - nu_i^{-1}) or (nu_i + nu_i^{-1})."""
-        out = CycloNumber.from_rational(self.order, 1)
-        for p in self.pairs:
-            nu, inv = self._nu_pair(p)
-            out = out * ((nu - inv) if with_z else (nu + inv))
-        return out
+        return self._nu_product(self.pairs, -1 if with_z else 1)
 
     def d_product(self) -> CycloNumber:
         """prod (nu_i - nu_i^{-1}) over the non-distinguished pairs."""
-        out = CycloNumber.from_rational(self.order, 1)
-        for p in self.pairs:
-            if p.distinguished:
-                continue
-            nu, inv = self._nu_pair(p)
-            out = out * (nu - inv)
-        return out
+        return self._nu_product([p for p in self.pairs if not p.distinguished], -1)
 
     def normalize(self, c_target: RadicalScalar,
                   d_target: RadicalScalar | None = None) -> None:
@@ -406,10 +388,10 @@ def _walk_levels(cap: int, weight_of, starts: dict, extend) -> dict:
     The walk begins from starts, {state: multiplicity} at weight 0: the
     ground state, or in the twisted sector the zero-mode monomials on it.
     Modes at level n = 1, 2, ... weigh weight_of(n), which increases with
-    n.  A state with room for k more modes at level n grows into every
-    (state', multiplicity) that extend(state, n, k) returns; taking no mode
-    of a level leaves it unchanged.  Equal states are merged, adding their
-    multiplicities.
+    n.  A state of multiplicity mult with room for k more modes at level n
+    grows into every (state', multiplicity') that extend(state, mult, n, k)
+    returns; taking no mode of a level leaves it unchanged.  Equal states
+    are merged, adding their multiplicities.
     """
     states = {(0, state): mult for state, mult in starts.items()}
     n = 1
@@ -417,9 +399,9 @@ def _walk_levels(cap: int, weight_of, starts: dict, extend) -> dict:
         grown = dict(states)
         for (weight, state), mult in states.items():
             for k in range(1, (cap - weight) // w + 1):
-                for new, m in extend(state, n, k):
+                for new, m in extend(state, mult, n, k):
                     key = (weight + k * w, new)
-                    grown[key] = grown.get(key, 0) + mult * m
+                    grown[key] = grown.get(key, 0) + m
         states = grown
         n += 1
     return states
@@ -456,8 +438,8 @@ def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
         starts = {tuple((i, -1, 0) for i in zs): 1
                   for k in range(13) for zs in itertools.combinations(range(12), k)}
 
-    def extend(monomial, n, k):
-        return [(monomial + tuple((i, s, n) for i, s in combo), 1)
+    def extend(monomial, mult, n, k):
+        return [(monomial + tuple((i, s, n) for i, s in combo), mult)
                 for combo in itertools.combinations(labels, k)]
 
     return [m for _, m in _walk_levels(cap, _SECTORS[sector][2], starts, extend)]
@@ -466,56 +448,73 @@ def enumerate_basis(sector: str, degree_bound) -> list[tuple]:
 # -- trace accumulation --------------------------------------------------------
 
 
-def _subset_histogram(labels: list[tuple[int, int]], order: int,
-                      max_k: int) -> list[Counter]:
-    """Entry k: {(exponent mod order, charge): number of k-subsets}, k <= max_k.
+def _subset_histogram(labels: list[tuple[int, int]], order: int, max_k: int,
+                      bits: int) -> list[dict[int, int]]:
+    """Entry k: {charge sum: packed count of the k-subsets}, k <= max_k.
 
     The labels are folded in one at a time, 0/1-knapsack style: a label
-    (e, c) turns every counted (k-1)-subset into a k-subset, shifting its
-    exponent sum by e and its charge sum by c.  Sizes are visited from
-    the top down, so no label is taken twice.  Exponents lie in [0, order).
+    (e, c) turns every counted (k-1)-subset into a k-subset, rotating its
+    count by e of its order digits (base 2^bits) and shifting its charge
+    by c.  Sizes are visited from the top down, so no label is taken twice.
     """
-    table = [Counter({(0, 0): 1})] + [Counter() for _ in range(max_k)]
+    width = bits * order
+    mask = (1 << width) - 1
+    table = [{0: 1}] + [{} for _ in range(max_k)]
     for done, (e, c) in enumerate(labels):
         for k in range(min(max_k, done + 1), 0, -1):
             row = table[k]
-            for (x, q), count in table[k - 1].items():
-                row[((x + e) % order, q + c)] += count
+            for q, packed in table[k - 1].items():
+                rotated = packed << (e * bits)
+                row[q + c] = row.get(q + c, 0) + (rotated & mask) + (rotated >> width)
     return table
 
 
 def _buckets(system: EigenSystem, sector: str, bound: Fraction) -> dict:
     """counts[(degree, charge, parity)][exponent], degree in the sector's units.
 
-    The walk's states are (exponent, charge, parity) triples.  The
-    untwisted walk starts from the vacuum alone; the twisted walk starts from the
-    zero-mode subset histogram, shifted by the ground data and signed by
-    the ground sigma, so the zero modes need no pass of their own.
+    The walk's states are (charge, parity) pairs with packed counts.  A
+    digit is 1, 2, 4 or 8 bytes, above the number of monomials in reach,
+    so no digit carries (8 bytes suffice up to degree 28).  The twisted
+    walk starts from the zero-mode monomials counted per charge and
+    parity, rotated by the ground nu exponent; the ground sigma signs
+    every count at the end.
     """
     cap = _cap(sector, bound)
     if cap < 0:
         return {}
     _, ground, weight_of = _SECTORS[sector]
     order = system.order
-    starts = Counter({(0, 0, 0): 1})
-    if sector == "twisted":
+    twisted = sector == "twisted"
+    dims = [4096 if twisted else 1] + [0] * cap  # monomials by weight
+    for w in map(weight_of, range(1, cap + 1)):
+        dims = [sum(comb(24, k) * dims[i - k * w] for k in range(i // w + 1))
+                for i in range(cap + 1)]
+    size = 1 << ((sum(dims).bit_length() + 7) // 8 - 1).bit_length()
+    bits, width = 8 * size, 8 * size * order
+    mask = (1 << width) - 1
+    sigma, starts = 1, {(0, 0): 1}
+    if twisted:
         sigma, nu_exp, ground_charge = system.ground_data()
-        starts = Counter()
-        for k, row in enumerate(_subset_histogram(system.zero_mode_labels(), order, 12)):
-            for (e, c), m in row.items():
-                starts[((nu_exp + e) % order, ground_charge + c, k % 2)] += sigma * m
-    table = _subset_histogram(system.mode_labels(), order, cap)
+        starts = {(ground_charge, 0): 1 << (nu_exp * bits)}
+        for e, c in system.zero_mode_labels():
+            for (charge, parity), packed in list(starts.items()):
+                rotated = packed << (e * bits)
+                key = (charge + c, 1 - parity)
+                starts[key] = starts.get(key, 0) + (rotated & mask) + (rotated >> width)
+    table = _subset_histogram(system.mode_labels(), order, cap, bits)
 
-    def extend(state, n, k):
-        exp, charge, parity = state
-        return [(((exp + e) % order, charge + c, (parity + k) % 2), m)
-                for (e, c), m in table[k].items()]
+    def extend(state, mult, n, k):
+        charge, parity = state
+        return [((charge + c, (parity + k) % 2), ((m := mult * packed) & mask) + (m >> width))
+                for c, packed in table[k].items()]
 
     buckets: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (weight, (exp, charge, parity)), count in _walk_levels(
+    for (weight, (charge, parity)), packed in _walk_levels(
             cap, weight_of, starts, extend).items():
-        slot = buckets.setdefault((ground + weight, charge, parity), {})
-        slot[exp] = slot.get(exp, 0) + count
+        raw = packed.to_bytes(width // 8, sys.byteorder)
+        raw = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
+        buckets[(ground + weight, charge, parity)] = {
+            e: sigma * count for e, count in enumerate(raw) if count}
     return buckets
 
 

@@ -18,7 +18,11 @@ genus and weight-2j forms are evaluated with it, term by term over the
 coefficient field; the full-row assembly multiplies out every y-row of
 the genus-side forms, the reference for the package's theta-row
 assembly.  `subset_histogram` walks every k-subset of
-the oracle's mode labels, the reference for its knapsack histogram,
+the oracle's mode labels, the reference for its knapsack histogram;
+`knapsack_histogram` and `counter_buckets` count the oracle's states in
+plain ints, one entry per exponent, the reference for its packed counts;
+`nu_product` and `embed_term_by_term` take its ground products and
+radical embeddings as chains of `CycloNumber` products and sums;
 `euler_phi` is Euler's totient by trial division, and `to_radical` reads
 an oracle value back into Q(sqrt 2, sqrt 3, sqrt 5) by Gaussian
 elimination.
@@ -562,6 +566,97 @@ def subset_histogram(labels: list[tuple[int, int]], order: int,
             rows[(exp % order, charge)] += count
         table.append(rows)
     return table
+
+
+# -- oracle counts and ground products as the package had them before packing --
+
+
+def knapsack_histogram(labels: list[tuple[int, int]], order: int,
+                       max_k: int) -> list[Counter]:
+    """Entry k: {(exponent mod order, charge): number of k-subsets}, k <= max_k.
+
+    The labels are folded in one at a time, 0/1-knapsack style: a label
+    (e, c) turns every counted (k-1)-subset into a k-subset, shifting its
+    exponent sum by e and its charge sum by c.  Sizes are visited from
+    the top down, so no label is taken twice.  Exponents lie in [0, order).
+    """
+    table = [Counter({(0, 0): 1})] + [Counter() for _ in range(max_k)]
+    for done, (e, c) in enumerate(labels):
+        for k in range(min(max_k, done + 1), 0, -1):
+            row = table[k]
+            for (x, q), count in table[k - 1].items():
+                row[((x + e) % order, q + c)] += count
+    return table
+
+
+def counter_buckets(system, sector: str, bound: Fraction) -> dict:
+    """counts[(degree, charge, parity)][exponent], degree in the sector's units.
+
+    The walk's states are (exponent, charge, parity) triples counted in
+    plain ints.  The untwisted walk starts from the vacuum alone; the
+    twisted walk starts from the zero-mode subset histogram, shifted by the
+    ground data and signed by the ground sigma.
+    """
+    from conway_genera.oracle import _SECTORS, _cap, _walk_levels
+
+    cap = _cap(sector, bound)
+    if cap < 0:
+        return {}
+    _, ground, weight_of = _SECTORS[sector]
+    order = system.order
+    starts = Counter({(0, 0, 0): 1})
+    if sector == "twisted":
+        sigma, nu_exp, ground_charge = system.ground_data()
+        starts = Counter()
+        for k, row in enumerate(knapsack_histogram(system.zero_mode_labels(), order, 12)):
+            for (e, c), m in row.items():
+                starts[((nu_exp + e) % order, ground_charge + c, k % 2)] += sigma * m
+    table = knapsack_histogram(system.mode_labels(), order, cap)
+
+    def extend(state, mult, n, k):
+        exp, charge, parity = state
+        return [(((exp + e) % order, charge + c, (parity + k) % 2), mult * m)
+                for (e, c), m in table[k].items()]
+
+    buckets: dict[tuple[int, int, int], dict[int, int]] = {}
+    for (weight, (exp, charge, parity)), count in _walk_levels(
+            cap, weight_of, starts, extend).items():
+        slot = buckets.setdefault((ground + weight, charge, parity), {})
+        slot[exp] = slot.get(exp, 0) + count
+    return buckets
+
+
+def cyclo_root(order: int, k: int):
+    """zeta_order^k as a CycloNumber."""
+    from conway_genera.oracle import CycloNumber
+
+    return CycloNumber(order, [0] * (k % order) + [1])
+
+
+def nu_product(system, with_z: bool, skip_distinguished: bool = False):
+    """prod sigma_i (nu_i -+ nu_i^{-1}) as twelve CycloNumber products, over
+    every pair or only the non-distinguished ones."""
+    from conway_genera.oracle import CycloNumber
+
+    out = CycloNumber.from_rational(system.order, 1)
+    for p in system.pairs:
+        if skip_distinguished and p.distinguished:
+            continue
+        nu = cyclo_root(system.order, p.nu_exp) * p.sigma
+        inv = cyclo_root(system.order, -p.nu_exp) * p.sigma
+        out = out * ((nu - inv) if with_z else (nu + inv))
+    return out
+
+
+def embed_term_by_term(x, order: int):
+    """A radical scalar in Q(zeta_order) as a chain of CycloNumber sums."""
+    from conway_genera.oracle import CycloNumber, _radical_columns
+
+    available = dict(_radical_columns(order))
+    out = CycloNumber.zero(order)
+    for d, a in x.parts.items():
+        out = out + available[d] * a
+    return out
 
 
 # -- cyclotomic values back in the radical field --------------------------------

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import brute
 from conway_genera import genera, oracle
 from conway_genera.conway import FrameShape, bundled_data
 from conway_genera.oracle import CycloNumber, OracleError
-from conway_genera.scalars import RadicalScalar
+from conway_genera.scalars import RADICAL_BASIS, RadicalScalar
 from conway_genera.series import JacobiSeries, QSeries
 
 CLASSES = tuple(bundled_data().classes.values())
@@ -58,9 +59,9 @@ def test_cyclo_reduction_and_product_match_sympy_rem(draw):
 
 
 def test_cyclo_number_roots():
-    i = CycloNumber.root(4, 1)
+    i = brute.cyclo_root(4, 1)
     assert i * i == CycloNumber.from_rational(4, -1)
-    z = CycloNumber.root(6, 1)
+    z = brute.cyclo_root(6, 1)
     assert z * z * z == CycloNumber.from_rational(6, -1)
 
 
@@ -77,7 +78,7 @@ def test_embed_and_recover_radical():
 
 
 def test_to_radical_rejects_outside_field():
-    z5 = CycloNumber.root(5, 1)
+    z5 = brute.cyclo_root(5, 1)
     with pytest.raises(OracleError):
         brute.to_radical(z5)
 
@@ -268,8 +269,12 @@ def test_subset_histogram_matches_literal_subsets(draw):
         st.tuples(st.integers(0, order - 1), st.sampled_from((-1, 0, 1))),
         min_size=size, max_size=size))
     max_k = draw.draw(st.integers(0, max(6, len(labels)) if len(labels) <= 12 else 6))
-    assert oracle._subset_histogram(labels, order, max_k) \
-        == brute.subset_histogram(labels, order, max_k)
+    bits = 24  # above C(24, 12), the largest subset count
+    packed = oracle._subset_histogram(labels, order, max_k, bits)
+    unpacked = [Counter({(e, c): count for c, p in row.items() for e in range(order)
+                         if (count := (p >> e * bits) & ((1 << bits) - 1))})
+                for row in packed]
+    assert unpacked == brute.subset_histogram(labels, order, max_k)
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +315,72 @@ def test_histogram_buckets_match_literal_enumeration(data, bases, name, j_weight
     for sector, bound in bases:
         want = _tally(system, bases[(sector, bound)], sector == "twisted")
         assert oracle._buckets(system, sector, Fraction(bound)) == want, (sector, bound)
+
+
+def test_packed_buckets_match_plain_counts(data):
+    """Every class, plain and genus systems at ell 2, 3 and 7 with both D
+    signs, both sectors: the packed counts equal the plain-int walk.  1A at
+    degree 3 carries the heaviest digits, so it exercises the digit width."""
+    compared = 0
+    for rec in CLASSES:
+        systems = [oracle.build_system(rec)]
+        for ell in (2, 3, 7):
+            for sign in ((1, -1) if rec.in_table(ell) else ()):
+                if (rec.co0_name, ell, sign) != ("1A", 7, -1):
+                    systems.append(oracle.build_system(rec, True, sign, ell))
+        for system in systems:
+            for sector in ("untwisted", "twisted"):
+                for bound in map(Fraction, ("-3/4", "-1/4", 1, 2, 3)):
+                    assert oracle._buckets(system, sector, bound) \
+                        == brute.counter_buckets(system, sector, bound), \
+                        (rec.co0_name, sector, bound)
+                    compared += 1
+    assert compared == 1490
+
+
+def _variants(fs):
+    """The class's system, one with the first sigma flipped, and one with
+    the first moving pair swapped, each with two pairs distinguished where
+    two are fixed."""
+    out = []
+    for change in ("none", "flip", "swap"):
+        system = oracle.EigenSystem(fs)
+        if sum(p.lam_exp == 0 for p in system.pairs) >= 2:
+            system.mark_distinguished(2)
+        if change == "flip":
+            system.pairs[0].sigma = -1
+        moving = [p for p in system.pairs if p.lam_exp != 0]
+        if change == "swap" and moving:
+            moving[0].lam_exp = -moving[0].lam_exp % system.order
+            moving[0].nu_exp = -moving[0].nu_exp % system.order
+        out.append(system)
+    return out
+
+
+@pytest.mark.parametrize("name", [rec.co0_name for rec in CLASSES])
+def test_ground_products_match_twelve_fold_products(data, name):
+    rec = data.record(name)
+    for fs in (rec.fs_g, rec.fs_neg_g):
+        for system in _variants(fs):
+            for got, want in (
+                    (system.cm_trace(True), brute.nu_product(system, True)),
+                    (system.cm_trace(False), brute.nu_product(system, False)),
+                    (system.d_product(), brute.nu_product(system, True, True))):
+                assert got == want and list(map(type, got.vec)) == list(map(type, want.vec))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_embed_radical_matches_term_by_term_sum(order):
+    available = [d for d, _ in oracle._radical_columns(order)]
+    scalars = [RadicalScalar({d: Fraction(3, 7)}) for d in available] + [
+        RadicalScalar({d: Fraction(2 * d + 1, 2) for d in available}),
+        RadicalScalar({d: d - 4 for d in available})]
+    for x in scalars:
+        got, want = oracle.embed_radical(x, order), brute.embed_term_by_term(x, order)
+        assert got == want and list(map(type, got.vec)) == list(map(type, want.vec)), x
+    for d in set(RADICAL_BASIS) - set(available):
+        with pytest.raises(OracleError, match="not available"):
+            oracle.embed_radical(RadicalScalar({d: 1}), order)
 
 
 @pytest.mark.parametrize("call", [
