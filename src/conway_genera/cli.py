@@ -187,7 +187,7 @@ def _suite_higher(data, orders):
 
 
 def _suite_jacobi(data, orders):
-    out = []
+    out = genera.verify_elliptic_law(orders)
     for req in _genus_requests(data, (2, 3, 4, 5, 7), orders):
         name = (f"jacobi-invariance[{req.rec.co0_name}, ell {req.ell}, "
                 f"D sign {req.d_sign:+d}]")

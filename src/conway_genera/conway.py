@@ -35,21 +35,6 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _moebius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 @dataclass(frozen=True)
 class FrameShape:
     """Signed multiset m -> k_m with sum_m m*k_m = 24."""
@@ -60,7 +45,6 @@ class FrameShape:
     def from_pairs(cls, pairs) -> "FrameShape":
         merged: dict[int, int] = {}
         for m, k in pairs:
-            m, k = int(m), int(k)
             if m < 1:
                 raise ValueError("frame shape parts must be positive")
             merged[m] = merged.get(m, 0) + k
@@ -99,19 +83,11 @@ class FrameShape:
         return mult
 
     def chi(self) -> int:
-        """Trace on the 24-dimensional space.
-
-        Computed as the Moebius-weighted sum over cyclotomic
-        multiplicities; cross-checked against the linear coefficient of
-        the characteristic polynomial, which is the exponent of 1.
-        """
-        mult = self.cyclo()
-        trace = sum(a * _moebius(d) for d, a in mult.items())
-        k1 = dict(self.factors).get(1, 0)
-        if trace != k1:
-            raise ValueError(
-                f"internal consistency error: trace {trace} != exponent-of-1 {k1}")
-        return trace
+        """Trace on the 24-dimensional space: the exponent of 1, once the
+        shape is an eigenvalue multiset (the primitive d-th roots of unity
+        sum to mu(d), and sum_{d | m} mu(d) = [m = 1])."""
+        self.cyclo()
+        return dict(self.factors).get(1, 0)
 
     def negate(self) -> "FrameShape":
         """Frame shape of the negated element.
@@ -282,10 +258,16 @@ def _read_rows(directory: str | None, filename: str, what: str, key: str) -> lis
 
 
 def _typed(value, kind: type, field: str):
-    """value itself if it is a `kind`, else a TypeError naming the table field."""
-    if not isinstance(value, kind):
+    """value itself if its type is `kind` (no bool for int), else a TypeError."""
+    if type(value) is not kind:
         raise TypeError(f"field {field} has type {type(value).__name__}, not {kind.__name__}")
     return value
+
+
+def _frame_shape(entry: dict, field: str) -> FrameShape:
+    """The Frame shape of a table field: a list of integer [m, k] pairs."""
+    return FrameShape.from_pairs((_typed(m, int, field), _typed(k, int, field))
+                                 for m, k in entry[field])
 
 
 def _validate_record(rec: ConwayClassRecord) -> None:
@@ -293,18 +275,14 @@ def _validate_record(rec: ConwayClassRecord) -> None:
     try:
         rec.fs_g.validate()
         negated = rec.fs_g.negate()
-        rec.fs_g.chi()
     except ValueError as exc:
         raise DataError(f"row {row}, field pi_g: {exc}") from exc
     if negated != rec.fs_neg_g:
         raise DataError(
             f"row {row}, field pi_neg_g: table value {rec.fs_neg_g} does not match "
             f"the negation {negated}")
-    fixed = rec.fs_g.cyclo().get(1, 0)
-    if fixed != rec.rank:
-        raise DataError(f"row {row}: fixed-space rank disagrees between computations")
-    if fixed < 4:
-        raise DataError(f"row {row}, field pi_g: {rec.fs_g} fixes a {fixed}-space, "
+    if rec.rank < 4:
+        raise DataError(f"row {row}, field pi_g: {rec.fs_g} fixes a {rec.rank}-space, "
                         "less than the 4-space every genus formula needs")
     c_sq = rec.c_neg_g * rec.c_neg_g
     if c_sq != RadicalScalar.from_rational(c_squared_oracle(rec.fs_g)):
@@ -326,8 +304,9 @@ def load_class_data(directory: str | None = None) -> ClassData:
     """Load and validate the class and coincidence tables.
 
     directory defaults to the MOONSHINE_DATA_DIR override and then the
-    bundled data.  Every record must pass the negation, trace and
-    squared-constant invariants or loading fails naming the row.  Every
+    bundled data.  Every field must have its JSON type (no float or bool
+    for an integer), and every record must pass the negation, fixed-space
+    and squared-constant invariants, or loading fails naming the row.  Every
     coincidence row must name known classes, each in the table of the
     row's lambency, with signs -1, 0 or +1.
     """
@@ -339,8 +318,8 @@ def load_class_data(directory: str | None = None) -> ClassData:
             rec = ConwayClassRecord(
                 co0_name=_typed(entry["co0"], str, "co0"),
                 co1_name=_typed(entry["co1"], str, "co1"),
-                fs_g=FrameShape.from_pairs(entry["pi_g"]),
-                fs_neg_g=FrameShape.from_pairs(entry["pi_neg_g"]),
+                fs_g=_frame_shape(entry, "pi_g"),
+                fs_neg_g=_frame_shape(entry, "pi_neg_g"),
                 c_neg_g=parse_radical(_typed(entry["c_neg_g"], str, "c_neg_g")),
                 d_magnitude={int(ell): parse_radical(_typed(text, str, f"d_mag[{ell}]"))
                              for ell, text in _typed(entry["d_mag"], dict, "d_mag").items()},
@@ -361,13 +340,13 @@ def load_class_data(directory: str | None = None) -> ClassData:
         try:
             kind = entry["kind"]
             rhs = tuple(
-                (Fraction(item["coeff"]), _typed(item["class"], str, "rhs class"),
-                 int(item["sign"]))
+                (Fraction(_typed(item["coeff"], str, "rhs coeff")),
+                 _typed(item["class"], str, "rhs class"), _typed(item["sign"], int, "rhs sign"))
                 for item in entry.get("rhs", ()))
             rel = CoincidenceRelation(
-                lambency=int(entry["lambency"]),
+                lambency=_typed(entry["lambency"], int, "lambency"),
                 lhs_class=_typed(entry["lhs"]["class"], str, "lhs.class"),
-                lhs_sign=int(entry["lhs"]["sign"]),
+                lhs_sign=_typed(entry["lhs"]["sign"], int, "lhs.sign"),
                 kind=kind,
                 rhs=rhs,
                 source=entry.get("source", ""),

@@ -34,10 +34,10 @@ rows, the y-rows r = 0..m: by the elliptic law every other row is a
 shifted copy of one of them (Eichler and Zagier, The Theory of Jacobi
 Forms, section 5).  `cut_theta_rows` cuts a form to those rows and is the
 one check of the law: it returns them with the form's first deviation
-from their expansion, compared in integers.  `theta_rows` raises on it;
-the weak Jacobi check reports it.  `expand_theta_rows` rebuilds the full
-rows by the law and checks nothing, so it must only see checked rows or
-products and sums of them.
+from their expansion, compared in integers; the genera report it, on
+their bases and on a genus, and never raise on it.  `expand_theta_rows`
+rebuilds the full rows by the law and checks nothing, so it must only
+see checked rows or products and sums of them.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`
 and `items()` are read-only views built on first use and kept per
@@ -706,17 +706,6 @@ def cut_theta_rows(f, m: int):
         {d: {ry: row for ry, row in rows.items() if 0 <= ry <= 2 * m and ry % 2 == 0}
          for d, rows in f.parts.items()}, f.den, f.trunc)
     return kept, first_difference(f, expand_theta_rows(kept, m))
-
-
-def theta_rows(f, m: int) -> JacobiSeries:
-    """The theta rows 0..m of an even index-m form; ValueError at the first
-    deviation of cut_theta_rows (the law, evenness or a half-integer y)."""
-    kept, dev = cut_theta_rows(f, m)
-    if dev is not None:
-        raise ValueError(f"the form does not obey the index-{m} elliptic law: "
-                         f"q^{dev['q_exp']} y^{dev['y_exp']} is {dev['lhs']}, "
-                         f"its theta-row partner {dev['rhs']}")
-    return kept
 
 
 def first_difference(a, b, through: int | None = None):

@@ -23,9 +23,10 @@ the oracle's mode labels, the reference for its knapsack histogram;
 plain ints, one entry per exponent, the reference for its packed counts;
 `nu_product` and `embed_term_by_term` take its ground products and
 radical embeddings as chains of `CycloNumber` products and sums;
-`euler_phi` is Euler's totient by trial division, and `to_radical` reads
-an oracle value back into Q(sqrt 2, sqrt 3, sqrt 5) by Gaussian
-elimination.
+`euler_phi` is Euler's totient by trial division, `moebius_trace` the
+trace of a Frame shape as its Moebius-weighted cyclotomic
+multiplicities, and `to_radical` reads an oracle value back into
+Q(sqrt 2, sqrt 3, sqrt 5) by Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -198,6 +199,27 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def moebius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def moebius_trace(shape) -> int:
+    """The trace of a Frame shape as the sum of its eigenvalues: the
+    primitive d-th roots of unity sum to mu(d)."""
+    return sum(a * moebius(d) for d, a in shape.cyclo().items())
 
 
 # -- series products over the coefficient field -------------------------------

@@ -266,8 +266,21 @@ def test_malformed_constant_is_a_data_error(tmp_path, capsys, text):
      "TypeError('field lhs.class has type list, not str')"),
     ("coincidences.json", ("relations", 2, "rhs", 0, "class"), ["2B"],
      "TypeError('field rhs class has type list, not str')"),
+    ("classes.json", ("classes", 1, "pi_g", 0, 1), 8.5,
+     "row 2B: field pi_g has type float, not int"),
+    ("classes.json", ("classes", 1, "pi_neg_g", 0, 0), True,
+     "row 2B: field pi_neg_g has type bool, not int"),
+    ("coincidences.json", ("relations", 0, "lambency"), 2.5,
+     "TypeError('field lambency has type float, not int')"),
+    ("coincidences.json", ("relations", 0, "lhs", "sign"), False,
+     "TypeError('field lhs.sign has type bool, not int')"),
+    ("coincidences.json", ("relations", 2, "rhs", 0, "sign"), 0.0,
+     "TypeError('field rhs sign has type float, not int')"),
+    ("coincidences.json", ("relations", 2, "rhs", 1, "coeff"), 2.0000000001,
+     "TypeError('field rhs coeff has type float, not str')"),
 ], ids=["c_neg_g-number", "d_mag-value-number", "d_mag-list", "co0-list", "co1-list",
-        "lhs-class-list", "rhs-class-list"])
+        "lhs-class-list", "rhs-class-list", "pi_g-exponent-float", "pi_neg_g-part-bool",
+        "lambency-float", "lhs-sign-bool", "rhs-sign-float", "rhs-coeff-number"])
 def test_wrongly_typed_field_is_a_data_error(tmp_path, capsys, name, path, value, message):
     tables = {n: _bundled(n) for n in ("classes.json", "coincidences.json")}
     *keys, last = path
@@ -302,7 +315,9 @@ def _one_field_mutated(draw):
     else:
         pairs = entry[field]
         i = draw(st.integers(0, len(pairs)))  # len(pairs) appends a pair
-        pairs[i:i + 1] = [[draw(st.integers(0, 30)), draw(st.integers(-30, 30))]]
+        exponent = draw(st.one_of(st.integers(-30, 30), st.floats(-30, 30), st.text(max_size=2),
+                                  st.booleans()))
+        pairs[i:i + 1] = [[draw(st.integers(0, 30)), exponent]]
     return classes
 
 

@@ -57,6 +57,12 @@ def test_chi_values():
     assert fs((3, 9), (1, -3)).chi() == -3
 
 
+def test_chi_is_the_moebius_trace(data):
+    for rec in data.classes.values():
+        for shape in (rec.fs_g, rec.fs_neg_g):
+            assert shape.chi() == brute.moebius_trace(shape), (rec.co0_name, str(shape))
+
+
 def test_chi_negation(data):
     for rec in data.classes.values():
         assert rec.fs_neg_g.chi() == -rec.fs_g.chi()

@@ -8,7 +8,7 @@ table constant, the D-sign home `ConwayClassRecord.d_signed`, or one
 builder of `modforms` or `sigma`), runs the suites of the families it
 names, and asserts that each of those families has a failing row, reported
 and not raised.  The coverage test asserts that every family with a
-non-skipped row is covered by an entry or named in ALLOWED_GAPS.
+non-skipped row is covered by an entry.
 """
 
 import re
@@ -24,17 +24,6 @@ from conway_genera.series import QSeries
 #: (theta needs 2), and the first at which a form times eta_{-g}, which
 #: starts at q^1, is seen
 ORDERS = 2
-
-#: families no perturbation can make fail, with the reason
-ALLOWED_GAPS = {
-    ("jacobi", "jacobi-invariance[X, ell, D sign]"):
-        "phi_g_ell expands theta rows by the elliptic law, so the law and "
-        "evenness hold by construction, and a builder perturbed off the "
-        "integer q-grid raises ValueError in genera._class_form first; "
-        "ROADMAP item 9 plans the independent side, each B_i = Q_i^m built "
-        "in full 2-D",
-}
-
 
 def family(suite: str, name: str) -> tuple[str, str]:
     """The family of a report: its class names become X, and the values
@@ -84,6 +73,19 @@ def _eta_product_1a_neg(monkeypatch, data):
     _plus(monkeypatch, modforms, "eta_product", 24, _frame_shape(data, "1A", "fs_neg_g"))
 
 
+def _eta_ratio_3c_off_grid(monkeypatch, data):
+    _plus(monkeypatch, modforms, "eta_ratio_half", 1, _frame_shape(data, "3C"))
+
+
+def _theta_quotient_q0(monkeypatch, data):
+    # q^0 y^0 added to every theta quotient, and so to phi_{0,1}, breaks the law
+    _plus(monkeypatch, modforms, "theta_quotient", 0)
+
+
+def _lambda2_half_off_grid(monkeypatch, data):
+    _plus(monkeypatch, modforms, "lambda2_half", 1)
+
+
 def _c_neg_g_1a_negated(monkeypatch, data):
     return _with_record(data, "1A", c_neg_g=-data.record("1A").c_neg_g)
 
@@ -131,6 +133,10 @@ def _ns_24(monkeypatch, data):
 PERTURBATIONS = [
     pytest.param(_eta_ratio_3c, {("eta-identity", "eta-identity[X]")},
                  id="eta_ratio_half-3C-q1"),
+    pytest.param(_eta_ratio_3c_off_grid, {("jacobi", "jacobi-invariance[X, ell, D sign]")},
+                 id="eta_ratio_half-3C-off-grid"),
+    pytest.param(_theta_quotient_q0, {("jacobi", f"elliptic-law[{base}]") for base in (
+        "theta4", "theta3", "theta1sq", "theta2", "phi01")}, id="theta_quotient-q0"),
     pytest.param(_eta_ratio_1a_q0, {("fourier", "fourier[identity-class leading shape]")},
                  id="eta_ratio_half-1A-q0"),
     pytest.param(_eta_product_1a_neg, {("k3", "k3-genus[z=0 value 24]"),
@@ -203,7 +209,18 @@ def test_every_family_with_a_checked_row_has_a_perturbation(data):
     rows = run_suites(data, cli._SUITES)
     assert all(status != "fail" for _, status in rows)
     checked = {fam for fam, status in rows if status != "skipped"}
-    assert len(checked) == 30
+    assert len(checked) == 35
     covered = set().union(*(param.values[1] for param in PERTURBATIONS))
-    assert covered <= checked
-    assert checked - covered == set(ALLOWED_GAPS)
+    assert covered == checked
+
+
+@pytest.mark.parametrize("patch", [_eta_ratio_3c_off_grid, _lambda2_half_off_grid,
+                                   _theta_quotient_q0],
+                         ids=["eta_ratio_half-3C-off-grid", "lambda2_half-off-grid",
+                              "theta_quotient-q0"])
+def test_a_broken_builder_is_reported_not_raised(data, cold_caches, monkeypatch, capsys,
+                                                 patch):
+    patch(monkeypatch, data)
+    assert cli.main(["verify", "--suite", "all", "--prec", str(ORDERS)]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] " in out and err == ""
