@@ -235,11 +235,22 @@ def default_data_dir() -> str | None:
     return os.environ.get("MOONSHINE_DATA_DIR") or None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a ValueError, where
+    json.load would keep the last value silently."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def _read_rows(directory: str | None, filename: str, what: str, key: str) -> list:
     """The `key` list of a data file in directory, or of the bundled one.
 
-    A file that cannot be read or parsed, or that lacks the list, is a
-    DataError naming `what` data.
+    A file that cannot be read, decoded or parsed, that gives a key twice
+    in one object, or that lacks the list, is a DataError naming `what` data.
     """
     try:
         if directory is None:
@@ -248,8 +259,8 @@ def _read_rows(directory: str | None, filename: str, what: str, key: str) -> lis
         else:
             handle = open(os.path.join(directory, filename), "r", encoding="utf-8")
         with handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} data: {exc}") from exc
     try:
         return raw[key]
@@ -300,6 +311,16 @@ def _validate_record(rec: ConwayClassRecord) -> None:
                 f"characteristic-polynomial value {want}")
 
 
+def _lambency_key(key: str) -> int:
+    """The lambency a d_mag key spells as plain decimal text: "5", not "05"
+    or " +5", so that no two keys name one lambency.  _validate_record
+    checks that it is one of LAMBENCIES."""
+    ell = int(key)
+    if str(ell) != key:
+        raise ValueError(f"field d_mag key {key!r} is not the decimal text of a lambency")
+    return ell
+
+
 def load_class_data(directory: str | None = None) -> ClassData:
     """Load and validate the class and coincidence tables.
 
@@ -321,8 +342,9 @@ def load_class_data(directory: str | None = None) -> ClassData:
                 fs_g=_frame_shape(entry, "pi_g"),
                 fs_neg_g=_frame_shape(entry, "pi_neg_g"),
                 c_neg_g=parse_radical(_typed(entry["c_neg_g"], str, "c_neg_g")),
-                d_magnitude={int(ell): parse_radical(_typed(text, str, f"d_mag[{ell}]"))
-                             for ell, text in _typed(entry["d_mag"], dict, "d_mag").items()},
+                d_magnitude={
+                    _lambency_key(ell): parse_radical(_typed(text, str, f"d_mag[{ell}]"))
+                    for ell, text in _typed(entry["d_mag"], dict, "d_mag").items()},
                 gamma_g=entry["gamma_g"],
                 gamma_neg_g=entry["gamma_neg_g"],
                 level=entry.get("level"),

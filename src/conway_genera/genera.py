@@ -100,8 +100,6 @@ class GenusRequest:
                 f"class {self.rec.co0_name} is not in the lambency-{self.ell} table")
         if self.d_sign not in (1, -1):
             raise ValueError("d_sign must be +1 or -1")
-        if self.orders < 1:
-            raise ValueError("precision must be at least one q-order")
         if self.d_sign not in self.rec.d_signs(self.ell):
             object.__setattr__(self, "d_sign", 1)
 
@@ -265,14 +263,14 @@ def phi_g_ell(req: GenusRequest) -> JacobiSeries:
     return expand_theta_rows(_genus_rows(req), req.ell - 1)
 
 
-def _rows_deviation(a: JacobiSeries, b: JacobiSeries, index: int, orders: int) -> dict | None:
+def _rows_deviation(a: JacobiSeries, b: JacobiSeries, index: int) -> dict | None:
     """first_difference of two index-m forms' full rows, from their theta rows:
     each full-row coefficient copies a theta-row one at a lower or equal q
-    order, so only forms that differ are expanded."""
-    prec = _grid(orders)
-    if first_difference(a, b, prec) is None:
+    order, so only forms that differ are expanded.  Both are known below
+    the same index, _class_form's truncation, so no bound is passed."""
+    if first_difference(a, b) is None:
         return None
-    return first_difference(expand_theta_rows(a, index), expand_theta_rows(b, index), prec)
+    return first_difference(expand_theta_rows(a, index), expand_theta_rows(b, index))
 
 
 def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSeries:
@@ -330,7 +328,7 @@ def _decomposition_rows(req: GenusRequest) -> JacobiSeries:
 
 def _decomposition_deviation(req: GenusRequest) -> dict | None:
     """First deviation of phi^(ell) from its binomial decomposition."""
-    return _rows_deviation(_genus_rows(req), _decomposition_rows(req), req.ell - 1, req.orders)
+    return _rows_deviation(_genus_rows(req), _decomposition_rows(req), req.ell - 1)
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
@@ -410,7 +408,7 @@ def verify_coincidences(data: ClassData, orders: int = 5,
         for coeff, name, sign in rel.rhs:
             rhs = rhs + genus(name, sign, rel.lambency) * coeff
         reports.append(CheckReport.from_deviation(
-            label, _rows_deviation(lhs, rhs, rel.lambency - 1, orders), note=rel.source))
+            label, _rows_deviation(lhs, rhs, rel.lambency - 1), note=rel.source))
     return reports
 
 
@@ -426,4 +424,4 @@ def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> Check
                            "D term")
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
     return CheckReport.from_deviation(name, _rows_deviation(
-        _genus_rows(plus) - _genus_rows(minus), expected, ell - 1, orders))
+        _genus_rows(plus) - _genus_rows(minus), expected, ell - 1))

@@ -39,9 +39,6 @@ THETA3 = "theta3"
 THETA4 = "theta4"
 THETA1SQ = "theta1sq"
 
-#: the least q-orders at which `verify_theta_identities` runs
-THETA_MIN_ORDERS = 2
-
 
 def sigma1(n: int) -> int:
     """Divisor sum of n."""
@@ -321,14 +318,14 @@ def hecke_t2(f: QSeries) -> QSeries:
     return QSeries(out, -((-f.trunc) // 2))
 
 
-def verify_theta_identities(prec: int) -> list[CheckReport]:
-    """Check the three quotient decompositions against phi_{0,1}, phi_{-2,1}.
+def verify_theta_identities(orders: int) -> list[CheckReport]:
+    """Check the three quotient decompositions against phi_{0,1}, phi_{-2,1}
+    below q^orders (integer q-orders, as every verify_* takes).
 
     Each is an exact coefficient identity on the (1/2)Z grid; any
     nonzero deviation is reported with the offending exponent.
     """
-    if prec < 24 * THETA_MIN_ORDERS:
-        raise ValueError(f"theta identity verification needs prec >= {24 * THETA_MIN_ORDERS}")
+    prec = 24 * orders
     p01 = phi01(prec)
     pm21 = phi_minus21(prec)
     twelfth = p01 * Fraction(1, 12)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -46,22 +46,3 @@ class CheckReport:
         if self.note:
             extra += f"  ({self.note})"
         return f"[{tag}] {self.name}{extra}"
-
-
-@dataclass
-class Suite:
-    """A named bundle of check reports."""
-
-    name: str
-    reports: list[CheckReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
-
-    def extend(self, reports) -> None:
-        self.reports.extend(reports)
-
-    def to_json(self) -> dict:
-        return {"suite": self.name, "ok": self.ok,
-                "checks": [r.to_json() for r in self.reports]}

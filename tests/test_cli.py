@@ -74,7 +74,8 @@ def test_k3_suite_fails_a_zero_genus(capsys, monkeypatch):
                         lambda orders: JacobiSeries.zero(24 * orders))
     code, out, _ = run(capsys, "verify", "--suite", "k3", "--prec", "2")
     assert code == 1
-    assert "[FAIL] k3-genus[z=0 value 24]" in out.splitlines()
+    assert ("[FAIL] k3-genus[z=0 value 24]  first deviation at q^0 y^0: 0 != 24"
+            in out.splitlines())
 
 
 def test_verify_coincidences_reports_skips(capsys):
@@ -142,8 +143,7 @@ def test_env_data_dir_override(tmp_path, capsys, monkeypatch):
     assert "data error" in err
 
 
-@pytest.mark.parametrize("suite, prec", [("theta", "1"), ("k3", "-1"), ("sigma", "0"),
-                                         ("all", "1"), ("oracle", "0")])
+@pytest.mark.parametrize("suite, prec", [("k3", "-1"), ("sigma", "0"), ("oracle", "0")])
 def test_verify_bad_precision_is_a_usage_error(capsys, suite, prec):
     code, out, err = run(capsys, "verify", "--suite", suite, "--prec", prec)
     assert code == 2 and out == ""
@@ -159,11 +159,26 @@ def test_compute_nonpositive_precision_is_a_usage_error(capsys, what, prec):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_every_suite_runs_at_one_order(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--prec", "1")
+    assert code == 0 and err == ""
+    assert "[PASS] " in out and "[FAIL] " not in out
+
+
+#: --prec values outside 1..MAX_ORDERS
+_OUT_OF_RANGE = ("0", "-1", str(cli.MAX_ORDERS + 1))
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--class", "2B", "--prec", "100000"),
     ("compute", "--class", "2B", "--what", "f", "--prec", str(cli.MAX_ORDERS + 1)),
     ("verify", "--suite", "jacobi", "--prec", "100000"),
     ("verify", "--suite", "all", "--prec", str(cli.MAX_ORDERS + 1)),
+    *(pytest.param(("verify", "--suite", suite, "--prec", prec), id=f"verify-{suite}-{prec}")
+      for suite in ("all", *cli._SUITES) for prec in _OUT_OF_RANGE),
+    *(pytest.param(("compute", "--class", "2B", "--what", what, "--prec", prec),
+                   id=f"compute-{what}-{prec}")
+      for what in ("phi", "ts", "ts-tw", "f") for prec in _OUT_OF_RANGE),
 ])
 def test_precision_above_the_bound_fails_before_any_series_is_built(
         capsys, monkeypatch, argv):
@@ -225,6 +240,46 @@ def test_d_mag_key_failing_its_invariant_is_a_data_error(tmp_path, capsys, row, 
     path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
     assert code == 3 and err.startswith(f"data error: row {row}, field d_mag[{ell}]")
+
+
+@pytest.mark.parametrize("old, new", [("2", " +2 "), (None, "05")],
+                         ids=["padded-plus-sign", "leading-zero"])
+def test_d_mag_key_that_is_not_plain_decimal_is_a_data_error(tmp_path, capsys, old, new):
+    # "05" beside "5" used to load as a second lambency-5 entry that overwrote the first
+    classes = _bundled("classes.json")
+    d_mag = next(e for e in classes["classes"] if e["co0"] == "2B")["d_mag"]
+    d_mag[new] = d_mag.pop(old) if old else "-16"
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    code, out, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and out == ""
+    assert err.startswith(f"data error: row 2B: field d_mag key {new!r}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("classes.json", '"5": "16"', '"5": "16", "5": "-16"',
+     "cannot read class data: duplicate key '5'"),
+    ("coincidences.json", '"lambency": 2', '"lambency": 2, "lambency": 3',
+     "cannot read coincidence data: duplicate key 'lambency'"),
+], ids=["classes", "coincidences"])
+def test_duplicate_key_is_a_data_error(tmp_path, capsys, name, old, new, message):
+    # json.load alone keeps the last of two equal keys, so the first case flips a D sign
+    path = _data_dir(tmp_path, _bundled("classes.json"), _bundled("coincidences.json"))
+    text = (tmp_path / name).read_text()
+    assert old in text
+    (tmp_path / name).write_text(text.replace(old, new, 1))
+    code, out, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and out == ""
+    assert err == f"data error: {message}\n"
+
+
+def test_table_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    path = _data_dir(tmp_path, _bundled("classes.json"), _bundled("coincidences.json"))
+    (tmp_path / "classes.json").write_bytes(b'{"classes": ["\xff"]}')
+    code, out, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and out == ""
+    assert err.startswith("data error: cannot read class data: 'utf-8' codec")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("suite", ["eta-identity", "fourier", "all"])

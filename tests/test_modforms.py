@@ -285,7 +285,18 @@ def test_hecke_reproduces_weight_two_combination(data):
 
 
 def test_verify_theta_identities():
-    reports = mf.verify_theta_identities(96)
+    reports = mf.verify_theta_identities(4)
     assert all(r.status == "pass" for r in reports)
-    with pytest.raises(ValueError):
-        mf.verify_theta_identities(24)
+    assert all(r.status == "pass" for r in mf.verify_theta_identities(1))
+
+
+def test_every_theta_identity_can_fail_at_one_order(monkeypatch):
+    # q^(1/2) in Lambda2(tau/2) and Lambda2(tau/2+1/2), q^0 in Lambda2
+    lambda2_half, lambda_n = mf.lambda2_half, mf.lambda_n
+    monkeypatch.setattr(mf, "lambda2_half",
+                        lambda v, prec: lambda2_half(v, prec) + QSeries({12: 1}, prec))
+    monkeypatch.setattr(mf, "lambda_n",
+                        lambda n, prec: lambda_n(n, prec) + QSeries({0: 1}, prec))
+    reports = mf.verify_theta_identities(1)
+    assert len(reports) == 3
+    assert all(r.status == "fail" and r.first_deviation for r in reports)

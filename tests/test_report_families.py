@@ -20,9 +20,8 @@ from conway_genera import cli, modforms, sigma
 from conway_genera.conway import ClassData, ConwayClassRecord
 from conway_genera.series import QSeries
 
-#: the q-orders every suite runs at: the least that every suite accepts
-#: (theta needs 2), and the first at which a form times eta_{-g}, which
-#: starts at q^1, is seen
+#: the q-orders every suite runs at: the first at which a form times
+#: eta_{-g}, which starts at q^1, is seen
 ORDERS = 2
 
 def family(suite: str, name: str) -> tuple[str, str]:
@@ -186,6 +185,18 @@ def test_perturbation_fails_its_families(data, cold_caches, monkeypatch, patch, 
     rows = run_suites(table, sorted({suite for suite, _ in families}))
     failed = {fam for fam, status in rows if status == "fail"}
     assert families <= failed
+
+
+@pytest.mark.parametrize("patch, suite, names", [
+    (_eta_ratio_1a_q0, "fourier", {"fourier[identity-class leading shape]"}),
+    (_eta_product_1a_neg, "k3", {"k3-genus[z=0 value 24]",
+                                 "k3-genus[weight-2 multiplier vanishes]"}),
+], ids=["eta_ratio_half-1A-q0", "eta_product-1A-neg-q1"])
+def test_a_failing_shape_row_shows_its_first_deviation(data, cold_caches, monkeypatch,
+                                                      patch, suite, names):
+    patch(monkeypatch, data)
+    deviations = {r.name: r.first_deviation for r in cli._SUITES[suite][0](data, ORDERS)}
+    assert all(deviations[name] for name in names)
 
 
 def test_eta_identity_fails_every_class_sharing_a_perturbed_frame_shape(
