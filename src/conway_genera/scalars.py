@@ -185,7 +185,6 @@ class RadicalScalar:
 
 
 ZERO = RadicalScalar()
-ONE = RadicalScalar({1: 1})
 
 
 def format_radical(x: RadicalScalar) -> str:

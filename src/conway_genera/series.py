@@ -67,12 +67,6 @@ class GridError(ValueError):
     """An exponent left the admissible grid."""
 
 
-def _coeff(x) -> RadicalScalar:
-    if isinstance(x, RadicalScalar):
-        return x
-    return RadicalScalar({1: x})
-
-
 def _pieces(x):
     """(d, rational) pairs of a field value."""
     if isinstance(x, RadicalScalar):
@@ -284,12 +278,15 @@ class _Series:
     def __hash__(self):
         return hash((self.trunc, self.den, tuple(self.int_items())))
 
-    def dump(self) -> str:
+    def text_rows(self):
+        """(q exponent, y exponent, coefficient) texts in key order, one at a time."""
         den = self.den
-        return "\n".join(
-            f"{ratio_text(kq, QGRID)} {ratio_text(ry, YGRID)} "
-            f"{format_terms((d, n, den) for d, n in terms)}"
-            for (kq, ry), terms in self.int_items())
+        for (kq, ry), terms in self.int_items():
+            yield (ratio_text(kq, QGRID), ratio_text(ry, YGRID),
+                   format_terms((d, n, den) for d, n in terms))
+
+    def dump(self) -> str:
+        return "\n".join(" ".join(row) for row in self.text_rows())
 
     def text_at(self, kq: int, ry: int = 0) -> str:
         """The coefficient at (kq, ry) in format_radical's text."""
@@ -634,7 +631,7 @@ def combine(terms, trunc: int | None = None) -> JacobiSeries:
     for kappa, a, b in terms:
         bound = a.product_trunc(b)
         trunc = bound if trunc is None else min(bound, trunc)
-        scale = _coeff(kappa) * Fraction(1, a.den * b.den)
+        scale = RadicalScalar.from_rational(Fraction(1, a.den * b.den)) * kappa
         if scale:
             scaled.append((scale.parts, a, b))
     common = lcm(*(c.denominator for scale, _, _ in scaled for c in scale.values()))

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -194,13 +195,72 @@ def test_precision_above_the_bound_fails_before_any_series_is_built(
     assert str(cli.MAX_ORDERS) in err
 
 
-def test_module_entry_point_runs_the_cli():
+def _cli_process(*argv, **kwargs):
+    """`python -m conway_genera argv` on this package's source, stderr piped."""
     src = Path(conway_genera.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "conway_genera", "list-classes"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 42
+    return subprocess.Popen([sys.executable, "-m", "conway_genera", *argv],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = _cli_process("list-classes", stdout=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert len(out.splitlines()) == 42
+
+
+def _run_into_closed_pipe(*argv):
+    """Exit code and stderr of a run whose stdout has no reader from the start."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "coincidences"), ("list-classes",)], ids=["verify", "list-classes"])
+def test_closed_pipe_ends_the_output_not_the_run(argv):
+    assert _run_into_closed_pipe(*argv) == (0, b"")
+
+
+def test_reader_that_leaves_after_one_line_ends_the_output_not_the_run():
+    # 88 KB, more than a pipe holds, so the writer meets the closed pipe
+    proc = _cli_process("compute", "--class", "1A", "--ell", "7", "--prec", "30",
+                        "--format", "json", stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_failing_verify_into_closed_pipe_still_exits_1(tmp_path):
+    classes = _bundled("classes.json")
+    d_mag = next(e for e in classes["classes"] if e["co0"] == "4B")["d_mag"]
+    d_mag["3"] = "-" + d_mag["3"]   # fails coincidence[ell 3: 4B, D sign -1]
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    assert _run_into_closed_pipe("--data-dir", path, "verify", "--suite", "coincidences") \
+        == (1, b"")
+
+
+def test_write_is_the_only_writer_of_stdout():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writer = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write")
+    inside = {id(node) for node in ast.walk(writer)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            assert any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in node.keywords), f"line {node.lineno} prints to stdout"
+        assert not (isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"), \
+            f"line {node.lineno} uses sys.stdout"
 
 
 def _data_dir(tmp_path, classes, coincidences):
@@ -444,3 +504,102 @@ def test_coincidence_row_verify_cannot_evaluate_is_a_data_error(
     assert code == 3 and out == ""
     assert err.startswith("data error: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def _exit_code_and_stderr(argv):
+    """cli.main's exit code and stderr, with argparse's SystemExit(2) as code 2;
+    any other exception escapes."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+    return code, err.getvalue()
+
+
+def _assert_contract(code, err, codes):
+    assert code in codes
+    assert code != 0 or err == ""
+    assert code != 3 or (err.startswith("data error: ") and err.count("\n") == 1)
+
+
+#: flag -> values drawn for it, valid and invalid; --data-dir names the
+#: bundled tables or a missing directory and goes before the subcommand
+_FLAGS = {
+    "--class": ("1A", "4D", "ZZ", ""),
+    "--ell": ("2", "7", "6", "x"),
+    "--sign": ("+", "-", "0"),
+    "--prec": ("1", "2", "0", "-1", "97", "x"),
+    "--what": ("phi", "ts", "ts-tw", "f", "g"),
+    "--format": ("text", "json", "csv", "xml"),
+    "--table": ("classes", "coincidences", "rows"),
+    "--suite": ("theta", "k3", "coincidences", "fourier", "sigma", "constants"),
+    "--data-dir": (str(BUNDLED), str(BUNDLED / "missing")),
+}
+
+
+#: subcommand -> the flags it takes, besides the top-level --data-dir
+_OWN_FLAGS = {
+    "compute": ("--class", "--ell", "--sign", "--prec", "--what", "--format"),
+    "verify": ("--suite", "--prec", "--format"),
+    "list-classes": ("--format",),
+    "export": ("--table", "--format"),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and up to four drawn flags: one draw in four may take any
+    flag, the others take the subcommand's own."""
+    command = draw(st.sampled_from((*_OWN_FLAGS, "run")))
+    flags = (*_OWN_FLAGS.get(command, ()), "--data-dir") if draw(st.integers(0, 3)) \
+        else tuple(_FLAGS)
+    pairs = [(flag, draw(st.sampled_from(_FLAGS[flag])))
+             for flag in draw(st.lists(st.sampled_from(flags), max_size=4))]
+    # compute needs a class, and verify runs every suite without a --suite
+    required = {"compute": "--class", "verify": "--suite"}.get(command)
+    if required and required not in dict(pairs):
+        pairs.append((required, draw(st.sampled_from(_FLAGS[required]))))
+    top = [token for flag, value in pairs if flag == "--data-dir" for token in (flag, value)]
+    rest = [token for flag, value in pairs if flag != "--data-dir" for token in (flag, value)]
+    return [*top, command, *rest]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_contract_holds_for_drawn_argv(argv):
+    # nothing fails on the bundled tables, so exit 1 would be a defect
+    _assert_contract(*_exit_code_and_stderr(argv), (0, 2, 3))
+
+
+@st.composite
+def _one_coincidence_field_mutated(draw):
+    """The bundled coincidence table with one field of one row changed."""
+    coincidences = _bundled("coincidences.json")
+    row = draw(st.sampled_from(coincidences["relations"]))
+    entries = [row["lhs"], *row["rhs"]]
+    change = draw(st.sampled_from(("drop", "retype", "unknown class", "sign 2", "lambency 6")))
+    if change in ("drop", "retype"):
+        target, key = draw(st.sampled_from(
+            [(entry, key) for entry in (row, *entries) for key in entry]))
+        if change == "drop":
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from((None, 2, 2.5, True, "2", [], {})).filter(
+                lambda value: type(value) is not type(target[key])))
+    elif change == "lambency 6":
+        row["lambency"] = 6
+    else:
+        field, value = ("class", "ZZ") if change == "unknown class" else ("sign", 2)
+        draw(st.sampled_from(entries))[field] = value
+    return coincidences
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_one_coincidence_field_mutated())
+def test_mutated_coincidence_row_loads_or_is_a_data_error(coincidences):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _data_dir(Path(tmp), _bundled("classes.json"), coincidences)
+        _assert_contract(*_exit_code_and_stderr(["--data-dir", path, "list-classes"]), (0, 3))
