@@ -123,13 +123,18 @@ def cmd_compute(args, data) -> int:
     return EXIT_OK
 
 
-def _record(data, suite: str, name: str):
-    """The record of a class the suite names; a table without it is a data error."""
+def _record(data, suite: str, name: str, ell: int | None = None):
+    """The record of a class the suite names, in the lambency-ell table when
+    the suite takes its genus there; a table without it is a data error."""
     try:
-        return data.record(name)
+        rec = data.record(name)
     except KeyError:
         raise DataError(f"suite {suite} needs class {name}, which the class table "
                         "lacks") from None
+    if ell is not None and not rec.in_table(ell):
+        raise DataError(f"suite {suite} needs class {name} at lambency {ell}, which "
+                        f"the lambency-{ell} table lacks")
+    return rec
 
 
 def _suite_eta(data, orders):
@@ -164,7 +169,7 @@ def _suite_decomposition(data, orders):
 
 def _suite_k3(data, orders):
     k3 = genera.k3_elliptic_genus(orders)
-    identity = _record(data, "k3", "1A")
+    identity = _record(data, "k3", "1A", 2)
     phi_e = genera.phi_g(identity, 1, orders)
     z0 = k3.specialize_z0()
     f_e = genera.f_g(identity, 1, orders)
@@ -198,7 +203,7 @@ def _suite_fourier(data, orders):
 def _suite_oracle(data, orders):
     out = []
     for name in ("1A", "2B", "2D", "3D", "4D"):
-        rec = _record(data, "oracle", name)
+        rec = _record(data, "oracle", name, 2)
         signs = rec.d_signs(2)
         for sign in signs:
             pairs = [(oracle.brute_ts(rec, which, 2), genera.ts_g(rec, which, "chi", 3))

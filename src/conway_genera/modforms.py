@@ -12,12 +12,14 @@ Every product of (1 +- q^a) factors -- Euler products, eta and Delta,
 the eta products of Frame shapes and their half-argument ratios, the
 theta-quotient normalizers and the fermion characters of the sigma
 module -- is one call of `power_product`, an integer recurrence on the
-logarithmic derivative of prod (1 - q^a)^e.  A plus sign enters as
-1 + x = (1 - x^2)/(1 - x) and an inverse as a negative exponent, so no
-series power or inverse is taken for any of them.  No product carries
-y: the y-dependence of the theta quotients comes from the theta lattice
-sums alone, squared and multiplied by their normalizer with `times`, in
-Python ints, so no field value is built.
+logarithmic derivative of prod (1 - q^a)^e, one builtin dot product per
+coefficient, whose result is built as the series' integer row with no
+field value.  A plus sign enters as 1 + x = (1 - x^2)/(1 - x) and an
+inverse as a negative exponent, so no series power or inverse is taken
+for any of them.  No product carries y: the y-dependence of the theta
+quotients comes from the theta lattice sums alone, squared and
+multiplied by their normalizer with `times`, in Python ints, so no field
+value is built.
 
 All constructors take a truncation index `prec` on the (1/24)Z grid and
 return a series truncated at exactly that index.  Results are cached;
@@ -29,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .report import CheckReport
 from .series import GridError, JacobiSeries, QSeries, first_difference
@@ -59,8 +62,10 @@ def power_product(exponents: dict[int, int], prec: int) -> QSeries:
     Every a must be positive; every e is an integer of either sign.  The
     product is expanded in x = q^(g/24), g the gcd of the a below prec,
     by its logarithmic derivative: with c_N = sum_{b | N} b e_{bg},
-    N f_N = -sum_{i=1..N} c_i f_{N-i}.  All f_N are integers, so a
-    division that leaves a remainder raises ValueError.
+    N f_N = -sum_{i=1..N} c_i f_{N-i}.  Each step is one builtin dot
+    product of c_1, c_2, ... with the reversed prefix f_{N-1}, ..., f_0.
+    All f_N are integers, so a division that leaves a remainder raises
+    ValueError; the f_N become the series' integer row directly.
     """
     if any(a <= 0 for a in exponents):
         raise ValueError("power_product needs positive factor exponents")
@@ -74,19 +79,16 @@ def power_product(exponents: dict[int, int], prec: int) -> QSeries:
         b = a // step
         for n in range(b, top + 1, b):
             c[n] += b * e
-    terms = [(i, ci) for i, ci in enumerate(c) if ci]
-    f = [1] + [0] * top
+    c = c[1:]
+    f = [1]
     for n in range(1, top + 1):
-        total = 0
-        for i, ci in terms:
-            if i > n:
-                break
-            total += ci * f[n - i]
-        f[n], rem = divmod(-total, n)
+        # c_1 f_{N-1} + ... + c_N f_0: map stops at the end of the reversed prefix
+        fn, rem = divmod(-sum(map(mul, c, reversed(f))), n)
         if rem:
             raise ValueError(
                 f"inexact recurrence step at q^{Fraction(n * step, 24)} in power_product")
-    return QSeries({n * step: v for n, v in enumerate(f) if v}, prec)
+        f.append(fn)
+    return QSeries.from_parts({1: {0: {n * step: v for n, v in enumerate(f)}}}, 1, prec)
 
 
 def _add_modes(exponents: dict[int, int], first: int, step: int, prec: int,

@@ -49,17 +49,22 @@ def pmul(a: dict, b: dict, limit: int) -> dict:
 
 
 def binomial_factor(step: int, power: int, limit: int) -> dict:
-    """(1 - q^(step/24))^power expanded by the binomial theorem, power >= 0."""
+    """(1 - q^(step/24))^power expanded by the binomial theorem: a polynomial
+    for power >= 0, and for power = -e < 0 the series of (1 - x)^-e,
+    sum_k C(e + k - 1, k) x^k, cut at limit."""
     out = {}
     k = 0
-    while step * k < limit and k <= power:
-        out[step * k] = Fraction(comb(power, k) * (-1) ** k)
+    while step * k < limit and (power < 0 or k <= power):
+        if power >= 0:
+            out[step * k] = Fraction(comb(power, k) * (-1) ** k)
+        else:
+            out[step * k] = Fraction(comb(-power + k - 1, k))
         k += 1
     return out
 
 
 def product_one_minus(steps: list[tuple[int, int]], limit: int) -> dict:
-    """prod over (step, power) of (1 - q^(step/24))^power, powers >= 0."""
+    """prod over (step, power) of (1 - q^(step/24))^power, powers of either sign."""
     out = {0: Fraction(1)}
     for step, power in steps:
         out = pmul(out, binomial_factor(step, power, limit), limit)

@@ -449,6 +449,22 @@ def test_mutated_class_row_loads_or_is_a_data_error(classes):
     assert code == 0 or err.getvalue().startswith("data error: row")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("classes.json", "coincidences.json")), st.data())
+def test_table_cut_at_a_byte_offset_is_a_data_error(name, data):
+    raw = (BUNDLED / name).read_bytes().rstrip()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")  # before the closing brace
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _data_dir(Path(tmp), _bundled("classes.json"), _bundled("coincidences.json"))
+        (Path(tmp) / name).write_bytes(raw[:cut])
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["--data-dir", path, "list-classes"])
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue().startswith("data error: ")
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") == 1
+
+
 def test_coincidence_row_without_lambency_is_a_data_error(tmp_path, capsys):
     coincidences = _bundled("coincidences.json")
     del coincidences["relations"][0]["lambency"]
@@ -468,16 +484,40 @@ def _without_identity_class():
     return classes, coincidences
 
 
-@pytest.mark.parametrize("suite", ["k3", "fourier", "oracle"])
-def test_suite_missing_a_class_it_names_is_a_data_error(tmp_path, capsys, suite):
-    path = _data_dir(tmp_path, *_without_identity_class())
+def _without_lambency_2_entries():
+    """The bundled tables with the lambency-2 entries of 1A and 4D and every
+    lambency-2 coincidence row naming either removed."""
+    classes = _bundled("classes.json")
+    for entry in classes["classes"]:
+        if entry["co0"] in ("1A", "4D"):
+            del entry["d_mag"]["2"]
+    coincidences = _bundled("coincidences.json")
+    coincidences["relations"] = [
+        r for r in coincidences["relations"]
+        if r["lambency"] != 2
+        or not {"1A", "4D"} & {r["lhs"]["class"], *(item["class"] for item in r["rhs"])}]
+    return classes, coincidences
+
+
+@pytest.mark.parametrize("tables, suite, reported, compute_error", [
+    *(pytest.param(_without_identity_class, suite, "class 1A,", "not in table", id=suite)
+      for suite in ("k3", "fourier", "oracle")),
+    *(pytest.param(_without_lambency_2_entries, suite, "class 1A at lambency 2,",
+                   "not in the lambency-2 table", id=f"{suite}-without-lambency-2")
+      for suite in ("k3", "oracle", "all")),
+])
+def test_suite_missing_a_class_it_names_is_a_data_error(
+        tmp_path, capsys, tables, suite, reported, compute_error):
+    path = _data_dir(tmp_path, *tables())
     code, out, err = run(capsys, "--data-dir", path, "verify", "--suite", suite,
                          "--prec", "1")
     assert code == 3 and out == ""
-    assert err.startswith(f"data error: suite {suite} needs class 1A")
+    # `all` meets the class first in the k3 suite
+    assert err.startswith(f"data error: suite {'k3' if suite == 'all' else suite} "
+                          f"needs {reported}")
     assert "Traceback" not in err and err.count("\n") == 1
     code, _, err = run(capsys, "--data-dir", path, "compute", "--class", "1A")
-    assert code == 2 and "not in table" in err
+    assert code == 2 and compute_error in err
 
 
 def _with_relation(relation):

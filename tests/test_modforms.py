@@ -42,7 +42,7 @@ _EXPONENT_KEYS = st.integers(1, 40).map(lambda a: 6 * a)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.dictionaries(_EXPONENT_KEYS, st.integers(0, 5), max_size=6), st.integers(1, 200))
+@given(st.dictionaries(_EXPONENT_KEYS, st.integers(-6, 6), max_size=6), st.integers(1, 200))
 def test_power_product_matches_brute_expansion(exponents, prec):
     got = mf.power_product(exponents, prec)
     expected = brute.product_one_minus(sorted(exponents.items()), prec)
@@ -56,6 +56,28 @@ def test_power_product_of_negated_exponents_is_inverse(exponents, prec):
     negated = {a: -e for a, e in exponents.items()}
     product = mf.power_product(exponents, prec) * mf.power_product(negated, prec)
     assert product == QSeries.one(prec)
+
+
+def test_power_product_matches_brute_expansion_on_every_frame_shape_map(data, monkeypatch):
+    # the {a: e} maps eta_product and eta_ratio_half hand to the kernel
+    maps = []
+    kernel = mf.power_product
+
+    def recording(exponents, prec):
+        maps.append((dict(exponents), prec))
+        return kernel(exponents, prec)
+
+    monkeypatch.setattr(mf, "power_product", recording)
+    prec = 24 * 10
+    shapes = {fs for rec in data.classes.values() for fs in (rec.fs_g, rec.fs_neg_g)}
+    for fs in shapes:
+        mf.eta_product.__wrapped__(fs, prec)
+        mf.eta_ratio_half.__wrapped__(fs, prec)
+    assert len(maps) == 2 * len(shapes)
+    for exponents, work in maps:
+        got = kernel(exponents, work)
+        expected = brute.product_one_minus(sorted(exponents.items()), work)
+        assert {k: v.rational_value() for k, v in got.coeffs.items()} == expected, exponents
 
 
 def test_power_product_rejects_inexact_steps_and_bad_exponents():
