@@ -12,8 +12,8 @@ quotients and Q1 = theta_1^2/eta^6.  This one combination is
 _class_form, the assembler of every genus-side form: a caller names the
 shared power in each slot (or none), the signed D and a rational scale.
 The B_i do not depend on the class: each power is a rational series over
-a power-of-two denominator, multiplied with `times` in integers, built
-once per process and shared by every class, sign and lambency.  The
+a power-of-two denominator, multiplied with `theta_times` in integers,
+built once per process and shared by every class, sign and lambency.  The
 class series have integer coefficients and are the cached series of
 modforms.  The radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter only through
 the constants, as one integer multiplier per radical and term in
@@ -27,14 +27,15 @@ modforms -- the four theta quotients and phi_{0,1}, all of index 1 -- to
 rows 0..1 (series.cut_theta_rows); verify_elliptic_law reports the same
 cut's deviation on those five bases.  The weight-2 forms carry no y and
 are not cut.  A higher power, and each monomial phi_{0,1}^a Q1^b, is the
-product of its two factors expanded to full rows, with only its own
-theta rows computed.  _class_form sums against the four y-free class
-series on rows 0..m and returns those rows, the only form of a
-genus-side series here: the checks compare rows and expand them only
-where they differ, to report the least full-row key; phi_g_ell expands a
-genus for its callers.  Builders compute and suites check: a builder
-raises only on its input and on a truncation shortfall of its own, and
-returns a wrong form, off the integer q-grid say, as it is.
+series.theta_times of its two factors' theta rows: each pair of theta
+rows is multiplied once and no full row is built.  _class_form sums
+against the four y-free class series on rows 0..m and returns those
+rows, the only form of a genus-side series here: the checks compare rows
+and expand them only where they differ, to report the least full-row
+key; phi_g_ell expands a genus for its callers.  Builders compute and
+suites check: a builder raises only on its input and on a truncation
+shortfall of its own, and returns a wrong form, off the integer q-grid
+say, as it is.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: the same combination at scale 2 with no eta_g term
@@ -66,7 +67,7 @@ from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShap
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
 from .series import (JacobiSeries, QSeries, combine, cut_theta_rows, expand_theta_rows,
-                     first_difference)
+                     first_difference, theta_times)
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
@@ -186,14 +187,6 @@ def _index1_form(kind: str, work: int) -> JacobiSeries:
     return modforms.phi01(work) if kind == _PHI01 else modforms.theta_quotient(kind, work)
 
 
-def _theta_product(a, m_a: int, b, m_b: int) -> JacobiSeries:
-    """The theta rows 0..m_a+m_b of a * b, for a and b kept as theta rows of
-    index m_a and m_b: both are expanded to full rows, and only the pairs
-    of rows that land on a kept row are multiplied."""
-    m = m_a + m_b
-    return expand_theta_rows(a, m_a).times(expand_theta_rows(b, m_b), range(0, 2 * m + 1, 2))
-
-
 @lru_cache(maxsize=None)
 def _shared_power(kind: str | tuple[str, str], power: int,
                   work: int) -> QSeries | JacobiSeries:
@@ -211,15 +204,15 @@ def _shared_power(kind: str | tuple[str, str], power: int,
              _shared_power(kind[1], j, work)) for j in range(power + 1)])
     if power == 1:
         return _shared_base(kind, work)
-    return _theta_product(_shared_power(kind, power - 1, work), _index(kind, power - 1),
-                          _shared_power(kind, 1, work), _index(kind, 1))
+    return theta_times(_shared_power(kind, power - 1, work), _index(kind, power - 1),
+                       _shared_power(kind, 1, work), _index(kind, 1))
 
 
 @lru_cache(maxsize=None)
 def _monomial(a: int, b: int, work: int) -> JacobiSeries:
     """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b,
     kept as its theta rows 0..a+b."""
-    return _theta_product(_shared_power(_PHI01, a, work), a, _shared_power(THETA1SQ, b, work), b)
+    return theta_times(_shared_power(_PHI01, a, work), a, _shared_power(THETA1SQ, b, work), b)
 
 
 #: the shared forms against r_g, r_{-g}, eta_g and eta_{-g} in a genus, all

@@ -12,10 +12,10 @@ states of eigenvalue exponent e mod N, so a mode label of exponent e
 rotates a count by e digits, and one integer product folded at x^N = 1
 (x = 2^bits, Kronecker substitution) convolves two counts.  The
 k-subsets of the mode labels are counted per charge, one label at a
-time (a 0/1 knapsack over subset sizes), and one walk combines the
-levels of the mode tower by such products; in the twisted sector it
-starts from the 2^12 zero-mode monomials, counted per charge and
-parity.  The digits of each (degree, charge, parity) are read once and
+time (a 0/1 knapsack over subset sizes), once per assembled trace for
+both sectors, and one walk combines the levels of the mode tower by
+such products; in the twisted sector it starts from the 2^12 zero-mode
+monomials, counted per charge and parity.  The digits of each (degree, charge, parity) are read once and
 reduced into the cyclotomic field once per coefficient; the field
 coordinates stay Python ints wherever they are integral.
 `enumerate_basis` runs the same walk over literal monomials, which the
@@ -469,53 +469,59 @@ def _subset_histogram(labels: list[tuple[int, int]], order: int, max_k: int,
     return table
 
 
-def _buckets(system: EigenSystem, sector: str, bound: Fraction) -> dict:
-    """counts[(degree, charge, parity)][exponent], degree in the sector's units.
+def _buckets(system: EigenSystem, sectors, bound: Fraction) -> dict:
+    """{sector: counts[(degree, charge, parity)][exponent]}, degree in the sector's units.
 
     The walk's states are (charge, parity) pairs with packed counts.  A
-    digit is 1, 2, 4 or 8 bytes, above the number of monomials in reach,
-    so no digit carries (8 bytes suffice up to degree 28).  The twisted
-    walk starts from the zero-mode monomials counted per charge and
-    parity, rotated by the ground nu exponent; the ground sigma signs
-    every count at the end.
+    digit is 1, 2, 4 or 8 bytes, above the number of monomials any of the
+    sectors reaches, so no digit carries (8 bytes suffice up to degree 28).
+    The mode-label subset table is built once, at that digit size and the
+    largest cap of the sectors, and read by every walk.  The twisted walk
+    starts from the zero-mode monomials counted per charge and parity,
+    rotated by the ground nu exponent; the ground sigma signs every count
+    at the end.
     """
-    cap = _cap(sector, bound)
-    if cap < 0:
-        return {}
-    _, ground, weight_of = _SECTORS[sector]
+    caps = {sector: _cap(sector, bound) for sector in sectors}
+    caps = {sector: cap for sector, cap in caps.items() if cap >= 0}
+    monomials = 1
+    for sector, cap in caps.items():
+        weight_of = _SECTORS[sector][2]
+        dims = [4096 if sector == "twisted" else 1] + [0] * cap  # monomials by weight
+        for w in map(weight_of, range(1, cap + 1)):
+            dims = [sum(comb(24, k) * dims[i - k * w] for k in range(i // w + 1))
+                    for i in range(cap + 1)]
+        monomials = max(monomials, sum(dims))
+    size = 1 << ((monomials.bit_length() + 7) // 8 - 1).bit_length()
     order = system.order
-    twisted = sector == "twisted"
-    dims = [4096 if twisted else 1] + [0] * cap  # monomials by weight
-    for w in map(weight_of, range(1, cap + 1)):
-        dims = [sum(comb(24, k) * dims[i - k * w] for k in range(i // w + 1))
-                for i in range(cap + 1)]
-    size = 1 << ((sum(dims).bit_length() + 7) // 8 - 1).bit_length()
     bits, width = 8 * size, 8 * size * order
     mask = (1 << width) - 1
-    sigma, starts = 1, {(0, 0): 1}
-    if twisted:
-        sigma, nu_exp, ground_charge = system.ground_data()
-        starts = {(ground_charge, 0): 1 << (nu_exp * bits)}
-        for e, c in system.zero_mode_labels():
-            for (charge, parity), packed in list(starts.items()):
-                rotated = packed << (e * bits)
-                key = (charge + c, 1 - parity)
-                starts[key] = starts.get(key, 0) + (rotated & mask) + (rotated >> width)
-    table = _subset_histogram(system.mode_labels(), order, cap, bits)
+    table = _subset_histogram(system.mode_labels(), order, max(caps.values(), default=0), bits)
 
     def extend(state, mult, n, k):
         charge, parity = state
         return [((charge + c, (parity + k) % 2), ((m := mult * packed) & mask) + (m >> width))
                 for c, packed in table[k].items()]
 
-    buckets: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (weight, (charge, parity)), packed in _walk_levels(
-            cap, weight_of, starts, extend).items():
-        raw = packed.to_bytes(width // 8, sys.byteorder)
-        raw = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
-        buckets[(ground + weight, charge, parity)] = {
-            e: sigma * count for e, count in enumerate(raw) if count}
-    return buckets
+    out = {sector: {} for sector in sectors}
+    for sector, cap in caps.items():
+        _, ground, weight_of = _SECTORS[sector]
+        sigma, starts = 1, {(0, 0): 1}
+        if sector == "twisted":
+            sigma, nu_exp, ground_charge = system.ground_data()
+            starts = {(ground_charge, 0): 1 << (nu_exp * bits)}
+            for e, c in system.zero_mode_labels():
+                for (charge, parity), packed in list(starts.items()):
+                    rotated = packed << (e * bits)
+                    key = (charge + c, 1 - parity)
+                    starts[key] = starts.get(key, 0) + (rotated & mask) + (rotated >> width)
+        buckets = out[sector]
+        for (weight, (charge, parity)), packed in _walk_levels(
+                cap, weight_of, starts, extend).items():
+            raw = packed.to_bytes(width // 8, sys.byteorder)
+            raw = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[size])
+            buckets[(ground + weight, charge, parity)] = {
+                e: sigma * count for e, count in enumerate(raw) if count}
+    return out
 
 
 def _trace(system: EigenSystem, bound: Fraction, weights: dict,
@@ -530,9 +536,10 @@ def _trace(system: EigenSystem, bound: Fraction, weights: dict,
     """
     order = system.order
     vectors: dict = {}
-    for sector, (even, odd) in weights.items():
+    for sector, buckets in _buckets(system, weights, bound).items():
+        even, odd = weights[sector]
         step = 24 // _SECTORS[sector][0]
-        for (deg, charge, parity), exps in _buckets(system, sector, bound).items():
+        for (deg, charge, parity), exps in buckets.items():
             vec = vectors.setdefault((deg * step, charge) if j_weight else deg * step,
                                      [0] * order)
             w = odd if parity else even

@@ -14,30 +14,33 @@ no empty rows, den > 0 and coprime to the numerators), so equality,
 hashing, comparison (`first_difference`) and the text dump run on ints.
 Sums, negation, shifts and scalar multiples work on the rows; a
 RadicalScalar constant mixes the radical parts, sqrt(d) sqrt(e) =
-g sqrt(de/g^2) by `_mix`.  `_convolve` multiplies two sets of rows and
-is the only series convolution.  It has two paths: a dict update per
-pair of terms for small products, and Kronecker substitution (each row
-packed into one int, one big-int product per pair of rows) from
-KRONECKER_MIN_PAIRS term pairs on.  The packed path costs a pack and an
-unpack per slot and wins only when that is small against the pairs; the
-crossover was measured on captured products.  `_convolve` and `times`
-take an optional set of output y-rows and never multiply a pair of rows
-that lands outside it, in either path.  `combine` sums
-field constants times products of series, one convolution per pair of
-radical parts, and returns its integer accumulators as a JacobiSeries;
-a product of two series is one `combine` term.  `times` is the product
-of two rational series with no field constant at all.  QSeries.inverse
-is Newton's iteration on `*`.
+g sqrt(de/g^2) by `_mix`.  `_convolve` multiplies two sets of rows, every
+row of one with every row of the other.  It has two paths: a dict update
+per pair of terms for small products, and Kronecker substitution
+(`_kronecker`: each row packed into one int, one big-int product per
+pair of rows) from KRONECKER_MIN_PAIRS term pairs on.  The packed path
+costs a pack and an unpack per slot and wins only when that is small
+against the pairs; the crossover was measured on captured products.
+`combine` sums field constants times products of series, one
+convolution per pair of radical parts, and returns its integer
+accumulators as a JacobiSeries; a product of two series is one `combine`
+term.  `times` is the product of two rational series with no field
+constant at all.  QSeries.inverse is Newton's iteration on `*`.
 
 A weak Jacobi form of index m that is even in z is fixed by its theta
 rows, the y-rows r = 0..m: by the elliptic law every other row is a
 shifted copy of one of them (Eichler and Zagier, The Theory of Jacobi
-Forms, section 5).  `cut_theta_rows` cuts a form to those rows and is the
-one check of the law: it returns them with the form's first deviation
-from their expansion, compared in integers; the genera report it, on
-their bases and on a genus, and never raise on it.  `expand_theta_rows`
-rebuilds the full rows by the law and checks nothing, so it must only
-see checked rows or products and sums of them.
+Forms, section 5), and `_copies` is the one statement of which rows copy
+a theta row and by how much they are shifted.  `cut_theta_rows` cuts a
+form to those rows and is the one check of the law: it returns them with
+the form's first deviation from their expansion, compared in integers;
+the genera report it, on their bases and on a genus, and never raise on
+it.  `expand_theta_rows` rebuilds the full rows by the law and checks
+nothing, so it must only see checked rows or products and sums of them.
+`theta_times` is the product of two forms kept as theta rows, returned
+as its own theta rows: it never builds a full row, and it multiplies
+each pair of theta rows once with `_kronecker`, which adds the product
+into every output row it lands on, shifted as the law says.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`
 and `items()` are read-only views built on first use and kept per
@@ -88,6 +91,11 @@ def _ceil_frac(x: Fraction) -> int:
 
 def _beyond(kq: int) -> ValueError:
     return ValueError(f"coefficient of q^{Fraction(kq, QGRID)} is beyond the truncation order")
+
+
+def _check_rational(a, b, what: str) -> None:
+    if any(d != 1 for f in (a, b) for d in f.parts):
+        raise ValueError(f"{what} needs two series with rational coefficients")
 
 
 def _add_rows(target: dict[int, dict[int, int]], rows: dict[int, dict[int, int]], m: int):
@@ -222,18 +230,15 @@ class _Series:
         return min(self.trunc + (other.trunc if low_b is None else low_b),
                    other.trunc + (self.trunc if low_a is None else low_a))
 
-    def times(self, other, keep=None) -> "JacobiSeries":
+    def times(self, other) -> "JacobiSeries":
         """self * other for two rational series, taken in integers.
 
-        Known below the min rule's index; when `keep` is given, only the
-        y-rows with a half-index in it are computed and returned.  No
-        RadicalScalar is built; a factor with an irrational coefficient
-        raises ValueError.
+        Known below the min rule's index.  No RadicalScalar is built; a
+        factor with an irrational coefficient raises ValueError.
         """
-        if any(d != 1 for f in (self, other) for d in f.parts):
-            raise ValueError("times needs two series with rational coefficients")
+        _check_rational(self, other, "times")
         trunc = self.product_trunc(other)
-        rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc, keep)
+        rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc)
         return JacobiSeries.from_parts({1: rows}, self.den * other.den, trunc)
 
     def _plus(self, other, cls):
@@ -466,40 +471,33 @@ class JacobiSeries(_Series):
 
 
 #: `_convolve` multiplies by Kronecker substitution when the number of
-#: term pairs it multiplies, len(row_a) * len(row_b) summed over the pairs
-#: of rows whose output row is kept, is at least this; below it the dict
-#: loop is faster (the crossover measurement is in CHANGES.md).
+#: term pairs it multiplies, len(row_a) * len(row_b) summed over every pair
+#: of rows, is at least this; below it the dict loop is faster (the
+#: crossover measurements are in CHANGES.md).
 KRONECKER_MIN_PAIRS = 2000
 
 
-def _convolve(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int, int]]:
+def _convolve(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
     """The integer rows of rows_a * rows_b below q grid index trunc.
 
-    Rows map a y half-index to {q grid index: int}.  Only the output rows
-    whose y half-index is in `keep` (every row when None) are computed: a
-    pair of rows that lands outside it is never multiplied.  This is the
-    only series convolution in the package: one q-series product per pair
-    of rows, by `_convolve_dict` for small products and by
-    `_convolve_kronecker` from KRONECKER_MIN_PAIRS term pairs on, counting
-    only the pairs of rows that are multiplied.  Zero entries may be
-    kept; from_parts drops them.
+    Rows map a y half-index to {q grid index: int}.  This is the series
+    convolution of `combine` and `times`: one q-series product per pair of
+    rows, by `_convolve_dict` for small products and by
+    `_convolve_kronecker` from KRONECKER_MIN_PAIRS term pairs on.  Zero
+    entries may be kept; from_parts drops them.
     """
-    sizes_b = [(yb, len(row_b)) for yb, row_b in rows_b.items()]
-    pairs = sum(len(row_a) * size_b for ya, row_a in rows_a.items()
-                for yb, size_b in sizes_b if keep is None or ya + yb in keep)
+    pairs = sum(map(len, rows_a.values())) * sum(map(len, rows_b.values()))
     if pairs < KRONECKER_MIN_PAIRS:
-        return _convolve_dict(rows_a, rows_b, trunc, keep)
-    return _convolve_kronecker(rows_a, rows_b, trunc, keep)
+        return _convolve_dict(rows_a, rows_b, trunc)
+    return _convolve_kronecker(rows_a, rows_b, trunc)
 
 
-def _convolve_dict(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int, int]]:
+def _convolve_dict(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
     """_convolve by one dict update per pair of terms."""
     out: dict[int, dict[int, int]] = {}
     for yb, row_b in rows_b.items():
         items_b = sorted(row_b.items())
         for ya, row_a in rows_a.items():
-            if keep is not None and ya + yb not in keep:
-                continue
             acc = out.setdefault(ya + yb, {})
             for ka, va in row_a.items():
                 bound = trunc - ka
@@ -511,22 +509,33 @@ def _convolve_dict(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int,
     return out
 
 
-def _convolve_kronecker(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict[int, int]]:
-    """_convolve by Kronecker substitution, one big-int product per pair of rows.
+def _convolve_kronecker(rows_a, rows_b, trunc: int) -> dict[int, dict[int, int]]:
+    """_convolve by Kronecker substitution: every pair of rows lands
+    unshifted on the sum of its half-indices."""
+    return _kronecker(rows_a, rows_b, trunc,
+                      {(ya, yb): ((ya + yb, 0),) for ya in rows_a for yb in rows_b})
+
+
+def _kronecker(rows_a, rows_b, trunc: int, placed) -> dict[int, dict[int, int]]:
+    """The integer rows below q grid index trunc of a sum of shifted row products.
+
+    `placed` maps a pair (ya, yb) of row half-indices to its copies
+    ((y, shift), ...): row ya of rows_a times row yb of rows_b, shifted up
+    by `shift` >= 0 grid units, is added into output row y.  Each pair of
+    rows is multiplied once, as one big-int product, however many copies
+    it has (D. Harvey, J. Symb. Comp. 44 (2009) 1502).
 
     Every key of a factor lies on low + step*Z for the factor's least key
-    `low` and the common step of both factors.  Each row becomes the
-    integer sum_i v_i 2^(bits*i) over its slots i from its first key on,
-    below the truncation; the product of two such integers holds the
-    row product in its digits (D. Harvey, J. Symb. Comp. 44 (2009) 1502).
-    Only rows that meet a partner inside `keep` are packed.  Products are
-    summed per output y, shifted to a common first slot.
-    `bits` bounds every output coefficient with a sign bit to spare, so
-    adding half of 2^bits to each of the low L digits (`bias`) makes them
-    all non-negative, and the digits are read from the bytes of
-    (x + bias) mod 2^(bits*L).  Only x mod 2^(bits*L) matters, so a
-    factor row longer than the slots its product can reach is cut to
-    them by a mask first.
+    `low` and the common step of both factors and every shift.  Each row
+    becomes the integer sum_i v_i 2^(bits*i) over its slots i from its
+    first key on, below the truncation; the product of two such integers
+    holds the row product in its digits, and the copies are summed per
+    output y, shifted to a common first slot.  `bits` bounds every output
+    coefficient with a sign bit to spare, so adding half of 2^bits to each
+    of the low L digits (`bias`) makes them all non-negative, and the
+    digits are read from the bytes of (x + bias) mod 2^(bits*L).  Only x
+    mod 2^(bits*L) matters, so a factor row, or a product, longer than the
+    slots its copies can reach is cut to them by a mask first.
     """
     if not rows_a or not rows_b:
         return {}
@@ -537,38 +546,43 @@ def _convolve_kronecker(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict
         for row in rows.values():
             for k in row:
                 step = gcd(step, k - low)
+    for copies in placed.values():
+        for _, shift in copies:
+            step = gcd(step, shift)
     step = step or 1
 
     def cut(rows, below):
-        """[(y, sorted keys below `below`, row)] of the rows with such keys."""
-        out = []
+        """{y: (sorted keys below `below`, row)} of the rows with such keys."""
+        out = {}
         for y, row in rows.items():
             keys = sorted(k for k in row if k < below)
             if keys:
-                out.append((y, keys, row))
+                out[y] = (keys, row)
         return out
 
     cut_a, cut_b = cut(rows_a, trunc - low_b), cut(rows_b, trunc - low_a)
-    if keep is not None:
-        meet = {(ya, yb) for ya, _, _ in cut_a for yb, _, _ in cut_b if ya + yb in keep}
-        used_a, used_b = {ya for ya, _ in meet}, {yb for _, yb in meet}
-        cut_a = [r for r in cut_a if r[0] in used_a]
-        cut_b = [r for r in cut_b if r[0] in used_b]
-    if not cut_a or not cut_b:
+    by_y: dict[int, list] = {}
+    for (ya, yb), copies in placed.items():
+        if ya in cut_a and yb in cut_b:
+            first = cut_a[ya][0][0] + cut_b[yb][0][0]
+            for y, shift in copies:
+                if first + shift < trunc:
+                    by_y.setdefault(y, []).append((first + shift, ya, yb))
+    if not by_y:
         return {}
     top = 1
     for rows in (cut_a, cut_b):
-        top *= max(max(map(abs, row.values())) for _, _, row in rows)
-    length = min(max((keys[-1] - keys[0]) // step + 1 for _, keys, _ in rows)
+        top *= max(max(map(abs, row.values())) for _, row in rows.values())
+    length = min(max((keys[-1] - keys[0]) // step + 1 for keys, _ in rows.values())
                  for rows in (cut_a, cut_b))
-    bound = top * length * min(len(cut_a), len(cut_b))
+    bound = top * length * max(map(len, by_y.values()))
     width = (bound.bit_length() + 8) // 8   # bytes per digit, one sign bit to spare
     bits = 8 * width
 
     def pack(rows):
-        """[(y, first key, slots, sum_i v_i 2^(bits*i))] by Horner's rule."""
-        out = []
-        for y, keys, row in rows:
+        """{y: (slots, sum_i v_i 2^(bits*i))} by Horner's rule."""
+        out = {}
+        for y, (keys, row) in rows.items():
             first = keys[0]
             slots = (keys[-1] - first) // step + 1
             acc, slot = 0, slots - 1
@@ -576,33 +590,42 @@ def _convolve_kronecker(rows_a, rows_b, trunc: int, keep=None) -> dict[int, dict
                 i = (k - first) // step
                 acc = (acc << (bits * (slot - i))) + row[k]
                 slot = i
-            out.append((y, first, slots, acc))
+            out[y] = (slots, acc)
         return out
 
-    packed_a = pack(cut_a)
-    by_y: dict[int, list] = {}
-    for yb, first_b, len_b, int_b in pack(cut_b):
-        for ya, first_a, len_a, int_a in packed_a:
-            if first_a + first_b < trunc and (keep is None or ya + yb in keep):
-                by_y.setdefault(ya + yb, []).append(
-                    (first_a + first_b, len_a, int_a, len_b, int_b))
+    packed_a, packed_b = pack(cut_a), pack(cut_b)
+    plan = []          # (y, first key, slots, ((slot offset, pair), ...))
+    reach: dict[tuple[int, int], int] = {}   # slots of a pair's product its copies read
+    for y, copies in by_y.items():
+        base = min(c[0] for c in copies)
+        slots = min(-((base - trunc) // step),
+                    max((start - base) // step + packed_a[ya][0] + packed_b[yb][0] - 1
+                        for start, ya, yb in copies))
+        offsets = []
+        for start, ya, yb in copies:
+            offset = (start - base) // step   # < slots, as start < trunc
+            reach[ya, yb] = max(reach.get((ya, yb), 0), slots - offset)
+            offsets.append((offset, (ya, yb)))
+        plan.append((y, base, slots, offsets))
+
+    products = {}
+    for (ya, yb), slots in reach.items():
+        (len_a, int_a), (len_b, int_b) = packed_a[ya], packed_b[yb]
+        mask = (1 << (bits * slots)) - 1
+        if len_a > slots:
+            int_a &= mask
+        if len_b > slots:
+            int_b &= mask
+        product = int_a * int_b
+        products[ya, yb] = product & mask if len_a + len_b - 1 > slots else product
 
     half = 1 << (bits - 1)
     half_digit = half.to_bytes(width, "little")
     out: dict[int, dict[int, int]] = {}
-    for y, pairs in by_y.items():
-        base = min(p[0] for p in pairs)
-        slots = min(-((base - trunc) // step),
-                    max((first - base) // step + len_a + len_b - 1
-                        for first, len_a, _, len_b, _ in pairs))
+    for y, base, slots, offsets in plan:
         x = 0
-        for first, len_a, int_a, len_b, int_b in pairs:
-            shift = (first - base) // step
-            reach = slots - shift   # >= 1, as first < trunc
-            if len_a > reach or len_b > reach:
-                mask = (1 << (bits * reach)) - 1
-                int_a, int_b = int_a & mask, int_b & mask
-            x += (int_a * int_b) << (bits * shift)
+        for offset, pair in offsets:
+            x += products[pair] << (bits * offset)
         size = width * slots
         biased = (x + int.from_bytes(half_digit * slots, "little")) & ((1 << (8 * size)) - 1)
         data = biased.to_bytes(size, "little")
@@ -660,17 +683,34 @@ def _power(base, n: int, one):
     return result
 
 
-def expand_theta_rows(f, m: int):
-    """The full y-rows of an even index-m form from its theta rows 0..m.
+def _copies(r0: int, m: int, room: int) -> list[tuple[int, int]]:
+    """The full rows of an even index-m form that copy its theta row r0.
 
     A weak Jacobi form of index m is even in z and obeys the elliptic
     law, so its coefficient depends only on 4mn - r^2 and r mod 2m, and
     its rows r = 0..m fix it (Eichler and Zagier, The Theory of Jacobi
-    Forms, section 5): c(n, r) = c(n - (r^2 - r'^2)/4m, r') with r' = |r
-    reduced mod 2m into [-m, m)|.  Each kept row r' is copied to every
-    row r = +-r' mod 2m, shifted up by the integer (r^2 - r'^2)/4m
-    q-orders, as far as it stays below f.trunc, so the result is known
-    wherever f is.  Index 0 (a y-free form) returns f itself.
+    Forms, section 5): c(n, r) = c(n - (r^2 - r0^2)/4m, r0) with r0 = |r
+    reduced mod 2m into [-m, m)|.  So theta row r0 is copied to every row
+    r = +-r0 mod 2m, shifted up by the integer (r^2 - r0^2)/4m q-orders.
+    Returns the (r, shift in grid units) with shift < room; at index 0,
+    the row itself, unshifted.
+    """
+    if room <= 0:
+        return []
+    if m == 0:
+        return [(r0, 0)]
+    top = isqrt(r0 * r0 + m * room // 6) + 1
+    return [(r, shift) for r in range(-top, top + 1)
+            if (shift := 6 * (r * r - r0 * r0) // m) < room
+            and ((r - r0) % (2 * m) == 0 or (r + r0) % (2 * m) == 0)]
+
+
+def expand_theta_rows(f, m: int):
+    """The full y-rows of an even index-m form from its theta rows 0..m.
+
+    Each theta row is copied to its full rows by `_copies`, as far as it
+    stays below f.trunc, so the result is known wherever f is.  Index 0 (a
+    y-free form) returns f itself.
     """
     if m == 0:
         return f
@@ -679,14 +719,38 @@ def expand_theta_rows(f, m: int):
     for d, rows in f.parts.items():
         full = out[d] = {}
         for ry, row in rows.items():
-            r0 = ry // 2
-            room = trunc - min(row)   # rows shifted by room or more are empty
-            top = isqrt(r0 * r0 + m * room // 6) + 1
-            for r in range(-top, top + 1):
-                shift = 6 * (r * r - r0 * r0) // m   # grid units of (r^2 - r0^2)/4m q-orders
-                if shift < room and ((r - r0) % (2 * m) == 0 or (r + r0) % (2 * m) == 0):
-                    full[2 * r] = {kq + shift: n for kq, n in row.items() if kq + shift < trunc}
+            for r, shift in _copies(ry // 2, m, trunc - min(row)):
+                full[2 * r] = {kq + shift: n for kq, n in row.items() if kq + shift < trunc}
     return JacobiSeries.from_parts(out, f.den, trunc)
+
+
+def theta_times(a, m_a: int, b, m_b: int) -> JacobiSeries:
+    """The theta rows 0..m_a+m_b of a * b, for rational a and b given as
+    their theta rows of index m_a and m_b.
+
+    Full row r of a is theta row r0 shifted by s (`_copies`), so row R of
+    the product is the sum over r1 + r2 = R of the theta-row products
+    A[r0(r1)] B[r0(r2)] shifted by s(r1) + s(r2).  `_kronecker` multiplies
+    each distinct pair of theta rows once and sums its shifted copies; no
+    full row is built.  Known below the min rule's index, as the product
+    of the expanded factors is, since a copy never starts below its row.
+    """
+    _check_rational(a, b, "theta_times")
+    trunc = a.product_trunc(b)
+    rows_a, rows_b = a.parts.get(1, {}), b.parts.get(1, {})
+    low_a = min(map(min, rows_a.values()), default=0)
+    low_b = min(map(min, rows_b.values()), default=0)
+    full_b = {r: (yb, shift) for yb, row in rows_b.items()
+              for r, shift in _copies(yb // 2, m_b, trunc - low_a - min(row))}
+    placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ya, row in rows_a.items():
+        for r1, shift_a in _copies(ya // 2, m_a, trunc - low_b - min(row)):
+            for r in range(m_a + m_b + 1):
+                hit = full_b.get(r - r1)
+                if hit is not None:
+                    placed.setdefault((ya, hit[0]), []).append((2 * r, shift_a + hit[1]))
+    return JacobiSeries.from_parts({1: _kronecker(rows_a, rows_b, trunc, placed)},
+                                   a.den * b.den, trunc)
 
 
 def cut_theta_rows(f, m: int):

@@ -420,13 +420,18 @@ def _one_field_mutated(draw):
     """The bundled class table with one field of one row changed."""
     classes = _bundled("classes.json")
     entry = draw(st.sampled_from(classes["classes"]))
-    field = draw(st.sampled_from(("d_mag key", "d_mag value", "pi_g", "pi_neg_g")))
+    field = draw(st.sampled_from(("d_mag key", "d_mag value", "d_mag sign", "pi_g",
+                                  "pi_neg_g")))
     if field == "d_mag key":
         old = draw(st.sampled_from(sorted(entry["d_mag"])))
         entry["d_mag"][str(draw(st.integers(-1, 10)))] = entry["d_mag"].pop(old)
     elif field == "d_mag value":
         ell = draw(st.sampled_from(sorted(entry["d_mag"])))
         entry["d_mag"][ell] = draw(st.sampled_from(_RADICALS))
+    elif field == "d_mag sign":  # the loader checks only the square of a D value
+        ell = draw(st.sampled_from(sorted(entry["d_mag"])))
+        text = entry["d_mag"][ell]
+        entry["d_mag"][ell] = text[1:] if text.startswith("-") else f"-{text}"
     else:
         pairs = entry[field]
         i = draw(st.integers(0, len(pairs)))  # len(pairs) appends a pair
@@ -437,16 +442,25 @@ def _one_field_mutated(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_one_field_mutated())
-def test_mutated_class_row_loads_or_is_a_data_error(classes):
+@given(_one_field_mutated(), st.sampled_from(sorted(cli._SUITES)))
+def test_mutated_class_row_loads_or_is_a_data_error(classes, suite):
     coincidences = _bundled("coincidences.json")
-    out, err = io.StringIO(), io.StringIO()
+    codes, errs = [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = _data_dir(Path(tmp), classes, coincidences)
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["--data-dir", path, "list-classes"])
-    assert code in (0, 3)
-    assert code == 0 or err.getvalue().startswith("data error: row")
+        for argv in (["list-classes"], ["verify", "--suite", suite, "--prec", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                codes.append(cli.main(["--data-dir", path, *argv]))
+            errs.append(err.getvalue())
+    (listed, verified), (list_err, verify_err) = codes, errs
+    assert listed in (0, 3)
+    assert listed == 0 or list_err.startswith("data error: row")
+    # a table that loads runs the suite to a verdict or a data error; one
+    # that does not is refused by verify with the same message
+    assert verified in ((0, 1, 3) if listed == 0 else (3,)), (suite, verify_err)
+    assert listed == 0 or verify_err == list_err
+    assert "Traceback" not in verify_err
 
 
 @settings(max_examples=60, deadline=None)

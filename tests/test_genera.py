@@ -174,6 +174,16 @@ def test_theta_row_assembly_matches_the_full_row_reference_at_24_orders(data):
         assert series.expand_theta_rows(rows, 6) == brute.full_genus(rec, 24, 6, -1), name
 
 
+def test_theta_row_powers_match_the_full_row_reference_at_24_orders():
+    work = 24 * 24 + genera._MARGIN
+    for kind in genera._GENUS_SLOTS:
+        assert (series.expand_theta_rows(genera._shared_power(kind, 6, work), 6)
+                == brute.full_shared_power(kind, 6, work)), kind
+    for a in range(7):
+        assert (series.expand_theta_rows(genera._monomial(a, 6 - a, work), 6)
+                == brute.full_monomial(a, 6 - a, work)), a
+
+
 def _perturbed(f, ry, kq):
     parts = {d: {y: dict(row) for y, row in rows.items()} for d, rows in f.parts.items()}
     parts[1].setdefault(ry, {})[kq] = parts[1].get(ry, {}).get(kq, 0) + 1

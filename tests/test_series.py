@@ -404,27 +404,25 @@ def test_both_kernels_are_the_field_product(rows_a, rows_b, trunc):
 
 
 @settings(max_examples=100, deadline=None)
-@given(int_rows(), int_rows(), st.integers(-80, 400), st.sets(st.integers(-9, 9)))
-@example({0: {0: 1}, 2: {0: 1}}, {0: {0: 1}, -2: {0: 1}}, 24, {0})
-@example({0: {0: 1}}, {2: {0: 1}}, 24, set())
-def test_both_kernels_compute_only_the_kept_rows(rows_a, rows_b, trunc, keep):
-    full = series._convolve_dict(rows_a, rows_b, trunc)
-    want = _rows_series({y: row for y, row in full.items() if y in keep}, trunc)
+@given(int_rows(), int_rows(), st.integers(-80, 400))
+@example({0: {0: 1}, 2: {0: 1}}, {0: {0: 1}, -2: {0: 1}}, 24)
+@example({0: {0: 1}}, {2: {0: 1}}, 24)
+def test_both_kernels_compute_every_row(rows_a, rows_b, trunc):
+    want = _rows_series(series._convolve_dict(rows_a, rows_b, trunc), trunc)
     for kernel in (series._convolve_dict, series._convolve_kronecker, series._convolve):
-        got = kernel(rows_a, rows_b, trunc, keep)
-        assert set(got) <= keep and _rows_series(got, trunc) == want, kernel.__name__
+        assert _rows_series(kernel(rows_a, rows_b, trunc), trunc) == want, kernel.__name__
 
 
-def test_kernel_routing_counts_only_the_pairs_of_kept_rows(monkeypatch):
+def test_kernel_routing_counts_every_pair_of_rows(monkeypatch):
     rows = {0: {24 * i: 1 for i in range(50)}, 2: {24 * i: 1 for i in range(50)}}
     called = []
     for name in ("_convolve_dict", "_convolve_kronecker"):
         monkeypatch.setattr(series, name, lambda *args, name=name: called.append(name))
     monkeypatch.setattr(series, "KRONECKER_MIN_PAIRS", 5000)
     series._convolve(rows, rows, 10 ** 4)              # 4 pairs of rows, 10000 term pairs
-    series._convolve(rows, rows, 10 ** 4, {4})         # 1 pair of rows, 2500 term pairs
-    series._convolve(rows, rows, 10 ** 4, range(0, 3, 2))   # 3 pairs of rows
-    assert called == ["_convolve_kronecker", "_convolve_dict", "_convolve_kronecker"]
+    series._convolve(rows, {0: rows[0]}, 10 ** 4)      # 2 pairs of rows, 5000 term pairs
+    series._convolve({0: rows[0]}, {0: rows[0]}, 10 ** 4)   # 1 pair of rows, 2500 term pairs
+    assert called == ["_convolve_kronecker", "_convolve_kronecker", "_convolve_dict"]
 
 
 def test_series_arithmetic_with_every_product_packed(monkeypatch):
@@ -435,3 +433,48 @@ def test_series_arithmetic_with_every_product_packed(monkeypatch):
     phi = modforms.phi_minus21(limit)
     assert phi * phi == brute.field_mul(phi, phi)
     assert first_difference(e * e.inverse(), QSeries.one(limit)) is None
+
+
+# -- the theta-row product -----------------------------------------------------
+
+@st.composite
+def theta_form(draw):
+    """(theta rows 0..m of a rational form, m) for m in 0..3: each row on the
+    integer or the (1/2)Z q-grid from q^-1 on, some entries above 2^64, cut at
+    a truncation that the shifted copies of the rows cross; a y-free form is
+    sometimes a QSeries."""
+    m, step = draw(st.integers(0, 3)), draw(st.sampled_from((12, 24)))
+    rows = {}
+    for r0 in range(m + 1):
+        first = draw(st.integers(-24 // step, 2)) * step
+        values = draw(st.lists(st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70), max_size=5))
+        row = {first + step * i: v for i, v in enumerate(values) if v}
+        if row:
+            rows[2 * r0] = row
+    trunc, den = draw(st.integers(1, 120)), draw(st.sampled_from((1, 2, 12)))
+    if m == 0 and draw(st.booleans()):
+        return QSeries.from_parts({1: rows}, den, trunc), m
+    return JacobiSeries.from_parts({1: rows}, den, trunc), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta_form(), theta_form())
+@example((JacobiSeries.from_parts({1: {0: {0: 2 ** 63 - 1}, 2: {0: 2 ** 63 - 1}}}, 1, 49), 1),
+         (JacobiSeries.from_parts({1: {0: {0: 2 ** 63 - 1}, 2: {0: 2 ** 63 - 1}}}, 1, 49), 1))
+@example((JacobiSeries.from_parts({1: {0: {0: 1, 48: 1}}}, 1, 100), 1),
+         (JacobiSeries.from_parts({1: {0: {0: 1}, 2: {0: 1}}}, 1, 100), 1))
+@example((QSeries.from_parts({1: {0: {0: 3, 12: -1}}}, 2, 30), 0),
+         (JacobiSeries.from_parts({1: {2: {-24: 2 ** 70}, 6: {0: 5}}}, 1, 97), 3))
+@example((JacobiSeries.zero(40), 2), (JacobiSeries.one(40), 1))
+def test_theta_times_is_the_full_row_product(first, second):
+    # the first two explicit examples: three products of the largest terms
+    # on one coefficient, and a factor on q^2 whose copies shift by q^1
+    (a, m_a), (b, m_b) = first, second
+    full = brute.field_mul(series.expand_theta_rows(a, m_a), series.expand_theta_rows(b, m_b))
+    assert series.theta_times(a, m_a, b, m_b) == series.cut_theta_rows(full, m_a + m_b)[0]
+
+
+def test_theta_times_needs_rational_factors():
+    root2 = JacobiSeries({(0, 0): RadicalScalar({2: Fraction(1)})}, 24)
+    with pytest.raises(ValueError, match="rational"):
+        series.theta_times(root2, 0, JacobiSeries.one(24), 0)
