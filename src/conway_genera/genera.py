@@ -26,25 +26,25 @@ assumed in one place: _shared_base cuts each first power taken from
 modforms -- the four theta quotients and phi_{0,1}, all of index 1 -- to
 rows 0..1 (series.cut_theta_rows); verify_elliptic_law reports the same
 cut's deviation on those five bases.  The weight-2 forms carry no y and
-are not cut.  A higher power, and each monomial phi_{0,1}^a Q1^b, is the
-series.theta_times of its two factors' theta rows: each pair of theta
-rows is multiplied once and no full row is built.  _class_form sums
-against the four y-free class series on rows 0..m and returns those
-rows, the only form of a genus-side series here: the checks compare rows
-and expand them only where they differ, to report the least full-row
-key; phi_g_ell expands a genus for its callers.  Builders compute and
-suites check: a builder raises only on its input and on a truncation
-shortfall of its own, and returns a wrong form, off the integer q-grid
-say, as it is.
+are not cut, and the decomposition's bases are sums of cut rows.  Every
+higher power is the series.theta_times of the power below it and the
+base: each pair of theta rows is multiplied once and no full row is
+built.  _class_form sums against the four y-free class series on rows
+0..m and returns those rows, the only form of a genus-side series here:
+the checks compare rows and expand them only where they differ, to
+report the least full-row key; phi_g_ell expands a genus for its
+callers.  Builders compute and suites check: a builder raises only on
+its input and on a truncation shortfall of its own, and returns a wrong
+form, off the integer q-grid say, as it is.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: the same combination at scale 2 with no eta_g term
 (_F_SLOTS), over the weight-2 forms Lambda_2(tau/2), Lambda_2(tau/2 +
 1/2) and -2 Lambda_2(tau), never over the theta quotients; F is -(F_2 +
 D eta_g)/2, scale -1 with eta_g against 1.  The decomposition's right-hand
-side is the genus with each theta-quotient power replaced by the
-binomial expansion of (phi_{0,1}/12 + L Q1)^(ell-1), L the Lambda_2 form
-of F_{2j} in that slot.
+side is the genus with each theta-quotient power replaced by (phi_{0,1}/12
++ L Q1)^(ell-1), L the Lambda_2 form of F_{2j} in that slot: a shared
+power like any other, whose binomial expansion is the paper's sum over j.
 
 Precision arguments here count integer q-orders; grid indices are used
 internally.  Every product stops at the requested precision prec.  The
@@ -60,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
@@ -157,9 +156,9 @@ _PHI01 = "phi01"
 _L2_PLAIN = "lambda2_plain"
 _L2_SHIFTED = "lambda2_shifted"
 _L2_NEG2 = "lambda2_neg2"
-#: (_BINOMIAL, L) is phi_{0,1}/12 + L theta_1^2/eta^6 with powers expanded
-#: binomially: the theta-4, -3, -2 quotient for L plain, shifted, neg2
-_BINOMIAL = "binomial"
+#: (_DECOMPOSED, L) is phi_{0,1}/12 + L theta_1^2/eta^6: the theta-4, -3, -2
+#: quotient for L plain, shifted, neg2, as the decomposition writes it
+_DECOMPOSED = "decomposed"
 
 
 #: the y-free shared forms, index 0 at every power
@@ -171,7 +170,7 @@ def _index(kind: str | tuple[str, str], power: int) -> int:
     return 0 if kind in _WEIGHT2 else power
 
 
-def _shared_base(kind: str, work: int) -> QSeries | JacobiSeries:
+def _shared_base(kind: str | tuple[str, str], work: int) -> QSeries | JacobiSeries:
     """The first power of a shared form; a form with y as its theta rows 0..1."""
     if kind == _L2_PLAIN:
         return modforms.lambda2_half("plain", work)
@@ -179,6 +178,9 @@ def _shared_base(kind: str, work: int) -> QSeries | JacobiSeries:
         return modforms.lambda2_half("shifted", work)
     if kind == _L2_NEG2:
         return modforms.lambda_n(2, work) * -2
+    if isinstance(kind, tuple):  # (_DECOMPOSED, L): phi_{0,1}/12 + L theta_1^2/eta^6
+        l_q1 = theta_times(_shared_power(THETA1SQ, 1, work), 1, _shared_power(kind[1], 1, work), 0)
+        return _shared_power(_PHI01, 1, work) * Fraction(1, 12) + l_q1
     return cut_theta_rows(_index1_form(kind, work), 1)[0]
 
 
@@ -190,29 +192,17 @@ def _index1_form(kind: str, work: int) -> JacobiSeries:
 @lru_cache(maxsize=None)
 def _shared_power(kind: str | tuple[str, str], power: int,
                   work: int) -> QSeries | JacobiSeries:
-    """A theta quotient, phi_{0,1}, a weight-2 form or a (_BINOMIAL, L) form to a power.
+    """A theta quotient, phi_{0,1}, a weight-2 form or a (_DECOMPOSED, L) form to a power.
 
     Kept as its theta rows 0.._index(kind, power).  Class-independent, so
     built once per (kind, power, work) per process.
     """
     if power == 0:
         return JacobiSeries.one(work)
-    if isinstance(kind, tuple):  # (_BINOMIAL, L): (phi_{0,1}/12 + L theta_1^2/eta^6)^power
-        # each monomial is kept as theta rows 0..power and L^j is y-free
-        return combine([
-            (Fraction(comb(power, j), 12 ** (power - j)), _monomial(power - j, j, work),
-             _shared_power(kind[1], j, work)) for j in range(power + 1)])
     if power == 1:
         return _shared_base(kind, work)
     return theta_times(_shared_power(kind, power - 1, work), _index(kind, power - 1),
                        _shared_power(kind, 1, work), _index(kind, 1))
-
-
-@lru_cache(maxsize=None)
-def _monomial(a: int, b: int, work: int) -> JacobiSeries:
-    """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b,
-    kept as its theta rows 0..a+b."""
-    return theta_times(_shared_power(_PHI01, a, work), a, _shared_power(THETA1SQ, b, work), b)
 
 
 #: the shared forms against r_g, r_{-g}, eta_g and eta_{-g} in a genus, all
@@ -312,9 +302,10 @@ def _decomposition_rows(req: GenusRequest) -> JacobiSeries:
     """The theta rows of D term + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j}, with
     c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)).  By linearity in the class
     series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
-    (_BINOMIAL, L) power ell - 1, in place of L^j: the genus with those
-    powers in place of the theta-quotient powers."""
-    shared = [((_BINOMIAL, kind) if kind else theta, req.ell - 1)
+    (_DECOMPOSED, L) power ell - 1, in place of L^j: the genus with those
+    powers in place of the theta-quotient powers.  Each is a power of its
+    own base phi01/12 + L Q1, never of the theta quotient it equals."""
+    shared = [((_DECOMPOSED, kind) if kind else theta, req.ell - 1)
               for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS)]
     return _class_form(req.rec, req.orders, shared, req.d, 1, "decomposition")
 

@@ -492,9 +492,15 @@ def _full_base(kind, work):
     return modforms.theta_quotient(kind, work)
 
 
+#: (BINOMIAL, L) is (phi_{0,1}/12 + L theta_1^2/eta^6)^power as the sum of
+#: its binomial terms, the reference for genera's (_DECOMPOSED, L) powers
+BINOMIAL = "binomial"
+
+
 @lru_cache(maxsize=None)
 def full_shared_power(kind, power, work):
-    """genera._shared_power with all of its y-rows."""
+    """genera._shared_power with all of its y-rows; a (BINOMIAL, L) power
+    is summed from full_monomial terms."""
     from conway_genera.series import JacobiSeries, combine
 
     if power == 0:
@@ -510,7 +516,8 @@ def full_shared_power(kind, power, work):
 
 @lru_cache(maxsize=None)
 def full_monomial(a, b, work):
-    """genera._monomial with all of its y-rows."""
+    """phi_{0,1}^a (theta_1^2/eta^6)^b, that is (-1)^b phi_{0,1}^a phi_{-2,1}^b,
+    with all of its y-rows."""
     from conway_genera import genera
     from conway_genera.modforms import THETA1SQ
 
@@ -563,10 +570,10 @@ def full_decomposition_rhs(req):
     rec, ell, power = req.rec, req.ell, req.ell - 1
     sign_ell = -1 if ell % 2 else 1
     return full_class_form(rec, req.orders, [
-        (Fraction(-1, 2), ((genera._BINOMIAL, genera._L2_PLAIN), power), 0),
-        (Fraction(1, 2), ((genera._BINOMIAL, genera._L2_SHIFTED), power), 1),
+        (Fraction(-1, 2), ((BINOMIAL, genera._L2_PLAIN), power), 0),
+        (Fraction(1, 2), ((BINOMIAL, genera._L2_SHIFTED), power), 1),
         (rec.d_signed(ell, req.d_sign) * Fraction(sign_ell, 2), (THETA1SQ, power), 2),
-        (rec.c_neg_g * Fraction(-1, 2), ((genera._BINOMIAL, genera._L2_NEG2), power), 3),
+        (rec.c_neg_g * Fraction(-1, 2), ((BINOMIAL, genera._L2_NEG2), power), 3),
     ])
 
 

@@ -415,13 +415,18 @@ _RADICALS = ("0", "1", "-1", "16", "1/2", "2*sqrt(2)", "-4*sqrt(3)", "sqrt(5)",
              "sqrt(7)", "", "x", "1/0", "sqrt(2)+")
 
 
+def _negated(text):
+    """A radical string with its leading sign flipped."""
+    return text[1:] if text.startswith("-") else f"-{text}"
+
+
 @st.composite
 def _one_field_mutated(draw):
     """The bundled class table with one field of one row changed."""
     classes = _bundled("classes.json")
     entry = draw(st.sampled_from(classes["classes"]))
-    field = draw(st.sampled_from(("d_mag key", "d_mag value", "d_mag sign", "pi_g",
-                                  "pi_neg_g")))
+    field = draw(st.sampled_from(("d_mag key", "d_mag value", "d_mag sign", "c_neg_g sign",
+                                  "pi_g", "pi_neg_g")))
     if field == "d_mag key":
         old = draw(st.sampled_from(sorted(entry["d_mag"])))
         entry["d_mag"][str(draw(st.integers(-1, 10)))] = entry["d_mag"].pop(old)
@@ -430,8 +435,9 @@ def _one_field_mutated(draw):
         entry["d_mag"][ell] = draw(st.sampled_from(_RADICALS))
     elif field == "d_mag sign":  # the loader checks only the square of a D value
         ell = draw(st.sampled_from(sorted(entry["d_mag"])))
-        text = entry["d_mag"][ell]
-        entry["d_mag"][ell] = text[1:] if text.startswith("-") else f"-{text}"
+        entry["d_mag"][ell] = _negated(entry["d_mag"][ell])
+    elif field == "c_neg_g sign":  # and of C(-g)
+        entry["c_neg_g"] = _negated(entry["c_neg_g"])
     else:
         pairs = entry[field]
         i = draw(st.integers(0, len(pairs)))  # len(pairs) appends a pair
@@ -442,13 +448,15 @@ def _one_field_mutated(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_one_field_mutated(), st.sampled_from(sorted(cli._SUITES)))
-def test_mutated_class_row_loads_or_is_a_data_error(classes, suite):
+@given(_one_field_mutated(), st.sampled_from(sorted(cli._SUITES)), st.integers(1, 3))
+def test_mutated_class_row_loads_or_is_a_data_error(classes, suite, prec):
+    # at --prec 1 a form times eta_{-g}, which starts at q^1, adds nothing,
+    # so a wrong C(-g) shows only from --prec 2
     coincidences = _bundled("coincidences.json")
     codes, errs = [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = _data_dir(Path(tmp), classes, coincidences)
-        for argv in (["list-classes"], ["verify", "--suite", suite, "--prec", "1"]):
+        for argv in (["list-classes"], ["verify", "--suite", suite, "--prec", str(prec)]):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 codes.append(cli.main(["--data-dir", path, *argv]))
@@ -461,6 +469,18 @@ def test_mutated_class_row_loads_or_is_a_data_error(classes, suite):
     assert verified in ((0, 1, 3) if listed == 0 else (3,)), (suite, verify_err)
     assert listed == 0 or verify_err == list_err
     assert "Traceback" not in verify_err
+
+
+def test_negated_c_neg_g_loads_and_fails_the_eta_identity(tmp_path, capsys):
+    classes = _bundled("classes.json")
+    entry = next(e for e in classes["classes"] if e["co0"] == "3C")
+    entry["c_neg_g"] = _negated(entry["c_neg_g"])
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    code, out, err = run(capsys, "--data-dir", path, "verify", "--suite", "eta-identity",
+                         "--prec", "2")
+    assert code == 1 and err == ""
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert fails == ["[FAIL] eta-identity[3C]  first deviation at q^1 y^0: 8 != 0"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -114,6 +114,22 @@ def test_oracles_reproduce_every_table_constant(data):
                 == RadicalScalar.from_rational(d_squared_oracle(rec.fs_g, ell))
 
 
+def test_d_signed_is_odd_in_the_sign(data):
+    vanishing = rows = 0
+    for rec in data.classes.values():
+        for ell in rec.d_magnitude:
+            key = (rec.co0_name, ell)
+            plus = rec.d_signed(ell, 1)
+            assert rec.d_signed(ell, -1) == -plus, key
+            assert rec.d_signs(ell) == ((1,) if plus.is_zero else (1, -1)), key
+            for sign in (0, 2):
+                with pytest.raises(ValueError):
+                    rec.d_signed(ell, sign)
+            vanishing += plus.is_zero
+            rows += 1
+    assert 0 < vanishing < rows
+
+
 def test_row_counts(data):
     assert len(data.classes) == 42
     per_ell = {ell: len(data.for_lambency(ell)) for ell in LAMBENCIES}

@@ -9,6 +9,10 @@ from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 from conway_genera.scalars import RadicalScalar
 from conway_genera.series import JacobiSeries, QSeries, first_difference
 
+#: the shared forms phi_{0,1}/12 + L Q1 of the decomposition, one per weight-2 form L
+DECOMPOSED = tuple((genera._DECOMPOSED, kind)
+                   for kind in (genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2))
+
 
 def test_ts_identity_class_shape(data):
     ts = genera.ts_g(data.record("1A"), "g", "chi", 8)
@@ -135,13 +139,10 @@ def test_genus_headroom_is_exact(data):
             assert modforms.eta_product(fs, work).min_key() >= 0, rec.co0_name
     assert starts == {-12} == {-genera._MARGIN}
     weight2 = (genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2)
-    kinds = (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01, *weight2,
-             *((genera._BINOMIAL, kind) for kind in weight2))
+    kinds = (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01, *weight2, *DECOMPOSED)
     for power in range(1, 7):
         for kind in kinds:
             assert genera._shared_power(kind, power, work).min_key() >= 0, (kind, power)
-        for a in range(power + 1):
-            assert genera._monomial(a, power - a, work).min_key() >= 0, (a, power)
 
 
 def test_theta_row_assembly_matches_the_full_row_reference(data):
@@ -179,9 +180,9 @@ def test_theta_row_powers_match_the_full_row_reference_at_24_orders():
     for kind in genera._GENUS_SLOTS:
         assert (series.expand_theta_rows(genera._shared_power(kind, 6, work), 6)
                 == brute.full_shared_power(kind, 6, work)), kind
-    for a in range(7):
-        assert (series.expand_theta_rows(genera._monomial(a, 6 - a, work), 6)
-                == brute.full_monomial(a, 6 - a, work)), a
+    for kind in DECOMPOSED:
+        assert (series.expand_theta_rows(genera._shared_power(kind, 6, work), 6)
+                == brute.full_shared_power((brute.BINOMIAL, kind[1]), 6, work)), kind
 
 
 def _perturbed(f, ry, kq):
@@ -211,16 +212,15 @@ def test_base_row_guard_fires_on_a_perturbed_coefficient(monkeypatch, cold_cache
     assert genera._shared_power(genera._PHI01, 1, work) == series.cut_theta_rows(bad, 1)[0]
 
 
-def test_theta_rows_round_trip_the_monomials():
+def test_theta_rows_round_trip_the_decomposed_powers():
     work = 24 * 4 + genera._MARGIN
-    for a in range(4):
-        for b in range(4 - a):
-            m = a + b
-            rows = genera._monomial(a, b, work)
-            assert set(rows.parts[1]) <= set(range(0, 2 * m + 1, 2)), (a, b)
+    for kind in DECOMPOSED:
+        for m in range(4):
+            rows = genera._shared_power(kind, m, work)
+            assert set(rows.parts[1]) <= set(range(0, 2 * m + 1, 2)), (kind, m)
             full = series.expand_theta_rows(rows, m)
-            assert full == brute.full_monomial(a, b, work), (a, b)
-            assert series.cut_theta_rows(full, m) == (rows, None), (a, b)
+            assert full == brute.full_shared_power((brute.BINOMIAL, kind[1]), m, work), (kind, m)
+            assert series.cut_theta_rows(full, m) == (rows, None), (kind, m)
 
 
 def test_genus_products_stop_at_requested_precision(data, monkeypatch):
@@ -290,7 +290,7 @@ def test_cold_shared_powers_build_no_field_values(cold_caches, monkeypatch):
 
     monkeypatch.setattr(RadicalScalar, "__init__", counted)
     for kind in (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01,
-                 genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2):
+                 genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2, *DECOMPOSED):
         assert not genera._shared_power(kind, 3, work).is_zero
         assert built == [], kind
 
