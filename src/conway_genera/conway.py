@@ -281,6 +281,12 @@ def _frame_shape(entry: dict, field: str) -> FrameShape:
                                  for m, k in entry[field])
 
 
+def _level(entry: dict) -> int | None:
+    """The optional `level` field of a table row: an int, null or absent."""
+    level = entry.get("level")
+    return None if level is None else _typed(level, int, "level")
+
+
 def _validate_record(rec: ConwayClassRecord) -> None:
     row = rec.co0_name
     try:
@@ -345,9 +351,9 @@ def load_class_data(directory: str | None = None) -> ClassData:
                 d_magnitude={
                     _lambency_key(ell): parse_radical(_typed(text, str, f"d_mag[{ell}]"))
                     for ell, text in _typed(entry["d_mag"], dict, "d_mag").items()},
-                gamma_g=entry["gamma_g"],
-                gamma_neg_g=entry["gamma_neg_g"],
-                level=entry.get("level"),
+                gamma_g=_typed(entry["gamma_g"], str, "gamma_g"),
+                gamma_neg_g=_typed(entry["gamma_neg_g"], str, "gamma_neg_g"),
+                level=_level(entry),
             )
         except (KeyError, TypeError, ValueError) as exc:
             name = entry.get("co0", "?") if isinstance(entry, dict) else "?"
@@ -360,7 +366,7 @@ def load_class_data(directory: str | None = None) -> ClassData:
     relations = []
     for entry in _read_rows(directory, "coincidences.json", "coincidence", "relations"):
         try:
-            kind = entry["kind"]
+            kind = _typed(entry["kind"], str, "kind")
             rhs = tuple(
                 (Fraction(_typed(item["coeff"], str, "rhs coeff")),
                  _typed(item["class"], str, "rhs class"), _typed(item["sign"], int, "rhs sign"))
@@ -371,8 +377,8 @@ def load_class_data(directory: str | None = None) -> ClassData:
                 lhs_sign=_typed(entry["lhs"]["sign"], int, "lhs.sign"),
                 kind=kind,
                 rhs=rhs,
-                source=entry.get("source", ""),
-                level=entry.get("level"),
+                source=_typed(entry.get("source", ""), str, "source"),
+                level=_level(entry),
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DataError(f"coincidence row {entry}: missing or malformed field {exc!r}") \

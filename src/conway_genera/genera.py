@@ -79,12 +79,6 @@ def _grid(orders: int) -> int:
     return 24 * orders
 
 
-def _assert_fixed_four(rec: ConwayClassRecord) -> None:
-    # every tabulated class fixes at least a 4-space, hence C_g = 0
-    if rec.fs_g.cyclo().get(1, 0) < 4:
-        raise ValueError(f"class {rec.co0_name} does not fix a 4-space")
-
-
 @dataclass(frozen=True)
 class GenusRequest:
     """A (class, D-sign, lambency, precision) tuple, validated."""
@@ -123,13 +117,12 @@ def ts_g(rec: ConwayClassRecord, which: str = "g", form: str = "chi",
         raise ValueError("which must be 'g' or 'g_tw'")
     if form not in ("direct", "chi"):
         raise ValueError("form must be 'direct' or 'chi'")
-    _assert_fixed_four(rec)
     prec = _grid(orders)
     chi = rec.chi
     if form == "chi":
         if which == "g":
             return modforms.eta_ratio_half(rec.fs_g, prec) + chi
-        # C_g = 0 for every tabulated class (fixed 4-space)
+        # C_g = 0: conway._validate_record rejects a class fixing less than a 4-space
         return QSeries({0: -chi}, prec)
     r_g = modforms.eta_ratio_half(rec.fs_g, prec)
     r_neg = modforms.eta_ratio_half(rec.fs_neg_g, prec)
@@ -221,7 +214,6 @@ def _class_form(rec: ConwayClassRecord, orders: int, shared, d, scale,
     kept as its theta rows 0..m, and the class series are y-free, so the
     sum is taken on rows 0..m alone and returned as those rows.
     """
-    _assert_fixed_four(rec)
     prec = _grid(orders)
     work = prec + _MARGIN
     series = (modforms.eta_ratio_half(rec.fs_g, work),

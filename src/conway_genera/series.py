@@ -21,11 +21,12 @@ per pair of terms for small products, and Kronecker substitution
 pair of rows) from KRONECKER_MIN_PAIRS term pairs on.  The packed path
 costs a pack and an unpack per slot and wins only when that is small
 against the pairs; the crossover was measured on captured products.
-`combine` sums field constants times products of series, one
-convolution per pair of radical parts, and returns its integer
-accumulators as a JacobiSeries; a product of two series is one `combine`
-term.  `times` is the product of two rational series with no field
-constant at all.  QSeries.inverse is Newton's iteration on `*`.
+`combine` sums field constants times products of rational series, one
+convolution per term, and returns its integer accumulators as a
+JacobiSeries; a product of two series is one `combine` term.  `times`
+is the product of two rational series with no field constant at all.
+QSeries.inverse is Newton's iteration on `*`.  Products and inverses
+raise ValueError on a factor with an irrational coefficient.
 
 A weak Jacobi form of index m that is even in z is fixed by its theta
 rows, the y-rows r = 0..m: by the elliptic law every other row is a
@@ -45,8 +46,7 @@ into every output row it lands on, shifted as the law says.
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`
 and `items()` are read-only views built on first use and kept per
 instance.  In the arithmetic the field enters only through constants:
-one product per `combine` term and the inverse of the lead coefficient
-in QSeries.inverse.
+a series times a scalar, and one product per `combine` term.
 
 Truncation is propagated pessimistically: a product is only known below
 min(a.trunc + b.min_exp, b.trunc + a.min_exp), and no operation ever
@@ -93,9 +93,9 @@ def _beyond(kq: int) -> ValueError:
     return ValueError(f"coefficient of q^{Fraction(kq, QGRID)} is beyond the truncation order")
 
 
-def _check_rational(a, b, what: str) -> None:
-    if any(d != 1 for f in (a, b) for d in f.parts):
-        raise ValueError(f"{what} needs two series with rational coefficients")
+def _check_rational(what: str, *factors) -> None:
+    if any(d != 1 for f in factors for d in f.parts):
+        raise ValueError(f"{what} needs series with rational coefficients")
 
 
 def _add_rows(target: dict[int, dict[int, int]], rows: dict[int, dict[int, int]], m: int):
@@ -236,7 +236,7 @@ class _Series:
         Known below the min rule's index.  No RadicalScalar is built; a
         factor with an irrational coefficient raises ValueError.
         """
-        _check_rational(self, other, "times")
+        _check_rational("times", self, other)
         trunc = self.product_trunc(other)
         rows = _convolve(self.parts.get(1, {}), other.parts.get(1, {}), trunc)
         return JacobiSeries.from_parts({1: rows}, self.den * other.den, trunc)
@@ -348,19 +348,19 @@ class QSeries(_Series):
         self = q^(m/24) u with u a unit known below n = trunc - m.  Newton's
         iteration v <- v + v (1 - u v) on `*` doubles the grid range on
         which v = 1/u is exact at each step (Brent and Kung, J. ACM 25
-        (1978) 581); the only field operation is the inverse of u's lead
-        coefficient.  b = q^(-m/24) v is known below trunc - 2m.
+        (1978) 581).  b = q^(-m/24) v is known below trunc - 2m.  A series
+        with an irrational coefficient raises ValueError.
         """
+        _check_rational("inverse", self)
         m = self.min_key()
         if m is None:
             raise ZeroDivisionError("non-invertible series")
         unit = self.shift(-m)
         n = unit.trunc
-        lead = RadicalScalar({d: Fraction(rows[0][0], unit.den)
-                              for d, rows in unit.parts.items() if 0 in rows[0]})
-        v = QSeries({0: lead.inverse()}, n)
+        row = unit.parts[1][0]
+        v = QSeries({0: Fraction(unit.den, row[0])}, n)
         # 1/u = 1/u_0 + O(q^(s/24)) for the least positive index s of u
-        exact = min((kq for rows in unit.parts.values() for kq in rows[0] if kq), default=n)
+        exact = min((kq for kq in row if kq), default=n)
         while exact < n:
             exact = min(2 * exact, n)
             v = QSeries.from_parts(v.parts, v.den, exact)  # v is a polynomial
@@ -640,18 +640,19 @@ def _kronecker(rows_a, rows_b, trunc: int, placed) -> dict[int, dict[int, int]]:
 
 
 def combine(terms, trunc: int | None = None) -> JacobiSeries:
-    """sum_i kappa_i * A_i * B_i for field constants kappa_i and series A_i, B_i.
+    """sum_i kappa_i * A_i * B_i for field constants kappa_i and rational series A_i, B_i.
 
-    Each product is taken in integers, one convolution per pair of
-    radical parts sqrt(d) of A_i and sqrt(e) of B_i.  The field enters
-    once per term: kappa_i / (den A_i * den B_i) becomes one integer
-    multiplier per radical sqrt(f) over one common denominator, and
-    sqrt(d) sqrt(e) sqrt(f) is mixed in integers.  The result is known
-    below the least of `trunc` (when given) and every product's min-rule
-    index, and no product is computed past that bound.
+    Each product is one integer convolution of the factors' rows; a
+    factor with an irrational coefficient raises ValueError.  The field
+    enters once per term: kappa_i / (den A_i * den B_i) becomes one
+    integer multiplier per radical sqrt(f) over one common denominator,
+    and the product's rows are added into radical f with it.  The result
+    is known below the least of `trunc` (when given) and every product's
+    min-rule index, and no product is computed past that bound.
     """
     scaled = []
     for kappa, a, b in terms:
+        _check_rational("combine", a, b)
         bound = a.product_trunc(b)
         trunc = bound if trunc is None else min(bound, trunc)
         scale = RadicalScalar.from_rational(Fraction(1, a.den * b.den)) * kappa
@@ -660,14 +661,9 @@ def combine(terms, trunc: int | None = None) -> JacobiSeries:
     common = lcm(*(c.denominator for scale, _, _ in scaled for c in scale.values()))
     acc: dict[int, dict[int, dict[int, int]]] = {}
     for scale, a, b in scaled:
-        for d, rows_a in a.parts.items():
-            for e, rows_b in b.parts.items():
-                rows = _convolve(rows_a, rows_b, trunc)
-                g, h = _mix(d, e)
-                for f, c in scale.items():
-                    g2, k = _mix(h, f)
-                    m = g * g2 * c.numerator * (common // c.denominator)
-                    _add_rows(acc.setdefault(k, {}), rows, m)
+        rows = _convolve(a.parts.get(1, {}), b.parts.get(1, {}), trunc)
+        for f, c in scale.items():
+            _add_rows(acc.setdefault(f, {}), rows, c.numerator * (common // c.denominator))
     return JacobiSeries.from_parts(acc, common, trunc)
 
 
@@ -735,7 +731,7 @@ def theta_times(a, m_a: int, b, m_b: int) -> JacobiSeries:
     full row is built.  Known below the min rule's index, as the product
     of the expanded factors is, since a copy never starts below its row.
     """
-    _check_rational(a, b, "theta_times")
+    _check_rational("theta_times", a, b)
     trunc = a.product_trunc(b)
     rows_a, rows_b = a.parts.get(1, {}), b.parts.get(1, {})
     low_a = min(map(min, rows_a.values()), default=0)

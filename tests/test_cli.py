@@ -393,9 +393,27 @@ def test_malformed_constant_is_a_data_error(tmp_path, capsys, text):
      "TypeError('field rhs sign has type float, not int')"),
     ("coincidences.json", ("relations", 2, "rhs", 1, "coeff"), 2.0000000001,
      "TypeError('field rhs coeff has type float, not str')"),
+    ("classes.json", ("classes", 0, "gamma_g"), 7,
+     "row 1A: field gamma_g has type int, not str"),
+    ("classes.json", ("classes", 0, "gamma_neg_g"), None,
+     "row 1A: field gamma_neg_g has type NoneType, not str"),
+    ("classes.json", ("classes", 0, "level"), "x",
+     "row 1A: field level has type str, not int"),
+    ("classes.json", ("classes", 0, "level"), 2.5,
+     "row 1A: field level has type float, not int"),
+    ("classes.json", ("classes", 0, "level"), True,
+     "row 1A: field level has type bool, not int"),
+    ("coincidences.json", ("relations", 0, "level"), "x",
+     "TypeError('field level has type str, not int')"),
+    ("coincidences.json", ("relations", 0, "kind"), 3,
+     "TypeError('field kind has type int, not str')"),
+    ("coincidences.json", ("relations", 0, "source"), None,
+     "TypeError('field source has type NoneType, not str')"),
 ], ids=["c_neg_g-number", "d_mag-value-number", "d_mag-list", "co0-list", "co1-list",
         "lhs-class-list", "rhs-class-list", "pi_g-exponent-float", "pi_neg_g-part-bool",
-        "lambency-float", "lhs-sign-bool", "rhs-sign-float", "rhs-coeff-number"])
+        "lambency-float", "lhs-sign-bool", "rhs-sign-float", "rhs-coeff-number",
+        "gamma_g-number", "gamma_neg_g-null", "level-text", "level-float", "level-bool",
+        "coincidence-level-text", "kind-number", "source-null"])
 def test_wrongly_typed_field_is_a_data_error(tmp_path, capsys, name, path, value, message):
     tables = {n: _bundled(n) for n in ("classes.json", "coincidences.json")}
     *keys, last = path
@@ -471,16 +489,22 @@ def test_mutated_class_row_loads_or_is_a_data_error(classes, suite, prec):
     assert "Traceback" not in verify_err
 
 
-def test_negated_c_neg_g_loads_and_fails_the_eta_identity(tmp_path, capsys):
+@pytest.mark.parametrize("row", [e["co0"] for e in _bundled("classes.json")["classes"]
+                                 if e["c_neg_g"] != "0"])
+def test_negated_c_neg_g_loads_and_fails_the_eta_identity(tmp_path, capsys, row):
+    # C(-g) first enters the eta identity at q^1, so --prec 1 cannot see its sign;
+    # at q^1 the two forms differ by the table's C(-g)
     classes = _bundled("classes.json")
-    entry = next(e for e in classes["classes"] if e["co0"] == "3C")
+    entry = next(e for e in classes["classes"] if e["co0"] == row)
     entry["c_neg_g"] = _negated(entry["c_neg_g"])
     path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
-    code, out, err = run(capsys, "--data-dir", path, "verify", "--suite", "eta-identity",
-                         "--prec", "2")
-    assert code == 1 and err == ""
+    for prec, want in (("1", 0), ("2", 1)):
+        code, out, err = run(capsys, "--data-dir", path, "verify", "--suite", "eta-identity",
+                             "--prec", prec)
+        assert code == want and err == ""
     fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
-    assert fails == ["[FAIL] eta-identity[3C]  first deviation at q^1 y^0: 8 != 0"]
+    assert fails == [f"[FAIL] eta-identity[{row}]  first deviation at q^1 y^0: "
+                     f"{entry['c_neg_g']} != 0"]
 
 
 @settings(max_examples=60, deadline=None)
