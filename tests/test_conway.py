@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
 import brute
 
+from conway_genera import conway
 from conway_genera.conway import (DataError, FrameShape, LAMBENCIES,
                                   c_squared_oracle, d_squared_oracle, load_class_data)
 from conway_genera.scalars import RadicalScalar
@@ -180,6 +182,32 @@ def test_corrupted_negation_fails_loading(data, tmp_path):
     (tmp_path / "coincidences.json").write_text(json.dumps({"relations": []}))
     with pytest.raises(DataError, match="pi_neg_g"):
         load_class_data(str(tmp_path))
+
+
+@pytest.mark.parametrize("row, field, value, message", [
+    ("2B", "pi_g", [[1, 8], [2, 7]],
+     "row 2B, field pi_g: inconsistent frame shape: degree 22 != 24"),
+    ("2B", "pi_g", [[1, 26], [2, -1]],
+     "row 2B, field pi_g: not an eigenvalue multiset: multiplicity -1 at order 2"),
+    ("2B", ("d_mag", "5"), "17",
+     "row 2B, field d_mag[5]: 17 squared does not match the "
+     "characteristic-polynomial value 256"),
+    ("4D", ("d_mag", "3"), "0",
+     "row 4D, field d_mag[3]: class fixes too small a space for lambency 3 (rank 4 < 8)"),
+], ids=["pi_g-degree", "pi_g-negative-multiplicity", "d_mag-square", "d_mag-fixed-space"])
+def test_row_failing_its_invariant_names_row_field_and_cause(tmp_path, row, field, value,
+                                                             message):
+    bundled = Path(conway.__file__).parent / "data" / "classes.json"
+    entry = next(e for e in json.loads(bundled.read_text())["classes"] if e["co0"] == row)
+    if isinstance(field, tuple):
+        entry[field[0]][field[1]] = value
+    else:
+        entry[field] = value
+    (tmp_path / "classes.json").write_text(json.dumps({"classes": [entry]}))
+    (tmp_path / "coincidences.json").write_text(json.dumps({"relations": []}))
+    with pytest.raises(DataError) as info:
+        load_class_data(str(tmp_path))
+    assert str(info.value) == message
 
 
 def test_coincidence_counts(data):
