@@ -7,16 +7,22 @@ multiset as cyclotomic multiplicities, the trace, the Frame shape of the
 negated element, and the squares of the Clifford-module trace constants.
 The loader checks each bundled table row against those closed forms, so
 a transcription error in the data file cannot survive loading.
+
+FrameShape, ConwayClassRecord, CoincidenceRelation and ClassData are
+namedtuple subclasses: immutable, compared as tuples, and defined with
+no code generation at import.  A FrameShape hashes as the tuple
+(factors,), so it keys the modforms caches.  The bundled tables are
+read with open() from the data directory beside this file, so loading
+them imports no resource-reader machinery at start-up.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from .scalars import RadicalScalar, parse_radical
 
@@ -35,11 +41,13 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FrameShape:
-    """Signed multiset m -> k_m with sum_m m*k_m = 24."""
+class FrameShape(namedtuple("FrameShape", "factors")):
+    """Signed multiset m -> k_m with sum_m m*k_m = 24.
 
-    factors: tuple[tuple[int, int], ...]
+    factors is the tuple of (m, k_m) pairs with k_m != 0, sorted by m.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs) -> "FrameShape":
@@ -158,19 +166,17 @@ def d_squared_oracle(fs_g: FrameShape, ell: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class ConwayClassRecord:
-    """One row of the bundled class tables."""
+class ConwayClassRecord(namedtuple("ConwayClassRecord", (
+        "co0_name", "co1_name", "fs_g", "fs_neg_g", "c_neg_g", "d_magnitude",
+        "gamma_g", "gamma_neg_g", "level"))):
+    """One row of the bundled class tables.
 
-    co0_name: str
-    co1_name: str
-    fs_g: FrameShape
-    fs_neg_g: FrameShape
-    c_neg_g: RadicalScalar
-    d_magnitude: dict[int, RadicalScalar]
-    gamma_g: str
-    gamma_neg_g: str
-    level: int | None
+    The class names in Co0 and Co1, the Frame shapes of g and -g, C(-g),
+    the D magnitude by lambency (a dict, so a record is not hashable), the
+    gamma_g and gamma_neg_g labels, and the level (an int or None).
+    """
+
+    __slots__ = ()
 
     @property
     def chi(self) -> int:
@@ -197,28 +203,25 @@ class ConwayClassRecord:
         return self.d_magnitude[ell] * sign
 
 
-@dataclass(frozen=True)
-class CoincidenceRelation:
+class CoincidenceRelation(namedtuple("CoincidenceRelation", (
+        "lambency", "lhs_class", "lhs_sign", "kind", "rhs", "source", "level"))):
     """One row of the coincidence tables.
 
+    The genus of lhs_class with D sign lhs_sign at the lambency equals the
+    sum over rhs of (Fraction coefficient, class name, D sign) terms.
     kind is "internal" (right side expressible in bundled genera),
     "anchor" (the row defining the translation dictionary) or
-    "external" (right side refers to data outside the package).
+    "external" (right side refers to data outside the package); source
+    (str) cites the row, and level is an int or None.
     """
 
-    lambency: int
-    lhs_class: str
-    lhs_sign: int
-    kind: str
-    rhs: tuple[tuple[Fraction, str, int], ...]
-    source: str
-    level: int | None
+    __slots__ = ()
 
 
-@dataclass
-class ClassData:
-    classes: dict[str, ConwayClassRecord]
-    relations: list[CoincidenceRelation]
+class ClassData(namedtuple("ClassData", "classes relations")):
+    """The loaded tables: records by Co0 name, and the coincidence rows."""
+
+    __slots__ = ()
 
     def record(self, name: str) -> ConwayClassRecord:
         try:
@@ -254,11 +257,8 @@ def _read_rows(directory: str | None, filename: str, what: str, key: str) -> lis
     """
     try:
         if directory is None:
-            handle = resources.files("conway_genera").joinpath("data", filename).open(
-                "r", encoding="utf-8")
-        else:
-            handle = open(os.path.join(directory, filename), "r", encoding="utf-8")
-        with handle:
+            directory = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(directory, filename), "r", encoding="utf-8") as handle:
             raw = json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} data: {exc}") from exc

@@ -46,6 +46,9 @@ side is the genus with each theta-quotient power replaced by (phi_{0,1}/12
 + L Q1)^(ell-1), L the Lambda_2 form of F_{2j} in that slot: a shared
 power like any other, whose binomial expansion is the paper's sum over j.
 
+A GenusRequest, the (class, D sign, lambency, precision) of one genus,
+is a namedtuple subclass validated in its constructor.
+
 Precision arguments here count integer q-orders; grid indices are used
 internally.  Every product stops at the requested precision prec.  The
 factors are built to work = prec + _MARGIN, and the margin is exactly
@@ -57,7 +60,7 @@ So each B_i times its class series is known below work - 12 = prec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,23 +82,22 @@ def _grid(orders: int) -> int:
     return 24 * orders
 
 
-@dataclass(frozen=True)
-class GenusRequest:
-    """A (class, D-sign, lambency, precision) tuple, validated."""
+class GenusRequest(namedtuple("GenusRequest", "rec d_sign ell orders")):
+    """A (class, D-sign, lambency, precision) tuple, validated.
 
-    rec: ConwayClassRecord
-    d_sign: int
-    ell: int
-    orders: int
+    A sign that gives no distinct genus, where D vanishes, becomes +1.
+    """
 
-    def __post_init__(self):
-        if self.ell not in self.rec.d_magnitude:
-            raise ValueError(
-                f"class {self.rec.co0_name} is not in the lambency-{self.ell} table")
-        if self.d_sign not in (1, -1):
+    __slots__ = ()
+
+    def __new__(cls, rec: ConwayClassRecord, d_sign: int, ell: int, orders: int):
+        if ell not in rec.d_magnitude:
+            raise ValueError(f"class {rec.co0_name} is not in the lambency-{ell} table")
+        if d_sign not in (1, -1):
             raise ValueError("d_sign must be +1 or -1")
-        if self.d_sign not in self.rec.d_signs(self.ell):
-            object.__setattr__(self, "d_sign", 1)
+        if d_sign not in rec.d_signs(ell):
+            d_sign = 1
+        return super().__new__(cls, rec, d_sign, ell, orders)
 
     @property
     def d(self):

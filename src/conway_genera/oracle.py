@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, gcd, lcm
@@ -229,12 +228,17 @@ def embed_radical(x: RadicalScalar, order: int) -> CycloNumber:
 # -- eigenvalue systems ------------------------------------------------------
 
 
-@dataclass
 class _Pair:
-    lam_exp: int        # lambda = zeta_N^lam_exp
-    nu_exp: int         # nu = sigma * zeta_N^nu_exp
-    sigma: int
-    distinguished: bool = False
+    """One eigenvalue pair, changed in place by EigenSystem's normalization:
+    lambda = zeta_N^lam_exp and nu = sigma * zeta_N^nu_exp."""
+
+    __slots__ = ("lam_exp", "nu_exp", "sigma", "distinguished")
+
+    def __init__(self, lam_exp: int, nu_exp: int, sigma: int):
+        self.lam_exp = lam_exp
+        self.nu_exp = nu_exp
+        self.sigma = sigma
+        self.distinguished = False
 
 
 class EigenSystem:

@@ -1,23 +1,24 @@
-"""Uniform result objects for the identity-verification suites."""
+"""Uniform result objects for the identity-verification suites.
+
+CheckReport is an immutable namedtuple subclass; the suites build each
+report once, through its constructor or `from_deviation`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "name status first_deviation note",
+                             defaults=(None, ""))):
     """Outcome of one verified identity or relation.
 
-    status is "pass", "fail" or "skipped"; first_deviation carries the
-    offending exponents and both coefficient values when status is
-    "fail".
+    status is "pass", "fail" or "skipped"; first_deviation (a dict, or
+    None) carries the offending exponents and both coefficient values
+    when status is "fail"; note (str, default empty) is printed after it.
     """
 
-    name: str
-    status: str
-    first_deviation: dict | None = None
-    note: str = ""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -210,6 +210,25 @@ def test_module_entry_point_runs_the_cli():
     assert len(out.splitlines()) == 42
 
 
+#: standard-library modules that start-up does without: `dataclasses`
+#: imports `inspect`, and `importlib.resources` the other four
+START_UP_FREE = ("dataclasses", "inspect", "importlib.resources", "pathlib", "typing",
+                 "tempfile", "zipfile")
+
+
+def test_start_up_imports_no_module_it_does_without():
+    # -S: no site hook can load one of them before the package does
+    src = Path(conway_genera.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("MOONSHINE_DATA_DIR", None)
+    code = ("import sys, conway_genera.cli\n"
+            "conway_genera.cli.bundled_data()\n"
+            f"print(sorted(name for name in {START_UP_FREE!r} if name in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def _run_into_closed_pipe(*argv):
     """Exit code and stderr of a run whose stdout has no reader from the start."""
     read_end, write_end = os.pipe()

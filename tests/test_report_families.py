@@ -12,7 +12,6 @@ non-skipped row is covered by an entry.
 """
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -56,7 +55,7 @@ def _frame_shape(data, name, which="fs_g"):
 
 def _with_record(data, name, **changes):
     """The class table with one record replaced, the session data untouched."""
-    record = replace(data.record(name), **changes)
+    record = data.record(name)._replace(**changes)
     return ClassData({**data.classes, name: record}, data.relations)
 
 
