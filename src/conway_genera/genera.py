@@ -12,7 +12,7 @@ quotients and Q1 = theta_1^2/eta^6.  This one combination is
 _class_form, the assembler of every genus-side form: a caller names the
 shared power in each slot (or none), the signed D and a rational scale.
 The B_i do not depend on the class: each power is a rational series over
-a power-of-two denominator, multiplied with `theta_times` in integers,
+a power-of-two denominator, multiplied as series.ThetaRows in integers,
 built once per process and shared by every class, sign and lambency.  The
 class series have integer coefficients and are the cached series of
 modforms.  The radicals of Q(sqrt 2, sqrt 3, sqrt 5) enter only through
@@ -21,21 +21,22 @@ series.combine, whose integer rows per radical are the returned form.
 RadicalScalar coefficients are built only when a caller reads them.
 
 Every B_i = Q_i^m is a weak Jacobi form of index m = ell - 1, even in z,
-so it is kept as its theta rows r = 0..m alone.  The elliptic law is
-assumed in one place: _shared_base cuts each first power taken from
-modforms -- the four theta quotients and phi_{0,1}, all of index 1 -- to
-rows 0..1 (series.cut_theta_rows); verify_elliptic_law reports the same
+so it is kept as a series.ThetaRows: its theta rows r = 0..m with m.  The
+elliptic law is assumed in one place: _shared_base cuts each first power
+taken from modforms -- the four theta quotients and phi_{0,1} -- to
+index 1 (series.cut_theta_rows); verify_elliptic_law reports the same
 cut's deviation on those five bases.  The weight-2 forms carry no y and
-are not cut, and the decomposition's bases are sums of cut rows.  Every
-higher power is the series.theta_times of the power below it and the
-base: each pair of theta rows is multiplied once and no full row is
-built.  _class_form sums against the four y-free class series on rows
-0..m and returns those rows, the only form of a genus-side series here:
-the checks compare rows and expand them only where they differ, to
-report the least full-row key; phi_g_ell expands a genus for its
-callers.  Builders compute and suites check: a builder raises only on
-its input and on a truncation shortfall of its own, and returns a wrong
-form, off the integer q-grid say, as it is.
+are index 0 uncut, and the decomposition's bases are sums of cut rows.
+Every higher power is the ThetaRows product of the power below it and
+the base, whose index is the sum: each pair of theta rows is multiplied
+once and no full row is built.  _class_form sums against the four y-free
+class series on rows 0..m and returns those rows, which the genus, the
+decomposition and the sign-flip D term wrap at index ell - 1: the only
+form of a genus-side series here.  The checks compare rows and expand
+them only where they differ, to report the least full-row key; phi_g_ell
+expands a genus for its callers.  Builders compute and suites check: a
+builder raises only on its input and on a truncation shortfall of its
+own, and returns a wrong form, off the integer q-grid say, as it is.
 
 The companion weight-2j forms F_{2j} (and F at index 1) are the
 independent route: the same combination at scale 2 with no eta_g term
@@ -68,8 +69,7 @@ from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
-from .series import (JacobiSeries, QSeries, combine, cut_theta_rows, expand_theta_rows,
-                     first_difference, theta_times)
+from .series import JacobiSeries, QSeries, ThetaRows, combine, cut_theta_rows, first_difference
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
@@ -156,26 +156,17 @@ _L2_NEG2 = "lambda2_neg2"
 _DECOMPOSED = "decomposed"
 
 
-#: the y-free shared forms, index 0 at every power
-_WEIGHT2 = (_L2_PLAIN, _L2_SHIFTED, _L2_NEG2)
-
-
-def _index(kind: str | tuple[str, str], power: int) -> int:
-    """The index of a shared power: its power, or 0 for a y-free form."""
-    return 0 if kind in _WEIGHT2 else power
-
-
-def _shared_base(kind: str | tuple[str, str], work: int) -> QSeries | JacobiSeries:
-    """The first power of a shared form; a form with y as its theta rows 0..1."""
+def _shared_base(kind: str | tuple[str, str], work: int) -> ThetaRows:
+    """The first power of a shared form: index 0 for a weight-2 form, else 1."""
     if kind == _L2_PLAIN:
-        return modforms.lambda2_half("plain", work)
+        return ThetaRows(modforms.lambda2_half("plain", work), 0)
     if kind == _L2_SHIFTED:
-        return modforms.lambda2_half("shifted", work)
+        return ThetaRows(modforms.lambda2_half("shifted", work), 0)
     if kind == _L2_NEG2:
-        return modforms.lambda_n(2, work) * -2
+        return ThetaRows(modforms.lambda_n(2, work) * -2, 0)
     if isinstance(kind, tuple):  # (_DECOMPOSED, L): phi_{0,1}/12 + L theta_1^2/eta^6
-        l_q1 = theta_times(_shared_power(THETA1SQ, 1, work), 1, _shared_power(kind[1], 1, work), 0)
-        return _shared_power(_PHI01, 1, work) * Fraction(1, 12) + l_q1
+        l_q1 = _shared_power(THETA1SQ, 1, work) * _shared_power(kind[1], 1, work)
+        return ThetaRows(_shared_power(_PHI01, 1, work).rows * Fraction(1, 12) + l_q1.rows, 1)
     return cut_theta_rows(_index1_form(kind, work), 1)[0]
 
 
@@ -185,19 +176,17 @@ def _index1_form(kind: str, work: int) -> JacobiSeries:
 
 
 @lru_cache(maxsize=None)
-def _shared_power(kind: str | tuple[str, str], power: int,
-                  work: int) -> QSeries | JacobiSeries:
+def _shared_power(kind: str | tuple[str, str], power: int, work: int) -> ThetaRows:
     """A theta quotient, phi_{0,1}, a weight-2 form or a (_DECOMPOSED, L) form to a power.
 
-    Kept as its theta rows 0.._index(kind, power).  Class-independent, so
-    built once per (kind, power, work) per process.
+    Its index is the power, or 0 for a weight-2 form.  Class-independent,
+    so built once per (kind, power, work) per process.
     """
     if power == 0:
-        return JacobiSeries.one(work)
+        return ThetaRows(JacobiSeries.one(work), 0)
     if power == 1:
         return _shared_base(kind, work)
-    return theta_times(_shared_power(kind, power - 1, work), _index(kind, power - 1),
-                       _shared_power(kind, 1, work), _index(kind, 1))
+    return _shared_power(kind, power - 1, work) * _shared_power(kind, 1, work)
 
 
 #: the shared forms against r_g, r_{-g}, eta_g and eta_{-g} in a genus, all
@@ -212,16 +201,16 @@ def _class_form(rec: ConwayClassRecord, orders: int, shared, d, scale,
 
     shared[i] is the (kind, power) of P_i = _shared_power(kind, power), or
     None for an empty slot; a slot whose constant is zero is skipped before
-    its power is built.  Every shared power has the same index m and is
-    kept as its theta rows 0..m, and the class series are y-free, so the
-    sum is taken on rows 0..m alone and returned as those rows.
+    its power is built.  Every shared power has the same index m and the
+    class series are y-free, so the sum is taken on theta rows 0..m alone
+    and returned as those rows; the caller, who knows m, wraps them.
     """
     prec = _grid(orders)
     work = prec + _MARGIN
     series = (modforms.eta_ratio_half(rec.fs_g, work),
               modforms.eta_ratio_half(rec.fs_neg_g, work),
               modforms.eta_product(rec.fs_g, work), modforms.eta_product(rec.fs_neg_g, work))
-    total = combine([(kappa * Fraction(scale, 2), _shared_power(*power, work), s)
+    total = combine([(kappa * Fraction(scale, 2), _shared_power(*power, work).rows, s)
                      for kappa, power, s in zip((-1, 1, d, -rec.c_neg_g), shared, series)
                      if power and kappa], prec)
     if total.trunc < prec:
@@ -229,25 +218,25 @@ def _class_form(rec: ConwayClassRecord, orders: int, shared, d, scale,
     return total
 
 
-def _genus_rows(req: GenusRequest) -> JacobiSeries:
-    """The theta rows 0..ell-1 of the genus of a table row."""
-    return _class_form(req.rec, req.orders, [(kind, req.ell - 1) for kind in _GENUS_SLOTS],
-                       req.d, 1, "genus")
+def _genus_rows(req: GenusRequest) -> ThetaRows:
+    """The theta rows of the genus of a table row, at index ell - 1."""
+    shared = [(kind, req.ell - 1) for kind in _GENUS_SLOTS]
+    return ThetaRows(_class_form(req.rec, req.orders, shared, req.d, 1, "genus"), req.ell - 1)
 
 
 def phi_g_ell(req: GenusRequest) -> JacobiSeries:
     """The weight-0, index-(ell-1) genus attached to a table row."""
-    return expand_theta_rows(_genus_rows(req), req.ell - 1)
+    return _genus_rows(req).expand()
 
 
-def _rows_deviation(a: JacobiSeries, b: JacobiSeries, index: int) -> dict | None:
-    """first_difference of two index-m forms' full rows, from their theta rows:
+def _rows_deviation(a: ThetaRows, b: ThetaRows) -> dict | None:
+    """first_difference of two forms' full rows, from their theta rows:
     each full-row coefficient copies a theta-row one at a lower or equal q
     order, so only forms that differ are expanded.  Both are known below
     the same index, _class_form's truncation, so no bound is passed."""
-    if first_difference(a, b) is None:
+    if first_difference(a.rows, b.rows) is None:
         return None
-    return first_difference(expand_theta_rows(a, index), expand_theta_rows(b, index))
+    return first_difference(a.expand(), b.expand())
 
 
 def phi_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> JacobiSeries:
@@ -261,9 +250,10 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     F = -(F_2 + D eta_g)/2, assembled on the (1/2)Z grid, where the
     half-integer exponents cancel (the decomposition suite checks F).
     """
-    # the eta_g slot holds Q1^0 = 1
+    # the eta_g slot holds Q1^0 = 1; GenusRequest rejects a class with no D at ell 2
     shared = [(kind, 1) if kind else (THETA1SQ, 0) for kind in _F_SLOTS]
-    return _class_form(rec, orders, shared, rec.d_signed(2, d_sign), -1, "F_g").row0()
+    d = GenusRequest(rec, d_sign, 2, orders).d
+    return _class_form(rec, orders, shared, d, -1, "F_g").row0()
 
 
 def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
@@ -292,7 +282,7 @@ def k3_elliptic_genus(orders: int = 5) -> JacobiSeries:
 # -- verification suites ---------------------------------------------------
 
 
-def _decomposition_rows(req: GenusRequest) -> JacobiSeries:
+def _decomposition_rows(req: GenusRequest) -> ThetaRows:
     """The theta rows of D term + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j}, with
     c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)).  By linearity in the class
     series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
@@ -301,12 +291,13 @@ def _decomposition_rows(req: GenusRequest) -> JacobiSeries:
     own base phi01/12 + L Q1, never of the theta quotient it equals."""
     shared = [((_DECOMPOSED, kind) if kind else theta, req.ell - 1)
               for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS)]
-    return _class_form(req.rec, req.orders, shared, req.d, 1, "decomposition")
+    return ThetaRows(_class_form(req.rec, req.orders, shared, req.d, 1, "decomposition"),
+                     req.ell - 1)
 
 
 def _decomposition_deviation(req: GenusRequest) -> dict | None:
     """First deviation of phi^(ell) from its binomial decomposition."""
-    return _rows_deviation(_genus_rows(req), _decomposition_rows(req), req.ell - 1)
+    return _rows_deviation(_genus_rows(req), _decomposition_rows(req))
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
@@ -364,9 +355,9 @@ def verify_coincidences(data: ClassData, orders: int = 5,
     Anchor (dictionary-defining) and externally-referencing rows are
     reported as skipped, never dropped.
     """
-    built: dict[tuple[str, int, int], JacobiSeries] = {}
+    built: dict[tuple[str, int, int], ThetaRows] = {}
 
-    def genus(name: str, sign: int | None, ell: int) -> JacobiSeries:
+    def genus(name: str, sign: int | None, ell: int) -> ThetaRows:
         key = (name, sign or 1, ell)
         if key not in built:
             built[key] = _genus_rows(GenusRequest(data.record(name), sign or 1, ell, orders))
@@ -382,11 +373,11 @@ def verify_coincidences(data: ClassData, orders: int = 5,
                                        note=f"{rel.kind}: {rel.source}"))
             continue
         lhs = genus(rel.lhs_class, rel.lhs_sign, rel.lambency)
-        rhs = JacobiSeries.zero(lhs.trunc)
+        rhs = JacobiSeries.zero(lhs.rows.trunc)
         for coeff, name, sign in rel.rhs:
-            rhs = rhs + genus(name, sign, rel.lambency) * coeff
+            rhs = rhs + genus(name, sign, rel.lambency).rows * coeff
         reports.append(CheckReport.from_deviation(
-            label, _rows_deviation(lhs, rhs, rel.lambency - 1), note=rel.source))
+            label, _rows_deviation(lhs, ThetaRows(rhs, lhs.index)), note=rel.source))
     return reports
 
 
@@ -400,6 +391,7 @@ def verify_sign_flip(rec: ConwayClassRecord, ell: int, orders: int = 4) -> Check
     plus, minus = (GenusRequest(rec, sign, ell, orders) for sign in (1, -1))
     expected = _class_form(rec, orders, (None, None, (THETA1SQ, ell - 1), None), plus.d, 2,
                            "D term")
+    flip = _genus_rows(plus).rows - _genus_rows(minus).rows
     name = f"sign-flip[{rec.co0_name}, ell {ell}]"
     return CheckReport.from_deviation(name, _rows_deviation(
-        _genus_rows(plus) - _genus_rows(minus), expected, ell - 1))
+        ThetaRows(flip, ell - 1), ThetaRows(expected, ell - 1)))

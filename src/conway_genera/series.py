@@ -32,16 +32,16 @@ A weak Jacobi form of index m that is even in z is fixed by its theta
 rows, the y-rows r = 0..m: by the elliptic law every other row is a
 shifted copy of one of them (Eichler and Zagier, The Theory of Jacobi
 Forms, section 5), and `_copies` is the one statement of which rows copy
-a theta row and by how much they are shifted.  `cut_theta_rows` cuts a
-form to those rows and is the one check of the law: it returns them with
-the form's first deviation from their expansion, compared in integers;
-the genera report it, on their bases and on a genus, and never raise on
-it.  `expand_theta_rows` rebuilds the full rows by the law and checks
-nothing, so it must only see checked rows or products and sums of them.
-`theta_times` is the product of two forms kept as theta rows, returned
-as its own theta rows: it never builds a full row, and it multiplies
-each pair of theta rows once with `_kronecker`, which adds the product
-into every output row it lands on, shifted as the law says.
+a theta row and by how much they are shifted.  A `ThetaRows` is such a
+form's theta rows with its index m.  `cut_theta_rows` cuts a form to its
+ThetaRows and is the one check of the law: it returns them with the
+form's first deviation from their expansion, compared in integers; the
+genera report it, on their bases and on a genus, and never raise on it.
+`ThetaRows.expand` rebuilds the full rows by the law and checks nothing,
+so it must only see checked rows or products and sums of them.  The
+product of two ThetaRows, of index m_a + m_b, never builds a full row:
+it multiplies each pair of theta rows once with `_kronecker`, which adds
+the product into every output row it lands on, shifted as the law says.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`
 and `items()` are read-only views built on first use and kept per
@@ -56,6 +56,7 @@ immutable; operations are pure.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
@@ -701,56 +702,60 @@ def _copies(r0: int, m: int, room: int) -> list[tuple[int, int]]:
             and ((r - r0) % (2 * m) == 0 or (r + r0) % (2 * m) == 0)]
 
 
-def expand_theta_rows(f, m: int):
-    """The full y-rows of an even index-m form from its theta rows 0..m.
+class ThetaRows(namedtuple("ThetaRows", "rows index")):
+    """An even weak Jacobi form of index m >= 0 kept as its theta rows:
+    `rows` holds its y-rows 0..m (a QSeries or a JacobiSeries at index 0)."""
 
-    Each theta row is copied to its full rows by `_copies`, as far as it
-    stays below f.trunc, so the result is known wherever f is.  Index 0 (a
-    y-free form) returns f itself.
-    """
-    if m == 0:
-        return f
-    trunc = f.trunc
-    out: dict[int, dict[int, dict[int, int]]] = {}
-    for d, rows in f.parts.items():
-        full = out[d] = {}
-        for ry, row in rows.items():
-            for r, shift in _copies(ry // 2, m, trunc - min(row)):
-                full[2 * r] = {kq + shift: n for kq, n in row.items() if kq + shift < trunc}
-    return JacobiSeries.from_parts(out, f.den, trunc)
+    __slots__ = ()
+
+    def expand(self):
+        """The full y-rows: each theta row is copied to its full rows by
+        `_copies`, as far as it stays below rows.trunc, so the result is
+        known wherever the rows are.  Index 0 (a y-free form) returns rows."""
+        f, m = self
+        if m == 0:
+            return f
+        trunc = f.trunc
+        out: dict[int, dict[int, dict[int, int]]] = {}
+        for d, rows in f.parts.items():
+            full = out[d] = {}
+            for ry, row in rows.items():
+                for r, shift in _copies(ry // 2, m, trunc - min(row)):
+                    full[2 * r] = {kq + shift: n for kq, n in row.items() if kq + shift < trunc}
+        return JacobiSeries.from_parts(out, f.den, trunc)
+
+    def __mul__(self, other: "ThetaRows") -> "ThetaRows":
+        """The ThetaRows of a * b, of index m_a + m_b, for rational rows a, b.
+
+        Full row r of a is theta row r0 shifted by s (`_copies`), so row R of
+        the product is the sum over r1 + r2 = R of the theta-row products
+        A[r0(r1)] B[r0(r2)] shifted by s(r1) + s(r2).  `_kronecker`
+        multiplies each distinct pair of theta rows once and sums its shifted
+        copies; no full row is built.  Known below the min rule's index, as
+        the product of the expanded factors is, since a copy never starts
+        below its row.
+        """
+        (a, m_a), (b, m_b) = self, other
+        _check_rational("a theta-row product", a, b)
+        trunc = a.product_trunc(b)
+        rows_a, rows_b = a.parts.get(1, {}), b.parts.get(1, {})
+        low_a = min(map(min, rows_a.values()), default=0)
+        low_b = min(map(min, rows_b.values()), default=0)
+        full_b = {r: (yb, shift) for yb, row in rows_b.items()
+                  for r, shift in _copies(yb // 2, m_b, trunc - low_a - min(row))}
+        placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for ya, row in rows_a.items():
+            for r1, shift_a in _copies(ya // 2, m_a, trunc - low_b - min(row)):
+                for r in range(m_a + m_b + 1):
+                    hit = full_b.get(r - r1)
+                    if hit is not None:
+                        placed.setdefault((ya, hit[0]), []).append((2 * r, shift_a + hit[1]))
+        return ThetaRows(JacobiSeries.from_parts(
+            {1: _kronecker(rows_a, rows_b, trunc, placed)}, a.den * b.den, trunc), m_a + m_b)
 
 
-def theta_times(a, m_a: int, b, m_b: int) -> JacobiSeries:
-    """The theta rows 0..m_a+m_b of a * b, for rational a and b given as
-    their theta rows of index m_a and m_b.
-
-    Full row r of a is theta row r0 shifted by s (`_copies`), so row R of
-    the product is the sum over r1 + r2 = R of the theta-row products
-    A[r0(r1)] B[r0(r2)] shifted by s(r1) + s(r2).  `_kronecker` multiplies
-    each distinct pair of theta rows once and sums its shifted copies; no
-    full row is built.  Known below the min rule's index, as the product
-    of the expanded factors is, since a copy never starts below its row.
-    """
-    _check_rational("theta_times", a, b)
-    trunc = a.product_trunc(b)
-    rows_a, rows_b = a.parts.get(1, {}), b.parts.get(1, {})
-    low_a = min(map(min, rows_a.values()), default=0)
-    low_b = min(map(min, rows_b.values()), default=0)
-    full_b = {r: (yb, shift) for yb, row in rows_b.items()
-              for r, shift in _copies(yb // 2, m_b, trunc - low_a - min(row))}
-    placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ya, row in rows_a.items():
-        for r1, shift_a in _copies(ya // 2, m_a, trunc - low_b - min(row)):
-            for r in range(m_a + m_b + 1):
-                hit = full_b.get(r - r1)
-                if hit is not None:
-                    placed.setdefault((ya, hit[0]), []).append((2 * r, shift_a + hit[1]))
-    return JacobiSeries.from_parts({1: _kronecker(rows_a, rows_b, trunc, placed)},
-                                   a.den * b.den, trunc)
-
-
-def cut_theta_rows(f, m: int):
-    """(the theta rows 0..m of f, first_difference(f, their expansion)).
+def cut_theta_rows(f, m: int) -> tuple[ThetaRows, dict | None]:
+    """(ThetaRows of f's rows 0..m at index m, first_difference(f, their expansion)).
 
     The deviation is None exactly when f obeys the index-m elliptic law
     and is even in z below f.trunc; at index 0, when f is y-free.
@@ -759,10 +764,10 @@ def cut_theta_rows(f, m: int):
         raise ValueError(f"index {m} is negative")
     if isinstance(f, QSeries):
         f = JacobiSeries.from_parts(f.parts, f.den, f.trunc)
-    kept = JacobiSeries.from_parts(
+    kept = ThetaRows(JacobiSeries.from_parts(
         {d: {ry: row for ry, row in rows.items() if 0 <= ry <= 2 * m and ry % 2 == 0}
-         for d, rows in f.parts.items()}, f.den, f.trunc)
-    return kept, first_difference(f, expand_theta_rows(kept, m))
+         for d, rows in f.parts.items()}, f.den, f.trunc), m)
+    return kept, first_difference(f, kept.expand())
 
 
 def first_difference(a, b, through: int | None = None):

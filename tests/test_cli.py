@@ -593,8 +593,10 @@ def test_suite_missing_a_class_it_names_is_a_data_error(
     assert err.startswith(f"data error: suite {'k3' if suite == 'all' else suite} "
                           f"needs {reported}")
     assert "Traceback" not in err and err.count("\n") == 1
-    code, _, err = run(capsys, "--data-dir", path, "compute", "--class", "1A")
-    assert code == 2 and compute_error in err
+    for what in ("phi", "f"):
+        code, _, err = run(capsys, "--data-dir", path, "compute", "--class", "1A",
+                           "--what", what)
+        assert code == 2 and compute_error in err, what
 
 
 def _with_relation(relation):

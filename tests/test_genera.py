@@ -7,7 +7,7 @@ from conway_genera import genera, modforms, series
 from conway_genera.genera import GenusRequest
 from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 from conway_genera.scalars import RadicalScalar
-from conway_genera.series import JacobiSeries, QSeries, first_difference
+from conway_genera.series import JacobiSeries, QSeries, ThetaRows, first_difference
 
 #: the shared forms phi_{0,1}/12 + L Q1 of the decomposition, one per weight-2 form L
 DECOMPOSED = tuple((genera._DECOMPOSED, kind)
@@ -142,7 +142,20 @@ def test_genus_headroom_is_exact(data):
     kinds = (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01, *weight2, *DECOMPOSED)
     for power in range(1, 7):
         for kind in kinds:
-            assert genera._shared_power(kind, power, work).min_key() >= 0, (kind, power)
+            assert genera._shared_power(kind, power, work).rows.min_key() >= 0, (kind, power)
+
+
+def test_each_shared_power_carries_its_index():
+    work = 24 * 3 + genera._MARGIN
+    weight2 = (genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2)
+    for power in range(5):
+        for kind in (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01, *weight2, *DECOMPOSED):
+            shared = genera._shared_power(kind, power, work)
+            index = 0 if kind in weight2 else power
+            assert shared.index == index, (kind, power)
+            # the rows hold theta rows y^0..y^index alone
+            assert set(shared.rows.parts.get(1, {})) <= set(range(0, 2 * index + 1, 2)), \
+                (kind, power)
 
 
 def test_theta_row_assembly_matches_the_full_row_reference(data):
@@ -154,8 +167,7 @@ def test_theta_row_assembly_matches_the_full_row_reference(data):
                 req = GenusRequest(rec, sign, ell, orders)
                 assert genera.phi_g_ell(req) == brute.full_phi_g_ell(req), \
                     (rec.co0_name, sign, ell)
-                rows = genera._decomposition_rows(req)
-                assert (series.expand_theta_rows(rows, ell - 1)
+                assert (genera._decomposition_rows(req).expand()
                         == brute.full_decomposition_rhs(req)), (rec.co0_name, sign, ell)
                 count += 1
     assert count == 92
@@ -172,16 +184,16 @@ def test_theta_row_assembly_matches_the_full_row_reference_at_24_orders(data):
         rec = data.record(name)
         rows = genera._class_form(rec, 24, [(kind, 6) for kind in genera._GENUS_SLOTS], -1, 1,
                                   "index-6 form")
-        assert series.expand_theta_rows(rows, 6) == brute.full_genus(rec, 24, 6, -1), name
+        assert ThetaRows(rows, 6).expand() == brute.full_genus(rec, 24, 6, -1), name
 
 
 def test_theta_row_powers_match_the_full_row_reference_at_24_orders():
     work = 24 * 24 + genera._MARGIN
     for kind in genera._GENUS_SLOTS:
-        assert (series.expand_theta_rows(genera._shared_power(kind, 6, work), 6)
+        assert (genera._shared_power(kind, 6, work).expand()
                 == brute.full_shared_power(kind, 6, work)), kind
     for kind in DECOMPOSED:
-        assert (series.expand_theta_rows(genera._shared_power(kind, 6, work), 6)
+        assert (genera._shared_power(kind, 6, work).expand()
                 == brute.full_shared_power((brute.BINOMIAL, kind[1]), 6, work)), kind
 
 
@@ -216,11 +228,11 @@ def test_theta_rows_round_trip_the_decomposed_powers():
     work = 24 * 4 + genera._MARGIN
     for kind in DECOMPOSED:
         for m in range(4):
-            rows = genera._shared_power(kind, m, work)
-            assert set(rows.parts[1]) <= set(range(0, 2 * m + 1, 2)), (kind, m)
-            full = series.expand_theta_rows(rows, m)
+            shared = genera._shared_power(kind, m, work)
+            assert set(shared.rows.parts[1]) <= set(range(0, 2 * m + 1, 2)), (kind, m)
+            full = shared.expand()
             assert full == brute.full_shared_power((brute.BINOMIAL, kind[1]), m, work), (kind, m)
-            assert series.cut_theta_rows(full, m) == (rows, None), (kind, m)
+            assert series.cut_theta_rows(full, m) == (shared, None), (kind, m)
 
 
 def test_genus_products_stop_at_requested_precision(data, monkeypatch):
@@ -291,7 +303,7 @@ def test_cold_shared_powers_build_no_field_values(cold_caches, monkeypatch):
     monkeypatch.setattr(RadicalScalar, "__init__", counted)
     for kind in (THETA1SQ, THETA2, THETA3, THETA4, genera._PHI01,
                  genera._L2_PLAIN, genera._L2_SHIFTED, genera._L2_NEG2, *DECOMPOSED):
-        assert not genera._shared_power(kind, 3, work).is_zero
+        assert not genera._shared_power(kind, 3, work).rows.is_zero
         assert built == [], kind
 
 

@@ -88,6 +88,11 @@ def _c_neg_g_1a_negated(monkeypatch, data):
     return _with_record(data, "1A", c_neg_g=-data.record("1A").c_neg_g)
 
 
+def _eta_product_1a_neg_below_q0(monkeypatch, data):
+    # q^(-1/2) in eta_{-g} of 1A puts every genus of 1A below q^0
+    _plus(monkeypatch, modforms, "eta_product", -12, _frame_shape(data, "1A", "fs_neg_g"))
+
+
 def _eta_product_4d_neg(monkeypatch, data):
     _plus(monkeypatch, modforms, "eta_product", 48, _frame_shape(data, "4D", "fs_neg_g"))
 
@@ -234,3 +239,28 @@ def test_a_broken_builder_is_reported_not_raised(data, cold_caches, monkeypatch,
     assert cli.main(["verify", "--suite", "all", "--prec", str(ORDERS)]) == 1
     out, err = capsys.readouterr()
     assert "[FAIL] " in out and err == ""
+
+
+def _weak(lhs, y_exp):
+    return {"q_exp": "-1/2", "y_exp": y_exp, "lhs": lhs, "rhs": "0 (weakness)"}
+
+
+@pytest.mark.parametrize("patch, deviations", [
+    (_eta_product_1a_neg_below_q0, {
+        "jacobi-invariance[1A, ell 2, D sign +1]": _weak("-512", "-1"),
+        "jacobi-invariance[1A, ell 3, D sign +1]": _weak("-128", "-2"),
+        "jacobi-invariance[1A, ell 4, D sign +1]": _weak("-32", "-3"),
+        "jacobi-invariance[1A, ell 5, D sign +1]": _weak("-8", "-4"),
+        "jacobi-invariance[1A, ell 7, D sign +1]": _weak("-1/2", "-6"),
+        "jacobi-invariance[1A, ell 7, D sign -1]": _weak("-1/2", "-6")}),
+    (_eta_ratio_3c_off_grid, {"jacobi-invariance[3C, ell 2, D sign +1]": {
+        "q_exp": "1/24", "y_exp": "0", "lhs": "off-grid exponent", "rhs": "integer grid"}}),
+], ids=["eta_product-1A-neg-q-half", "eta_ratio_half-3C-off-grid"])
+def test_a_failing_genus_jacobi_row_shows_its_first_deviation(data, cold_caches, monkeypatch,
+                                                             patch, deviations):
+    # a weakness deviation sits at the least full-row key, at a negative y
+    # power that no theta row holds
+    patch(monkeypatch, data)
+    failed = {r.name: r.first_deviation for r in cli._SUITES["jacobi"][0](data, ORDERS)
+              if r.status == "fail"}
+    assert failed == deviations

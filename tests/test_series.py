@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import brute
 from conway_genera import modforms, series
 from conway_genera.scalars import RADICAL_BASIS, RadicalScalar
-from conway_genera.series import GridError, JacobiSeries, QSeries, combine, first_difference
+from conway_genera.series import (GridError, JacobiSeries, QSeries, ThetaRows, combine,
+                                  first_difference)
 
 
 def as_dict(series):
@@ -273,7 +274,7 @@ def test_times_rejects_an_irrational_factor():
     # a field constant on a rational pair is what combine is for
     assert combine([(S2, half, half)]) == JacobiSeries({(0, 0): S2 * Fraction(1, 4)}, 24)
     products = (lambda a, b: a.times(b), lambda a, b: a * b,
-                lambda a, b: combine([(1, a, b)]), lambda a, b: series.theta_times(a, 0, b, 0))
+                lambda a, b: combine([(1, a, b)]), lambda a, b: ThetaRows(a, 0) * ThetaRows(b, 0))
     q_root2 = QSeries({0: 1, 24: S2}, 48)
     for irrational in (q_root2, JacobiSeries({(0, 2): 1, (24, 0): S2}, 48)):
         for a, b in ((irrational, half), (half, irrational)):
@@ -452,7 +453,7 @@ def test_series_arithmetic_with_every_product_packed(monkeypatch):
 
 @st.composite
 def theta_form(draw):
-    """(theta rows 0..m of a rational form, m) for m in 0..3: each row on the
+    """The ThetaRows of a rational form of index m in 0..3: each row on the
     integer or the (1/2)Z q-grid from q^-1 on, some entries above 2^64, cut at
     a truncation that the shifted copies of the rows cross; a y-free form is
     sometimes a QSeries."""
@@ -466,28 +467,32 @@ def theta_form(draw):
             rows[2 * r0] = row
     trunc, den = draw(st.integers(1, 120)), draw(st.sampled_from((1, 2, 12)))
     if m == 0 and draw(st.booleans()):
-        return QSeries.from_parts({1: rows}, den, trunc), m
-    return JacobiSeries.from_parts({1: rows}, den, trunc), m
+        return ThetaRows(QSeries.from_parts({1: rows}, den, trunc), m)
+    return ThetaRows(JacobiSeries.from_parts({1: rows}, den, trunc), m)
+
+
+#: the largest signed 64-bit integer
+BIG = 2 ** 63 - 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(theta_form(), theta_form())
-@example((JacobiSeries.from_parts({1: {0: {0: 2 ** 63 - 1}, 2: {0: 2 ** 63 - 1}}}, 1, 49), 1),
-         (JacobiSeries.from_parts({1: {0: {0: 2 ** 63 - 1}, 2: {0: 2 ** 63 - 1}}}, 1, 49), 1))
-@example((JacobiSeries.from_parts({1: {0: {0: 1, 48: 1}}}, 1, 100), 1),
-         (JacobiSeries.from_parts({1: {0: {0: 1}, 2: {0: 1}}}, 1, 100), 1))
-@example((QSeries.from_parts({1: {0: {0: 3, 12: -1}}}, 2, 30), 0),
-         (JacobiSeries.from_parts({1: {2: {-24: 2 ** 70}, 6: {0: 5}}}, 1, 97), 3))
-@example((JacobiSeries.zero(40), 2), (JacobiSeries.one(40), 1))
-def test_theta_times_is_the_full_row_product(first, second):
+@example(ThetaRows(JacobiSeries.from_parts({1: {0: {0: BIG}, 2: {0: BIG}}}, 1, 49), 1),
+         ThetaRows(JacobiSeries.from_parts({1: {0: {0: BIG}, 2: {0: BIG}}}, 1, 49), 1))
+@example(ThetaRows(JacobiSeries.from_parts({1: {0: {0: 1, 48: 1}}}, 1, 100), 1),
+         ThetaRows(JacobiSeries.from_parts({1: {0: {0: 1}, 2: {0: 1}}}, 1, 100), 1))
+@example(ThetaRows(QSeries.from_parts({1: {0: {0: 3, 12: -1}}}, 2, 30), 0),
+         ThetaRows(JacobiSeries.from_parts({1: {2: {-24: 2 ** 70}, 6: {0: 5}}}, 1, 97), 3))
+@example(ThetaRows(JacobiSeries.zero(40), 2), ThetaRows(JacobiSeries.one(40), 1))
+def test_theta_rows_product_is_the_full_row_product(a, b):
     # the first two explicit examples: three products of the largest terms
-    # on one coefficient, and a factor on q^2 whose copies shift by q^1
-    (a, m_a), (b, m_b) = first, second
-    full = brute.field_mul(series.expand_theta_rows(a, m_a), series.expand_theta_rows(b, m_b))
-    assert series.theta_times(a, m_a, b, m_b) == series.cut_theta_rows(full, m_a + m_b)[0]
+    # on one coefficient, and a factor on q^2 whose copies shift by q^1.
+    # The cut is at index m_a + m_b, so == checks the product's index too
+    full = brute.field_mul(a.expand(), b.expand())
+    assert a * b == series.cut_theta_rows(full, a.index + b.index)[0]
 
 
-def test_theta_times_needs_rational_factors():
+def test_theta_rows_product_needs_rational_factors():
     root2 = JacobiSeries({(0, 0): RadicalScalar({2: Fraction(1)})}, 24)
     with pytest.raises(ValueError, match="rational"):
-        series.theta_times(root2, 0, JacobiSeries.one(24), 0)
+        ThetaRows(root2, 0) * ThetaRows(JacobiSeries.one(24), 0)
