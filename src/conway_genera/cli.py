@@ -95,6 +95,12 @@ def _write(rows, fmt: str, columns, text_line) -> None:
 
 
 def cmd_compute(args, data) -> int:
+    # F is taken at lambency 2; the traces take neither a lambency nor a D sign
+    ignored = (f"--ell {args.ell}" if args.ell != 2 and args.what != "phi" else
+               "--sign -" if args.sign == "-" and args.what in ("ts", "ts-tw") else None)
+    if ignored:
+        print(f"error: --what {args.what} takes no {ignored}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         rec = data.record(args.class_name)
     except KeyError:

@@ -46,6 +46,8 @@ D eta_g)/2, scale -1 with eta_g against 1.  The decomposition's right-hand
 side is the genus with each theta-quotient power replaced by (phi_{0,1}/12
 + L Q1)^(ell-1), L the Lambda_2 form of F_{2j} in that slot: a shared
 power like any other, whose binomial expansion is the paper's sum over j.
+So _decomposition_deviation decides the decomposition on those shared
+powers and builds the two class forms only to report a deviation.
 
 A GenusRequest, the (class, D sign, lambency, precision) of one genus,
 is a namedtuple subclass validated in its constructor.
@@ -296,20 +298,27 @@ def _decomposition_rows(req: GenusRequest) -> ThetaRows:
 
 
 def _decomposition_deviation(req: GenusRequest) -> dict | None:
-    """First deviation of phi^(ell) from its binomial decomposition."""
-    return _rows_deviation(_genus_rows(req), _decomposition_rows(req))
+    """First deviation of phi^(ell) from its binomial decomposition.  The sides differ
+    only in the _F_SLOTS shared powers, so equal ThetaRows there decide it; the class
+    forms are built only where a power differs, to report the deviation."""
+    work, m = _grid(req.orders) + _MARGIN, req.ell - 1
+    same = all(_shared_power(theta, m, work) == _shared_power((_DECOMPOSED, kind), m, work)
+               for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS) if kind)
+    return None if same else _rows_deviation(_genus_rows(req), _decomposition_rows(req))
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
                          orders: int = 5) -> CheckReport:
-    """phi = (chi/12) phi01 + F phi-21, coefficientwise: the ell-2 decomposition."""
+    """phi = (chi/12) phi01 + F phi-21, decided on the shared powers by
+    _decomposition_deviation; class forms are built only to report a deviation."""
     name = f"decomposition[{rec.co0_name}, D sign {d_sign:+d}]"
     return CheckReport.from_deviation(
         name, _decomposition_deviation(GenusRequest(rec, d_sign, 2, orders)))
 
 
 def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
-    """The binomial decomposition of phi^(ell) into phi01/phi-21 monomials."""
+    """The binomial decomposition of phi^(ell) into phi01/phi-21 monomials, decided
+    on the shared powers; class forms are built only to report a deviation."""
     name = f"decomposition[{req.rec.co0_name}, ell {req.ell}, D sign {req.d_sign:+d}]"
     return CheckReport.from_deviation(name, _decomposition_deviation(req))
 

@@ -64,6 +64,39 @@ def test_lambency_unavailable_exits_2(capsys):
     assert code == 2
 
 
+def _no_series(monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    for cls in (QSeries, JacobiSeries):
+        monkeypatch.setattr(cls, "__init__", no_series)
+        monkeypatch.setattr(cls, "from_parts", no_series)
+
+
+@pytest.mark.parametrize("what, flags", [
+    ("f", ("--ell", "3")), ("f", ("--ell", "7")), ("ts", ("--ell", "4")),
+    ("ts-tw", ("--ell", "5")), ("ts", ("--sign", "-")), ("ts-tw", ("--sign", "-")),
+    ("ts", ("--ell", "7", "--sign", "-")),
+])
+def test_compute_rejects_a_flag_its_series_would_ignore(capsys, monkeypatch, what, flags):
+    # F is taken at lambency 2; the trace series take no lambency and no D sign
+    _no_series(monkeypatch)
+    code, out, err = run(capsys, "compute", "--class", "5C", "--what", what, *flags,
+                         "--prec", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: --what {what} takes no {' '.join(flags[:2])}\n"
+
+
+@pytest.mark.parametrize("what, flags", [
+    ("f", ("--ell", "2", "--sign", "-")), ("ts", ("--ell", "2", "--sign", "+")),
+    ("ts-tw", ()), ("phi", ("--ell", "3", "--sign", "-")),
+])
+def test_compute_accepts_the_flags_its_series_reads(capsys, what, flags):
+    code, out, err = run(capsys, "compute", "--class", "4G", "--what", what, *flags,
+                         "--prec", "2")
+    assert code == 0 and out and err == ""
+
+
 def test_verify_theta_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theta", "--prec", "3")
     assert code == 0
@@ -183,12 +216,7 @@ _OUT_OF_RANGE = ("0", "-1", str(cli.MAX_ORDERS + 1))
 ])
 def test_precision_above_the_bound_fails_before_any_series_is_built(
         capsys, monkeypatch, argv):
-    def no_series(*args, **kwargs):
-        raise AssertionError("a series was built")
-
-    for cls in (QSeries, JacobiSeries):
-        monkeypatch.setattr(cls, "__init__", no_series)
-        monkeypatch.setattr(cls, "from_parts", no_series)
+    _no_series(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import brute
-from conway_genera import genera, modforms, series
+from conway_genera import cli, genera, modforms, series
+from conway_genera.conway import LAMBENCIES
 from conway_genera.genera import GenusRequest
 from conway_genera.modforms import THETA1SQ, THETA2, THETA3, THETA4
 from conway_genera.scalars import RadicalScalar
@@ -116,6 +117,34 @@ def test_decomposition_higher_lambency_rows(data):
     for name, ell, sign in cases:
         req = GenusRequest(data.record(name), sign, ell, 3)
         assert genera.verify_decomposition_ell(req).ok, (name, ell, sign)
+
+
+@pytest.mark.parametrize("orders", range(1, 7))
+def test_decomposition_on_the_shared_powers_equals_the_class_form_comparison(data, orders):
+    requests = list(cli._genus_requests(data, LAMBENCIES, orders))
+    assert len(requests) == 92
+    for req in requests:
+        full = genera._rows_deviation(genera._genus_rows(req), genera._decomposition_rows(req))
+        assert genera._decomposition_deviation(req) == full, req[1:]
+
+
+@pytest.mark.parametrize("orders", [None, 24])
+@pytest.mark.parametrize("suite, lambencies", [("decomposition", LAMBENCIES[:1]),
+                                               ("higher-lambency", LAMBENCIES[1:])])
+def test_decomposition_rows_build_no_class_form(data, monkeypatch, suite, lambencies, orders):
+    # the shared powers of the two sides are equal ThetaRows at every
+    # precision here, so only the suite's sign-flip rows build class forms
+    run, default = cli._SUITES[suite]
+    orders = orders or default
+    calls = []
+    class_form = genera._class_form
+    monkeypatch.setattr(genera, "_class_form",
+                        lambda *args: calls.append(args[-1]) or class_form(*args))
+    reports = run(data, orders)
+    in_suite = len(calls)
+    flips = cli._sign_flips(data, lambencies, orders)
+    assert all(r.ok for r in reports) and len(reports) > len(flips)
+    assert in_suite == len(calls) - in_suite
 
 
 def test_phi_matches_radical_reference_for_every_tabulated_genus(data):

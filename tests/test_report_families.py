@@ -15,8 +15,8 @@ import re
 
 import pytest
 
-from conway_genera import cli, modforms, sigma
-from conway_genera.conway import ClassData, ConwayClassRecord
+from conway_genera import cli, genera, modforms, sigma
+from conway_genera.conway import LAMBENCIES, ClassData, ConwayClassRecord
 from conway_genera.series import QSeries
 
 #: the q-orders every suite runs at: the first at which a form times
@@ -264,3 +264,20 @@ def test_a_failing_genus_jacobi_row_shows_its_first_deviation(data, cold_caches,
     failed = {r.name: r.first_deviation for r in cli._SUITES["jacobi"][0](data, ORDERS)
               if r.status == "fail"}
     assert failed == deviations
+
+
+@pytest.mark.parametrize("patch", [_lambda2_half("plain"), _lambda2_half("shifted"),
+                                   _lambda2_half_off_grid, _lambda_n, _theta_quotient_q0],
+                         ids=["lambda2_half-plain-q1", "lambda2_half-shifted-q1",
+                              "lambda2_half-off-grid", "lambda_n-q0", "theta_quotient-q0"])
+def test_a_perturbed_shared_form_keeps_the_decomposition_first_deviation(
+        data, cold_caches, monkeypatch, patch):
+    # the decomposition is decided on the shared powers; where they differ
+    # the first deviation is still read off the two class forms
+    patch(monkeypatch, data)
+    failed = 0
+    for req in cli._genus_requests(data, LAMBENCIES, ORDERS):
+        full = genera._rows_deviation(genera._genus_rows(req), genera._decomposition_rows(req))
+        assert genera._decomposition_deviation(req) == full, req[1:]
+        failed += full is not None
+    assert failed
