@@ -172,7 +172,8 @@ class CycloNumber:
         return self.order == other.order and self.vec == other.vec
 
     def __hash__(self):
-        return hash((self.order, self.vec))
+        # a rational value hashes as the int or Fraction it equals
+        return hash(self.vec[0] if not any(self.vec[1:]) else (self.order, self.vec))
 
     def __repr__(self):
         return f"CycloNumber(order={self.order}, vec={[str(x) for x in self.vec]})"

@@ -172,7 +172,8 @@ class RadicalScalar:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # a rational value hashes as the int or Fraction it equals
+        return hash(self._parts.get(1, 0) if self._parts.keys() <= {1} else self._key())
 
     def __bool__(self):
         return bool(self._parts)
@@ -219,8 +220,9 @@ def format_terms(terms) -> str:
 
 
 def parse_radical(text: str) -> RadicalScalar:
-    """Parse the format produced by format_radical; bare integers allowed."""
-    s = text.replace(" ", "")
+    """Parse the format produced by format_radical; bare integers allowed.
+    A blank may stand only next to the + or - that joins or signs terms."""
+    s = re.sub(r" *([+-]) *", r"\1", text) if " " in text else text
     if not s:
         raise ValueError("empty radical-scalar string")
     if s == "0":

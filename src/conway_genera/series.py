@@ -11,7 +11,8 @@ Both store one thing: integer rows per radical over one denominator,
 series is (1/den) sum_d sqrt(d) sum parts[d][ry][kq] q^(kq/24) y^(ry/2).
 A QSeries is the single row 0.  The form is canonical (no zero entries,
 no empty rows, den > 0 and coprime to the numerators), so equality,
-hashing, comparison (`first_difference`) and the text dump run on ints.
+hashing, comparison (`first_difference`) and the text dump run on ints;
+`text_rows` makes the dump in one pass over the entries, sorted once.
 Sums, negation, shifts and scalar multiples work on the rows; a
 RadicalScalar constant mixes the radical parts, sqrt(d) sqrt(e) =
 g sqrt(de/g^2) by `_mix`.  `_convolve` multiplies two sets of rows, every
@@ -38,10 +39,12 @@ ThetaRows and is the one check of the law: it returns them with the
 form's first deviation from their expansion, compared in integers; the
 genera report it, on their bases and on a genus, and never raise on it.
 `ThetaRows.expand` rebuilds the full rows by the law and checks nothing,
-so it must only see checked rows or products and sums of them.  The
-product of two ThetaRows, of index m_a + m_b, never builds a full row:
-it multiplies each pair of theta rows once with `_kronecker`, which adds
-the product into every output row it lands on, shifted as the law says.
+so it must only see checked rows or products and sums of them.  Each
+canonical theta row stays unshifted in its own row, so the expansion is
+canonical over the same den and is not reduced again.  The product of
+two ThetaRows, of index m_a + m_b, never builds a full row: it
+multiplies each pair of theta rows once with `_kronecker`, which adds the
+product into every output row it lands on, shifted as the law says.
 
 RadicalScalar values appear only at the API edge: `coeffs`, `coeff()`
 and `items()` are read-only views built on first use and kept per
@@ -138,6 +141,13 @@ class _Series:
         """
         self = object.__new__(cls)
         self._store(parts, den, trunc)
+        return self
+
+    @classmethod
+    def _canonical(cls, parts, den: int, trunc: int):
+        """from_parts for parts already in canonical form, taken as they are."""
+        self = object.__new__(cls)
+        self.parts, self.den, self.trunc, self._view = parts, den, trunc, None
         return self
 
     @classmethod
@@ -285,14 +295,25 @@ class _Series:
         return hash((self.trunc, self.den, tuple(self.int_items())))
 
     def text_rows(self):
-        """(q exponent, y exponent, coefficient) texts in key order, one at a time."""
-        den = self.den
-        for (kq, ry), terms in self.int_items():
-            yield (ratio_text(kq, QGRID), ratio_text(ry, YGRID),
-                   format_terms((d, n, den) for d, n in terms))
+        """(q exponent, y exponent, coefficient) texts in key order; str(n) for
+        an integer over den 1, and int_items only on several radicals."""
+        den, parts = self.den, self.parts
+        if len(parts) == 1:
+            ((d, rows),) = parts.items()
+            entries = sorted((kq, ry, n) for ry, row in rows.items() for kq, n in row.items())
+            text = str if d == 1 and den == 1 else lambda n: format_terms(((d, n, den),))
+        else:
+            entries = [(kq, ry, terms) for (kq, ry), terms in self.int_items()]
+            text = lambda terms: format_terms((d, n, den) for d, n in terms)
+        y_text = {ry: ratio_text(ry, YGRID) for rows in parts.values() for ry in rows}
+        last_kq = q_text = None
+        for kq, ry, c in entries:   # in key order, so each q text is made once
+            if kq != last_kq:
+                last_kq, q_text = kq, ratio_text(kq, QGRID)
+            yield q_text, y_text[ry], text(c)
 
     def dump(self) -> str:
-        return "\n".join(" ".join(row) for row in self.text_rows())
+        return "\n".join(map(" ".join, self.text_rows()))
 
     def text_at(self, kq: int, ry: int = 0) -> str:
         """The coefficient at (kq, ry) in format_radical's text."""
@@ -721,8 +742,9 @@ class ThetaRows(namedtuple("ThetaRows", "rows index")):
             full = out[d] = {}
             for ry, row in rows.items():
                 for r, shift in _copies(ry // 2, m, trunc - min(row)):
-                    full[2 * r] = {kq + shift: n for kq, n in row.items() if kq + shift < trunc}
-        return JacobiSeries.from_parts(out, f.den, trunc)
+                    full[2 * r] = row if not shift else {
+                        kq + shift: n for kq, n in row.items() if kq + shift < trunc}
+        return JacobiSeries._canonical(out, f.den, trunc)
 
     def __mul__(self, other: "ThetaRows") -> "ThetaRows":
         """The ThetaRows of a * b, of index m_a + m_b, for rational rows a, b.
@@ -763,7 +785,7 @@ def cut_theta_rows(f, m: int) -> tuple[ThetaRows, dict | None]:
     if m < 0:
         raise ValueError(f"index {m} is negative")
     if isinstance(f, QSeries):
-        f = JacobiSeries.from_parts(f.parts, f.den, f.trunc)
+        f = JacobiSeries._canonical(f.parts, f.den, f.trunc)
     kept = ThetaRows(JacobiSeries.from_parts(
         {d: {ry: row for ry, row in rows.items() if 0 <= ry <= 2 * m and ry % 2 == 0}
          for d, rows in f.parts.items()}, f.den, f.trunc), m)

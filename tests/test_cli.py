@@ -349,6 +349,17 @@ def test_d_mag_key_failing_its_invariant_is_a_data_error(tmp_path, capsys, row, 
     assert code == 3 and err.startswith(f"data error: row {row}, field d_mag[{ell}]")
 
 
+def test_blank_inside_a_table_constant_is_a_data_error(tmp_path, capsys):
+    # "4 096" used to load as 4096: the parser deleted every blank
+    classes = _bundled("classes.json")
+    next(e for e in classes["classes"] if e["co0"] == "1A")["c_neg_g"] = "4 096"
+    path = _data_dir(tmp_path, classes, _bundled("coincidences.json"))
+    code, out, err = run(capsys, "--data-dir", path, "list-classes")
+    assert code == 3 and out == ""
+    assert err.startswith("data error: row 1A: cannot parse radical-scalar term '4 096'")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("old, new", [("2", " +2 "), (None, "05")],
                          ids=["padded-plus-sign", "leading-zero"])
 def test_d_mag_key_that_is_not_plain_decimal_is_a_data_error(tmp_path, capsys, old, new):

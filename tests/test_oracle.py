@@ -58,6 +58,15 @@ def test_cyclo_reduction_and_product_match_sympy_rem(draw):
     assert (a * b).vec == reduced(poly(u) * poly(w))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS), st.integers(-2 ** 70, 2 ** 70)
+       | st.fractions(-40, 40, max_denominator=7))
+def test_a_rational_cyclo_number_hashes_as_the_rational_it_equals(order, x):
+    a = CycloNumber.from_rational(order, x)
+    assert a == x and hash(a) == hash(x)
+    assert len({a, x}) == 1 and x in {a: 1}
+
+
 def test_cyclo_number_roots():
     i = brute.cyclo_root(4, 1)
     assert i * i == CycloNumber.from_rational(4, -1)

@@ -65,6 +65,14 @@ def test_format_and_parse_roundtrip():
     assert parse_radical("1/2*sqrt(6)") == RadicalScalar({6: Fraction(1, 2)})
     assert parse_radical("sqrt(3)") == RadicalScalar({3: 1})
     assert parse_radical("3 - 1/2*sqrt(2)") == rs(d1=3, d2=Fraction(-1, 2))
+    assert parse_radical("- 1") == RadicalScalar.from_rational(-1)
+
+
+@pytest.mark.parametrize("text", ["4 096", "3 0", "1/ 2", "s qrt(5)"])
+def test_parse_rejects_a_blank_inside_a_term(text):
+    # each used to parse with its blank deleted: 4096, 30, 1/2 and sqrt(5)
+    with pytest.raises(ValueError, match="cannot parse radical-scalar term"):
+        parse_radical(text)
 
 
 @pytest.mark.parametrize("text", ["1/0", "3 - 2/0*sqrt(2)"])
@@ -84,6 +92,14 @@ elements = st.builds(
     lambda pairs: RadicalScalar(dict(pairs)),
     st.lists(st.tuples(st.sampled_from(RADICAL_BASIS), rationals),
              max_size=4, unique_by=lambda t: t[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70) | rationals)
+def test_a_rational_value_hashes_as_the_rational_it_equals(x):
+    a = RadicalScalar.from_rational(x)
+    assert a == x and hash(a) == hash(x)
+    assert len({a, x}) == 1 and x in {a: 1}
 
 
 @settings(max_examples=150, deadline=None)

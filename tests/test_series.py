@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -212,7 +213,7 @@ def series_pairs(draw, values=field):
     return one(t_a), one(t_b)
 
 
-S2, S10, S15 = (RadicalScalar({d: 1}) for d in (2, 10, 15))
+S2, S5, S10, S15 = (RadicalScalar({d: 1}) for d in (2, 5, 10, 15))
 
 #: combine terms (kappa, (A, B)): constants over every radical of the field,
 #: products of rational series
@@ -336,11 +337,30 @@ def matches(got, want, kind):
          RadicalScalar({6: 1, 10: Fraction(-2, 7), 30: 1}), -2, 0, 12)
 @example((QSeries({0: Fraction(1, 2), 12: -3}, 48), JacobiSeries({(0, 2): 5, (12, -2): 1}, 36)),
          RadicalScalar({2: 1, 5: Fraction(-1, 3)}), 1, 24, None)
+@example((JacobiSeries({(-12, -2): 3, (-12, 2): -5, (0, -6): 1, (24, 0): -2}, 48),
+          QSeries({-12: 2, 0: -7}, 24)),
+         RadicalScalar({1: -1}), -1, -12, 0)
+@example((QSeries({0: RadicalScalar({5: Fraction(1, 3)}), 12: RadicalScalar({5: Fraction(-2, 3)})},
+                  48),
+          JacobiSeries({(0, 2): RadicalScalar({3: Fraction(1, 2)}), (-12, -2): RadicalScalar(
+              {3: Fraction(-5, 4)})}, 36)),
+         RadicalScalar({5: Fraction(1, 5)}), 2, 12, None)
+@example((JacobiSeries({(0, 0): S5, (12, -2): S5 * -2, (24, 2): S5 * 3}, 48),
+          QSeries({0: S5, 36: S5 * -1}, 48)),
+         S5, 0, 48, 24)
+@example((JacobiSeries({(0, 2): RadicalScalar({1: 1, 5: -2}),
+                        (12, 0): RadicalScalar({2: 1, 3: Fraction(1, 2), 30: -1})}, 36),
+          JacobiSeries({(0, 2): RadicalScalar({1: -1, 5: 2}), (12, 0): 3}, 36)),
+         RadicalScalar({2: 1, 3: -1}), 0, 36, None)
 def test_integer_storage_matches_the_field_model(pair, c, key, cut, through):
+    # the last four explicit examples: integer rows over den 1 with negative
+    # q and y exponents, one radical over den > 1, a pure sqrt(5) series and
+    # several radicals at one key, the cases text_rows prints apart
     a, b = pair
     ma, mb = brute.model(a), brute.model(b)
     for f, m in ((a, ma), (b, mb)):
         assert f.dump() == brute.model_dump(m)
+        assert "\n".join(" ".join(row) for row in f.text_rows()) == f.dump()
         rebuilt = type(f)(dict(f.coeffs), f.trunc)
         assert rebuilt == f and hash(rebuilt) == hash(f)
         if c:
@@ -490,6 +510,30 @@ def test_theta_rows_product_is_the_full_row_product(a, b):
     # The cut is at index m_a + m_b, so == checks the product's index too
     full = brute.field_mul(a.expand(), b.expand())
     assert a * b == series.cut_theta_rows(full, a.index + b.index)[0]
+
+
+@st.composite
+def field_theta_rows(draw):
+    """A theta_form, or the product of two, times a drawn field constant:
+    den > 1 and several radicals at once."""
+    f = draw(theta_form())
+    if draw(st.booleans()):
+        f = f * draw(theta_form())
+    return ThetaRows(f.rows * draw(field), f.index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_theta_rows())
+@example(ThetaRows(JacobiSeries({(0, 0): RadicalScalar({1: Fraction(1, 6), 5: Fraction(-2, 3)}),
+                                 (-24, 2): RadicalScalar({3: Fraction(5, 4)})}, 100), 1))
+def test_expand_is_canonical_as_built(f):
+    full = f.expand()
+    assert full == type(full).from_parts(full.parts, full.den, full.trunc)
+    assert hash(full) == hash(type(full).from_parts(full.parts, full.den, full.trunc))
+    rows = [row for rs in full.parts.values() for row in rs.values()]
+    assert all(full.parts.values()) and all(rows)
+    assert all(n for row in rows for n in row.values())
+    assert gcd(full.den, *(n for row in rows for n in row.values())) == 1
 
 
 def test_theta_rows_product_needs_rational_factors():
