@@ -263,9 +263,12 @@ def _read_rows(directory: str | None, filename: str, what: str, key: str) -> lis
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} data: {exc}") from exc
     try:
-        return raw[key]
+        rows = raw[key]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{what} data has no '{key}' list: {exc!r}") from exc
+    if type(rows) is not list:
+        raise DataError(f"{what} data has no '{key}' list: got {type(rows).__name__}")
+    return rows
 
 
 def _typed(value, kind: type, field: str):

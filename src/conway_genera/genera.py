@@ -71,17 +71,12 @@ from . import modforms
 from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
-from .series import JacobiSeries, QSeries, ThetaRows, combine, cut_theta_rows, first_difference
+from .series import (JacobiSeries, QSeries, ThetaRows, combine, cut_theta_rows, first_difference,
+                     grid_index)
 
 #: grid head-room of the genus-side factors: r_g and r_{-g} start at grid
 #: -12 and every other factor at 0 or above (see the module docstring)
 _MARGIN = 12
-
-
-def _grid(orders: int) -> int:
-    if orders < 1:
-        raise ValueError("precision must be at least one q-order")
-    return 24 * orders
 
 
 class GenusRequest(namedtuple("GenusRequest", "rec d_sign ell orders")):
@@ -121,7 +116,7 @@ def ts_g(rec: ConwayClassRecord, which: str = "g", form: str = "chi",
         raise ValueError("which must be 'g' or 'g_tw'")
     if form not in ("direct", "chi"):
         raise ValueError("form must be 'direct' or 'chi'")
-    prec = _grid(orders)
+    prec = grid_index(orders)
     chi = rec.chi
     if form == "chi":
         if which == "g":
@@ -207,7 +202,7 @@ def _class_form(rec: ConwayClassRecord, orders: int, shared, d, scale,
     class series are y-free, so the sum is taken on theta rows 0..m alone
     and returned as those rows; the caller, who knows m, wraps them.
     """
-    prec = _grid(orders)
+    prec = grid_index(orders)
     work = prec + _MARGIN
     series = (modforms.eta_ratio_half(rec.fs_g, work),
               modforms.eta_ratio_half(rec.fs_neg_g, work),
@@ -269,7 +264,7 @@ def f_2j_g(rec: ConwayClassRecord, j: int, orders: int = 5) -> QSeries:
 
 def k3_elliptic_genus(orders: int = 5) -> JacobiSeries:
     """The K3 elliptic genus from discriminant-form ratios and quotients."""
-    prec = _grid(orders)
+    prec = grid_index(orders)
     work = prec + _MARGIN
     fs_e = FrameShape.from_pairs([(1, 24)])
     fs_neg = fs_e.negate()
@@ -301,7 +296,7 @@ def _decomposition_deviation(req: GenusRequest) -> dict | None:
     """First deviation of phi^(ell) from its binomial decomposition.  The sides differ
     only in the _F_SLOTS shared powers, so equal ThetaRows there decide it; the class
     forms are built only where a power differs, to report the deviation."""
-    work, m = _grid(req.orders) + _MARGIN, req.ell - 1
+    work, m = grid_index(req.orders) + _MARGIN, req.ell - 1
     same = all(_shared_power(theta, m, work) == _shared_power((_DECOMPOSED, kind), m, work)
                for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS) if kind)
     return None if same else _rows_deviation(_genus_rows(req), _decomposition_rows(req))
@@ -328,7 +323,7 @@ def verify_elliptic_law(orders: int) -> list[CheckReport]:
     evenness) of each base that _shared_base cuts, at the precision the
     genera of `orders` q-orders read it.  Theta3 and theta4 sit on the
     half-integer q-grid, so verify_jacobi_invariance does not apply."""
-    work = _grid(orders) + _MARGIN
+    work = grid_index(orders) + _MARGIN
     return [CheckReport.from_deviation(f"elliptic-law[{kind}]",
                                        cut_theta_rows(_index1_form(kind, work), 1)[1])
             for kind in (*_GENUS_SLOTS, _PHI01)]

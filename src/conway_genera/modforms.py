@@ -34,7 +34,7 @@ from math import gcd
 from operator import mul
 
 from .report import CheckReport
-from .series import GridError, JacobiSeries, QSeries, first_difference
+from .series import GridError, JacobiSeries, QSeries, first_difference, grid_index
 
 #: theta-quotient selectors
 THETA2 = "theta2"
@@ -327,7 +327,7 @@ def verify_theta_identities(orders: int) -> list[CheckReport]:
     Each is an exact coefficient identity on the (1/2)Z grid; any
     nonzero deviation is reported with the offending exponent.
     """
-    prec = 24 * orders
+    prec = grid_index(orders)
     p01 = phi01(prec)
     pm21 = phi_minus21(prec)
     twelfth = p01 * Fraction(1, 12)

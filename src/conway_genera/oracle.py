@@ -251,12 +251,9 @@ class EigenSystem:
         for d in mult:
             order = lcm(order, 2 * d)
         # keep the needed square roots available for conversions
-        if any(d % 2 == 0 for d in mult):
-            order = lcm(order, 8)
-        if any(d % 3 == 0 for d in mult):
-            order = lcm(order, 12)
-        if any(d % 5 == 0 for d in mult):
-            order = lcm(order, 5)
+        for p, (m, _) in _SQRT_SUMS.items():
+            if any(d % p == 0 for d in mult):
+                order = lcm(order, m)
         self.order = order
         pairs: list[_Pair] = []
         for d in sorted(mult):

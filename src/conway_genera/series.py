@@ -70,6 +70,14 @@ QGRID = 24   # q exponent = grid index / QGRID
 YGRID = 2    # y exponent = half-index / YGRID
 
 
+def grid_index(orders: int) -> int:
+    """The grid index of q^orders, the truncation of a check below q^orders;
+    ValueError below one q-order."""
+    if orders < 1:
+        raise ValueError("precision must be at least one q-order")
+    return QGRID * orders
+
+
 class GridError(ValueError):
     """An exponent left the admissible grid."""
 
@@ -555,9 +563,10 @@ def _kronecker(rows_a, rows_b, trunc: int, placed) -> dict[int, dict[int, int]]:
     output y, shifted to a common first slot.  `bits` bounds every output
     coefficient with a sign bit to spare, so adding half of 2^bits to each
     of the low L digits (`bias`) makes them all non-negative, and the
-    digits are read from the bytes of (x + bias) mod 2^(bits*L).  Only x
-    mod 2^(bits*L) matters, so a factor row, or a product, longer than the
-    slots its copies can reach is cut to them by a mask first.
+    digits are read from the bytes of (x + bias) mod 2^(bits*L), where row
+    y reads L = ceil((trunc - base)/step) slots from its least start `base`.
+    Every digit below L is an exact coefficient within `bits`, and the
+    digits at or past L add multiples of 2^(bits*L), which vanish.
     """
     if not rows_a or not rows_b:
         return {}
@@ -602,52 +611,32 @@ def _kronecker(rows_a, rows_b, trunc: int, placed) -> dict[int, dict[int, int]]:
     bits = 8 * width
 
     def pack(rows):
-        """{y: (slots, sum_i v_i 2^(bits*i))} by Horner's rule."""
+        """{y: sum_i v_i 2^(bits*i)} by Horner's rule."""
         out = {}
         for y, (keys, row) in rows.items():
             first = keys[0]
-            slots = (keys[-1] - first) // step + 1
-            acc, slot = 0, slots - 1
+            acc, slot = 0, (keys[-1] - first) // step
             for k in reversed(keys):
                 i = (k - first) // step
                 acc = (acc << (bits * (slot - i))) + row[k]
                 slot = i
-            out[y] = (slots, acc)
+            out[y] = acc
         return out
 
     packed_a, packed_b = pack(cut_a), pack(cut_b)
-    plan = []          # (y, first key, slots, ((slot offset, pair), ...))
-    reach: dict[tuple[int, int], int] = {}   # slots of a pair's product its copies read
-    for y, copies in by_y.items():
-        base = min(c[0] for c in copies)
-        slots = min(-((base - trunc) // step),
-                    max((start - base) // step + packed_a[ya][0] + packed_b[yb][0] - 1
-                        for start, ya, yb in copies))
-        offsets = []
-        for start, ya, yb in copies:
-            offset = (start - base) // step   # < slots, as start < trunc
-            reach[ya, yb] = max(reach.get((ya, yb), 0), slots - offset)
-            offsets.append((offset, (ya, yb)))
-        plan.append((y, base, slots, offsets))
-
-    products = {}
-    for (ya, yb), slots in reach.items():
-        (len_a, int_a), (len_b, int_b) = packed_a[ya], packed_b[yb]
-        mask = (1 << (bits * slots)) - 1
-        if len_a > slots:
-            int_a &= mask
-        if len_b > slots:
-            int_b &= mask
-        product = int_a * int_b
-        products[ya, yb] = product & mask if len_a + len_b - 1 > slots else product
-
+    products: dict[tuple[int, int], int] = {}
     half = 1 << (bits - 1)
     half_digit = half.to_bytes(width, "little")
     out: dict[int, dict[int, int]] = {}
-    for y, base, slots, offsets in plan:
+    for y, copies in by_y.items():
+        base = min(c[0] for c in copies)
         x = 0
-        for offset, pair in offsets:
-            x += products[pair] << (bits * offset)
+        for start, ya, yb in copies:
+            product = products.get((ya, yb))
+            if product is None:
+                product = products[ya, yb] = packed_a[ya] * packed_b[yb]
+            x += product << (bits * ((start - base) // step))
+        slots = -((base - trunc) // step)
         size = width * slots
         biased = (x + int.from_bytes(half_digit * slots, "little")) & ((1 << (8 * size)) - 1)
         data = biased.to_bytes(size, "little")

@@ -18,7 +18,7 @@ from math import isqrt
 
 from . import modforms
 from .report import CheckReport
-from .series import QSeries, first_difference
+from .series import QSeries, first_difference, grid_index
 
 COSETS = ("0", "1", "omega", "omegabar")
 
@@ -113,7 +113,7 @@ def twisted_module_character(prec: int) -> QSeries:
 def verify_sigma_isomorphism(orders: int = 6) -> list[CheckReport]:
     """All character identities of the orbifold comparison, exactly: each
     table row is a report name and a chain of series equal below q^orders."""
-    prec = 24 * orders
+    prec = grid_index(orders)
     work = prec + 24
     th = {label: d4_coset_theta(label, work) for label in COSETS}
     eta4_inv = modforms._euler_product(work, 24, -1, -4).shift(-4)

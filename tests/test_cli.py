@@ -193,6 +193,15 @@ def test_compute_nonpositive_precision_is_a_usage_error(capsys, what, prec):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", [name for name in cli._SUITES if name != "oracle"])
+@pytest.mark.parametrize("orders", [0, -2])
+def test_every_suite_function_rejects_less_than_one_order(data, suite, orders):
+    # the library below the CLI's --prec check: oracle runs at a fixed precision
+    run_suite, _ = cli._SUITES[suite]
+    with pytest.raises(ValueError, match="^precision must be at least one q-order$"):
+        run_suite(data, orders)
+
+
 def test_every_suite_runs_at_one_order(capsys):
     code, out, err = run(capsys, "verify", "--suite", "all", "--prec", "1")
     assert code == 0 and err == ""
@@ -325,12 +334,16 @@ def _bundled(name):
     ("coincidences.json", "{", "cannot read coincidence data: Expecting property name"),
     ("classes.json", "[]", "class data has no 'classes' list: TypeError("),
     ("coincidences.json", "{}", "coincidence data has no 'relations' list: KeyError('relations')"),
-], ids=["classes-json", "coincidences-json", "classes-list", "relations-list"])
+    ("classes.json", '{"classes": 5}', "class data has no 'classes' list: got int\n"),
+    ("coincidences.json", '{"relations": null}',
+     "coincidence data has no 'relations' list: got NoneType\n"),
+], ids=["classes-json", "coincidences-json", "classes-list", "relations-list",
+        "classes-not-a-list", "relations-not-a-list"])
 def test_unreadable_table_is_a_data_error_naming_it(tmp_path, capsys, name, text, message):
     path = _data_dir(tmp_path, _bundled("classes.json"), _bundled("coincidences.json"))
     (tmp_path / name).write_text(text)
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
-    assert code == 3 and err.startswith(f"data error: {message}")
+    assert code == 3 and err.startswith(f"data error: {message}") and err.count("\n") == 1
 
 
 def test_classes_without_class_list_is_a_data_error(tmp_path, capsys):

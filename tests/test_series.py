@@ -428,7 +428,11 @@ def _rows_series(rows, trunc):
 @example({0: {0: 127, 1: 127}, 1: {0: 127, 1: 127}},
          {0: {0: 127, 1: 127}, -1: {0: 127, 1: 127}}, 2)
 @example({0: {0: 1, 12: 2}, 2: {6: 5, 30: -1}}, {0: {24: 7}, 1: {1: 1, 2: 1}}, 60)
+@example({0: {0: 1, 20: -(2 ** 80)}}, {0: {0: 1, 20: 2 ** 80}}, 24)
+@example({0: {0: 1}, 2: {0: -5}}, {0: {0: -3, 24: 7}}, 400)
 def test_both_kernels_are_the_field_product(rows_a, rows_b, trunc):
+    # the last two explicit examples: a product whose digits past trunc are
+    # large and negative, and output rows that end well before trunc
     by_dict = _rows_series(series._convolve_dict(rows_a, rows_b, trunc), trunc)
     by_kronecker = _rows_series(series._convolve_kronecker(rows_a, rows_b, trunc), trunc)
     assert by_kronecker == by_dict
@@ -504,9 +508,18 @@ BIG = 2 ** 63 - 1
 @example(ThetaRows(QSeries.from_parts({1: {0: {0: 3, 12: -1}}}, 2, 30), 0),
          ThetaRows(JacobiSeries.from_parts({1: {2: {-24: 2 ** 70}, 6: {0: 5}}}, 1, 97), 3))
 @example(ThetaRows(JacobiSeries.zero(40), 2), ThetaRows(JacobiSeries.one(40), 1))
+@example(ThetaRows(JacobiSeries.from_parts({1: {0: {-24: 1, 0: -(2 ** 70)},
+                                                4: {48: 3, 72: -(2 ** 70)}}}, 1, 150), 2),
+         ThetaRows(JacobiSeries.from_parts({1: {0: {-24: -1, 24: 5},
+                                                4: {48: 2 ** 70, 96: -7}}}, 1, 150), 3))
+@example(ThetaRows(JacobiSeries.from_parts({1: {0: {0: 1}, 2: {-12: 3}}}, 1, 400), 1),
+         ThetaRows(QSeries.from_parts({1: {0: {0: 5, 24: -1}}}, 1, 400), 0))
 def test_theta_rows_product_is_the_full_row_product(a, b):
     # the first two explicit examples: three products of the largest terms
-    # on one coefficient, and a factor on q^2 whose copies shift by q^1.
+    # on one coefficient, and a factor on q^2 whose copies shift by q^1.  The
+    # next: both theta rows 2 start at q^2, so every copy of their product is
+    # shifted up from the first slot of the output row it lands on.  The last:
+    # output rows that end well before the truncation.
     # The cut is at index m_a + m_b, so == checks the product's index too
     full = brute.field_mul(a.expand(), b.expand())
     assert a * b == series.cut_theta_rows(full, a.index + b.index)[0]
