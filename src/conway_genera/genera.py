@@ -46,8 +46,10 @@ D eta_g)/2, scale -1 with eta_g against 1.  The decomposition's right-hand
 side is the genus with each theta-quotient power replaced by (phi_{0,1}/12
 + L Q1)^(ell-1), L the Lambda_2 form of F_{2j} in that slot: a shared
 power like any other, whose binomial expansion is the paper's sum over j.
-So _decomposition_deviation decides the decomposition on those shared
-powers and builds the two class forms only to report a deviation.
+Both sides' powers come from their index-1 bases by the same chain of
+products, so _decomposition_deviation decides the decomposition on those
+bases, Q_i against phi_{0,1}/12 + L Q1, builds no power above 1 for it,
+and builds the two class forms only where a base differs.
 
 A GenusRequest, the (class, D sign, lambency, precision) of one genus,
 is a namedtuple subclass validated in its constructor.
@@ -68,7 +70,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import modforms
-from .conway import ClassData, CoincidenceRelation, ConwayClassRecord, FrameShape
+from .conway import (LAMBENCIES, ClassData, CoincidenceRelation, ConwayClassRecord,
+                     FrameShape)
 from .modforms import THETA1SQ, THETA2, THETA3, THETA4
 from .report import CheckReport
 from .series import (JacobiSeries, QSeries, ThetaRows, combine, cut_theta_rows, first_difference,
@@ -294,26 +297,29 @@ def _decomposition_rows(req: GenusRequest) -> ThetaRows:
 
 def _decomposition_deviation(req: GenusRequest) -> dict | None:
     """First deviation of phi^(ell) from its binomial decomposition.  The sides differ
-    only in the _F_SLOTS shared powers, so equal ThetaRows there decide it; the class
-    forms are built only where a power differs, to report the deviation."""
-    work, m = grid_index(req.orders) + _MARGIN, req.ell - 1
-    same = all(_shared_power(theta, m, work) == _shared_power((_DECOMPOSED, kind), m, work)
+    only in the _F_SLOTS shared powers, and _shared_power builds every power from its
+    base by the same chain of products, so equal index-1 bases there decide it: no
+    power above 1 is built.  The class forms are built only where a base differs, to
+    report the deviation (or to pass forms that agree below prec)."""
+    work = grid_index(req.orders) + _MARGIN
+    same = all(_shared_power(theta, 1, work) == _shared_power((_DECOMPOSED, kind), 1, work)
                for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS) if kind)
     return None if same else _rows_deviation(_genus_rows(req), _decomposition_rows(req))
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
                          orders: int = 5) -> CheckReport:
-    """phi = (chi/12) phi01 + F phi-21, decided on the shared powers by
-    _decomposition_deviation; class forms are built only to report a deviation."""
-    name = f"decomposition[{rec.co0_name}, D sign {d_sign:+d}]"
-    return CheckReport.from_deviation(
-        name, _decomposition_deviation(GenusRequest(rec, d_sign, 2, orders)))
+    """phi = (chi/12) phi01 + F phi-21, decided on the index-1 bases by
+    _decomposition_deviation; class forms are built only where a base differs.
+    The row is named by the request's sign: +1 where D vanishes at lambency 2."""
+    req = GenusRequest(rec, d_sign, 2, orders)
+    name = f"decomposition[{rec.co0_name}, D sign {req.d_sign:+d}]"
+    return CheckReport.from_deviation(name, _decomposition_deviation(req))
 
 
 def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
     """The binomial decomposition of phi^(ell) into phi01/phi-21 monomials, decided
-    on the shared powers; class forms are built only to report a deviation."""
+    on the index-1 bases; class forms are built only where a base differs."""
     name = f"decomposition[{req.rec.co0_name}, ell {req.ell}, D sign {req.d_sign:+d}]"
     return CheckReport.from_deviation(name, _decomposition_deviation(req))
 
@@ -354,11 +360,14 @@ def verify_jacobi_invariance(phi: JacobiSeries, index_m: int,
 
 def verify_coincidences(data: ClassData, orders: int = 5,
                         lambency: int | None = None) -> list[CheckReport]:
-    """Check every internally expressible coincidence row.
+    """Check every internally expressible coincidence row, or those of one lambency.
 
     Anchor (dictionary-defining) and externally-referencing rows are
-    reported as skipped, never dropped.
+    reported as skipped, never dropped.  A lambency outside LAMBENCIES
+    raises ValueError: it has no rows, and an empty list would read as a pass.
     """
+    if lambency is not None and lambency not in LAMBENCIES:
+        raise ValueError(f"lambency {lambency} is not one of {LAMBENCIES}")
     built: dict[tuple[str, int, int], ThetaRows] = {}
 
     def genus(name: str, sign: int | None, ell: int) -> ThetaRows:

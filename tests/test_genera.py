@@ -147,6 +147,41 @@ def test_decomposition_rows_build_no_class_form(data, monkeypatch, suite, lamben
     assert in_suite == len(calls) - in_suite
 
 
+@pytest.mark.parametrize("orders", [4, 24])
+def test_passing_decomposition_rows_request_no_power_above_one(
+        data, cold_caches, monkeypatch, orders):
+    # equal index-1 bases decide a row, so a passing row builds no power
+    requests = list(cli._genus_requests(data, LAMBENCIES[1:], orders))
+    assert len(requests) == 28
+    powers = []
+    shared_power = genera._shared_power
+    monkeypatch.setattr(genera, "_shared_power",
+                        lambda kind, power, work: powers.append(power)
+                        or shared_power(kind, power, work))
+    assert all(genera.verify_decomposition_ell(req).ok for req in requests)
+    assert powers and max(powers) == 1
+
+
+@pytest.mark.parametrize("orders", [4, 24])
+def test_equal_bases_have_equal_powers(orders):
+    # the premise of deciding the decomposition on its index-1 bases
+    work = 24 * orders + genera._MARGIN
+    for theta, kind in zip(genera._GENUS_SLOTS, genera._F_SLOTS):
+        if kind:
+            for m in range(1, 7):
+                assert (genera._shared_power(theta, m, work)
+                        == genera._shared_power((genera._DECOMPOSED, kind), m, work)), (kind, m)
+
+
+def test_decomposition_rows_are_named_by_the_checked_sign(data):
+    # 1A's D vanishes at lambency 2, so its -1 request checks the +1 genus
+    one = data.record("1A")
+    report = genera.verify_decomposition(one, -1, 2)
+    assert report.ok and report.name == "decomposition[1A, D sign +1]"
+    ell_report = genera.verify_decomposition_ell(GenusRequest(one, -1, 2, 2))
+    assert ell_report.name == "decomposition[1A, ell 2, D sign +1]"
+
+
 def test_phi_matches_radical_reference_for_every_tabulated_genus(data):
     count = 0
     for ell in (2, 3, 4, 5, 7):
@@ -492,6 +527,12 @@ def test_coincidences(data):
     assert len(skipped) == len(reports) - 17
     assert by_name["coincidence[ell 2: 4B]"].status == "pass"
     assert by_name["coincidence[ell 2: 7B]"].status == "skipped"
+
+
+@pytest.mark.parametrize("lambency", [1, 6, 8])
+def test_coincidences_reject_a_lambency_with_no_table(data, lambency):
+    with pytest.raises(ValueError, match=f"lambency {lambency} is not one of"):
+        genera.verify_coincidences(data, 4, lambency=lambency)
 
 
 def test_coincidences_build_each_genus_once(data, monkeypatch):
