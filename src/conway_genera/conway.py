@@ -304,6 +304,11 @@ def _validate_record(rec: ConwayClassRecord) -> None:
     if rec.rank < 4:
         raise DataError(f"row {row}, field pi_g: {rec.fs_g} fixes a {rec.rank}-space, "
                         "less than the 4-space every genus formula needs")
+    # Co0 is perfect, so det g = 1 and the -1-eigenspace is even; the non-real
+    # eigenvalues pair up in 24 dimensions, so the fixed space is even too
+    if rec.rank % 2:
+        raise DataError(f"row {row}, field pi_g: {rec.fs_g} fixes a {rec.rank}-space, of "
+                        "odd dimension, as no element of Co0 does")
     c_sq = rec.c_neg_g * rec.c_neg_g
     if c_sq != RadicalScalar.from_rational(c_squared_oracle(rec.fs_g)):
         raise DataError(
@@ -336,9 +341,10 @@ def load_class_data(directory: str | None = None) -> ClassData:
     directory defaults to the MOONSHINE_DATA_DIR override and then the
     bundled data.  Every field must have its JSON type (no float or bool
     for an integer), and every record must pass the negation, fixed-space
-    and squared-constant invariants, or loading fails naming the row.  Every
-    coincidence row must name known classes, each in the table of the
-    row's lambency, with signs -1, 0 or +1.
+    and squared-constant invariants and fix an even-dimensional space, or
+    loading fails naming the row.  Every coincidence row must name known
+    classes, each in the table of the row's lambency, with sign 0 where the
+    class's D vanishes at that lambency and -1 or +1 where it does not.
     """
     if directory is None:
         directory = default_data_dir()
@@ -401,6 +407,11 @@ def load_class_data(directory: str | None = None) -> ClassData:
                 raise DataError(f"row {name}: class {name} is not in the "
                                 f"lambency-{rel.lambency} table, which a coincidence "
                                 "row uses")
+            zero = classes[name].d_magnitude[rel.lambency].is_zero
+            if (sign == 0) != zero:
+                raise DataError(f"coincidence row {entry}: sign {sign} of class {name} "
+                                f"disagrees with its {'zero' if zero else 'nonzero'} "
+                                f"lambency-{rel.lambency} D")
         relations.append(rel)
     return ClassData(classes=classes, relations=relations)
 

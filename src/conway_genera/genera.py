@@ -30,11 +30,11 @@ are index 0 uncut, and the decomposition's bases are sums of cut rows.
 Every higher power is the ThetaRows product of the power below it and
 the base, whose index is the sum: each pair of theta rows is multiplied
 once and no full row is built.  _class_form sums against the four y-free
-class series on rows 0..m and returns those rows, which the genus, the
-decomposition and the sign-flip D term wrap at index ell - 1: the only
-form of a genus-side series here.  The checks compare rows and expand
-them only where they differ, to report the least full-row key; phi_g_ell
-expands a genus for its callers.  Builders compute and suites check: a
+class series on rows 0..m and returns those rows, which the genus and
+the sign-flip D term wrap at index ell - 1: the only form of a genus-side
+series here.  The checks compare rows and expand them only where they
+differ, to report the least full-row key; phi_g_ell expands a genus for
+its callers.  Builders compute and suites check: a
 builder raises only on its input and on a truncation shortfall of its
 own, and returns a wrong form, off the integer q-grid say, as it is.
 
@@ -48,8 +48,8 @@ side is the genus with each theta-quotient power replaced by (phi_{0,1}/12
 power like any other, whose binomial expansion is the paper's sum over j.
 Both sides' powers come from their index-1 bases by the same chain of
 products, so _decomposition_deviation decides the decomposition on those
-bases, Q_i against phi_{0,1}/12 + L Q1, builds no power above 1 for it,
-and builds the two class forms only where a base differs.
+bases alone, Q_i against phi_{0,1}/12 + L Q1, and reports the first pair
+that differs: it builds no class form and no power above 1.
 
 A GenusRequest, the (class, D sign, lambency, precision) of one genus,
 is a namedtuple subclass validated in its constructor.
@@ -233,7 +233,7 @@ def _rows_deviation(a: ThetaRows, b: ThetaRows) -> dict | None:
     """first_difference of two forms' full rows, from their theta rows:
     each full-row coefficient copies a theta-row one at a lower or equal q
     order, so only forms that differ are expanded.  Both are known below
-    the same index, _class_form's truncation, so no bound is passed."""
+    the same index, so no bound is passed."""
     if first_difference(a.rows, b.rows) is None:
         return None
     return first_difference(a.expand(), b.expand())
@@ -248,7 +248,7 @@ def f_g(rec: ConwayClassRecord, d_sign: int = 1, orders: int = 5) -> QSeries:
     """Weight-2 multiplier of phi_{-2,1} in the index-1 decomposition.
 
     F = -(F_2 + D eta_g)/2, assembled on the (1/2)Z grid, where the
-    half-integer exponents cancel (the decomposition suite checks F).
+    half-integer exponents cancel.
     """
     # the eta_g slot holds Q1^0 = 1; GenusRequest rejects a class with no D at ell 2
     shared = [(kind, 1) if kind else (THETA1SQ, 0) for kind in _F_SLOTS]
@@ -282,36 +282,23 @@ def k3_elliptic_genus(orders: int = 5) -> JacobiSeries:
 # -- verification suites ---------------------------------------------------
 
 
-def _decomposition_rows(req: GenusRequest) -> ThetaRows:
-    """The theta rows of D term + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j}, with
-    c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)).  By linearity in the class
-    series, F's terms take sum_j c_j phi01^(ell-1-j) Q1^j L^j, half the
-    (_DECOMPOSED, L) power ell - 1, in place of L^j: the genus with those
-    powers in place of the theta-quotient powers.  Each is a power of its
-    own base phi01/12 + L Q1, never of the theta quotient it equals."""
-    shared = [((_DECOMPOSED, kind) if kind else theta, req.ell - 1)
-              for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS)]
-    return ThetaRows(_class_form(req.rec, req.orders, shared, req.d, 1, "decomposition"),
-                     req.ell - 1)
-
-
 def _decomposition_deviation(req: GenusRequest) -> dict | None:
     """First deviation of phi^(ell) from its binomial decomposition.  The sides differ
-    only in the _F_SLOTS shared powers, and _shared_power builds every power from its
-    base by the same chain of products, so equal index-1 bases there decide it: no
-    power above 1 is built.  The class forms are built only where a base differs, to
-    report the deviation (or to pass forms that agree below prec)."""
+    only in the _F_SLOTS shared powers, each built from its base by the same chain of
+    products, so the first pair of index-1 bases that differ, Q_i against
+    phi_{0,1}/12 + L Q1, gives it: no class form and no power above 1 is built."""
     work = grid_index(req.orders) + _MARGIN
-    same = all(_shared_power(theta, 1, work) == _shared_power((_DECOMPOSED, kind), 1, work)
-               for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS) if kind)
-    return None if same else _rows_deviation(_genus_rows(req), _decomposition_rows(req))
+    deviations = (_rows_deviation(_shared_power(theta, 1, work),
+                                  _shared_power((_DECOMPOSED, kind), 1, work))
+                  for theta, kind in zip(_GENUS_SLOTS, _F_SLOTS) if kind)
+    return next(filter(None, deviations), None)
 
 
 def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
                          orders: int = 5) -> CheckReport:
     """phi = (chi/12) phi01 + F phi-21, decided on the index-1 bases by
-    _decomposition_deviation; class forms are built only where a base differs.
-    The row is named by the request's sign: +1 where D vanishes at lambency 2."""
+    _decomposition_deviation.  The row is named by the request's sign: +1
+    where D vanishes at lambency 2."""
     req = GenusRequest(rec, d_sign, 2, orders)
     name = f"decomposition[{rec.co0_name}, D sign {req.d_sign:+d}]"
     return CheckReport.from_deviation(name, _decomposition_deviation(req))
@@ -319,7 +306,7 @@ def verify_decomposition(rec: ConwayClassRecord, d_sign: int = 1,
 
 def verify_decomposition_ell(req: GenusRequest) -> CheckReport:
     """The binomial decomposition of phi^(ell) into phi01/phi-21 monomials, decided
-    on the index-1 bases; class forms are built only where a base differs."""
+    on the index-1 bases by _decomposition_deviation."""
     name = f"decomposition[{req.rec.co0_name}, ell {req.ell}, D sign {req.d_sign:+d}]"
     return CheckReport.from_deviation(name, _decomposition_deviation(req))
 

@@ -485,14 +485,14 @@ def _buckets(system: EigenSystem, sectors, bound: Fraction) -> dict:
     """
     caps = {sector: _cap(sector, bound) for sector in sectors}
     caps = {sector: cap for sector, cap in caps.items() if cap >= 0}
-    monomials = 1
-    for sector, cap in caps.items():
-        weight_of = _SECTORS[sector][2]
-        dims = [4096 if sector == "twisted" else 1] + [0] * cap  # monomials by weight
-        for w in map(weight_of, range(1, cap + 1)):
-            dims = [sum(comb(24, k) * dims[i - k * w] for k in range(i // w + 1))
-                    for i in range(cap + 1)]
-        monomials = max(monomials, sum(dims))
+
+    def count(state, mult, n, k):  # one state: the k-subsets of the 24 labels of level n
+        return [(state, mult * comb(24, k))]
+
+    # the twisted walk starts from the 2^12 zero-mode monomials
+    monomials = max((sum(_walk_levels(cap, _SECTORS[sector][2],
+                                      {None: 4096 if sector == "twisted" else 1}, count).values())
+                     for sector, cap in caps.items()), default=1)
     size = 1 << ((monomials.bit_length() + 7) // 8 - 1).bit_length()
     order = system.order
     bits, width = 8 * size, 8 * size * order

@@ -563,7 +563,9 @@ def full_decomposition_rhs(req):
     (-1)^ell D Q1^(ell-1) eta_g / 2 + sum_j c_j phi01^(ell-1-j) Q1^j F_{2j}
     with c_j = binom(ell-1, j) / (2 * 12^(ell-1-j)), by the full-row assembly:
     F_{2j} = -L_plain^j r_g + L_shifted^j r_{-g} - C(-g) L_neg2^j eta_{-g},
-    each sum over j one binomial power (phi01/12 + L Q1)^(ell-1)."""
+    each sum over j one binomial power (phi01/12 + L Q1)^(ell-1).  The
+    genus itself, genera.phi_g_ell, is compared with it class by class: the
+    decomposition suites decide the identity on its index-1 bases alone."""
     from conway_genera import genera
     from conway_genera.modforms import THETA1SQ
 

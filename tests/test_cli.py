@@ -329,19 +329,51 @@ def _bundled(name):
     return json.loads((BUNDLED / name).read_text())
 
 
-@pytest.mark.parametrize("name, text, message", [
-    ("classes.json", "{", "cannot read class data: Expecting property name"),
-    ("coincidences.json", "{", "cannot read coincidence data: Expecting property name"),
-    ("classes.json", "[]", "class data has no 'classes' list: TypeError("),
-    ("coincidences.json", "{}", "coincidence data has no 'relations' list: KeyError('relations')"),
-    ("classes.json", '{"classes": 5}', "class data has no 'classes' list: got int\n"),
-    ("coincidences.json", '{"relations": null}',
+def _coincidence_sign_against_d():
+    """The tables with the 4D sign of a lambency-2 row set from -1 to 0,
+    though 4D's D does not vanish there: loaded, verify would read it as +1
+    and fail the row, exit 1."""
+    coincidences = _bundled("coincidences.json")
+    row = next(r for r in coincidences["relations"]
+               if r["lambency"] == 2 and r["lhs"] == {"class": "4D", "sign": -1})
+    row["lhs"]["sign"] = 0
+    return ({"coincidences.json": json.dumps(coincidences)},
+            f"coincidence row {row}: sign 0 of class 4D disagrees with its nonzero "
+            "lambency-2 D")
+
+
+def _odd_fixed_space():
+    """The tables with 2B given the Frame shape 1^6 2^9, which passes every
+    other invariant, and without the rows that use 2B beyond lambency 2,
+    where it has no D: loaded, the oracle would raise on the odd fixed space."""
+    classes, coincidences = _bundled("classes.json"), _bundled("coincidences.json")
+    next(e for e in classes["classes"] if e["co0"] == "2B").update(
+        pi_g=[[1, 6], [2, 9]], pi_neg_g=[[1, -6], [2, 15]], c_neg_g="0", d_mag={"2": "0"})
+    coincidences["relations"] = [
+        r for r in coincidences["relations"]
+        if r["lambency"] == 2 or "2B" not in {r["lhs"]["class"], *(i["class"] for i in r["rhs"])}]
+    return ({"classes.json": json.dumps(classes), "coincidences.json": json.dumps(coincidences)},
+            "row 2B, field pi_g: 1^6 2^9 fixes a 15-space, of odd dimension")
+
+
+@pytest.mark.parametrize("files, message", [
+    ({"classes.json": "{"}, "cannot read class data: Expecting property name"),
+    ({"coincidences.json": "{"}, "cannot read coincidence data: Expecting property name"),
+    ({"classes.json": "[]"}, "class data has no 'classes' list: TypeError("),
+    ({"coincidences.json": "{}"},
+     "coincidence data has no 'relations' list: KeyError('relations')"),
+    ({"classes.json": '{"classes": 5}'}, "class data has no 'classes' list: got int\n"),
+    ({"coincidences.json": '{"relations": null}'},
      "coincidence data has no 'relations' list: got NoneType\n"),
+    _coincidence_sign_against_d(),
+    _odd_fixed_space(),
 ], ids=["classes-json", "coincidences-json", "classes-list", "relations-list",
-        "classes-not-a-list", "relations-not-a-list"])
-def test_unreadable_table_is_a_data_error_naming_it(tmp_path, capsys, name, text, message):
+        "classes-not-a-list", "relations-not-a-list", "coincidence-sign-against-d",
+        "odd-fixed-space"])
+def test_unreadable_table_is_a_data_error_naming_it(tmp_path, capsys, files, message):
     path = _data_dir(tmp_path, _bundled("classes.json"), _bundled("coincidences.json"))
-    (tmp_path / name).write_text(text)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     code, _, err = run(capsys, "--data-dir", path, "list-classes")
     assert code == 3 and err.startswith(f"data error: {message}") and err.count("\n") == 1
 

@@ -17,7 +17,7 @@ import pytest
 
 from conway_genera import cli, genera, modforms, sigma
 from conway_genera.conway import LAMBENCIES, ClassData, ConwayClassRecord
-from conway_genera.series import QSeries
+from conway_genera.series import QSeries, first_difference
 
 #: the q-orders every suite runs at: the first at which a form times
 #: eta_{-g}, which starts at q^1, is seen
@@ -272,12 +272,24 @@ def test_a_failing_genus_jacobi_row_shows_its_first_deviation(data, cold_caches,
                               "lambda2_half-off-grid", "lambda_n-q0", "theta_quotient-q0"])
 def test_a_perturbed_shared_form_keeps_the_decomposition_first_deviation(
         data, cold_caches, monkeypatch, patch):
-    # the decomposition is decided on the shared powers; where they differ
-    # the first deviation is still read off the two class forms
+    # the decomposition is decided on the index-1 bases: under a broken base
+    # every row fails with the first deviation of the first pair of bases that
+    # differ, and builds no class form and no power above 1 to report it
     patch(monkeypatch, data)
-    failed = 0
-    for req in cli._genus_requests(data, LAMBENCIES, ORDERS):
-        full = genera._rows_deviation(genera._genus_rows(req), genera._decomposition_rows(req))
-        assert genera._decomposition_deviation(req) == full, req[1:]
-        failed += full is not None
-    assert failed
+    class_forms, powers = [], []
+    class_form, shared_power = genera._class_form, genera._shared_power
+    monkeypatch.setattr(genera, "_class_form",
+                        lambda *args: class_forms.append(args[-1]) or class_form(*args))
+    monkeypatch.setattr(genera, "_shared_power",
+                        lambda kind, power, work: powers.append(power)
+                        or shared_power(kind, power, work))
+    requests = list(cli._genus_requests(data, LAMBENCIES, ORDERS))
+    reports = [genera.verify_decomposition_ell(req) for req in requests]
+    assert len(reports) == 92 and class_forms == [] and max(powers) == 1
+    work = 24 * ORDERS + genera._MARGIN
+    expected = next(filter(None, (
+        first_difference(shared_power(theta, 1, work).expand(),
+                         shared_power((genera._DECOMPOSED, kind), 1, work).expand())
+        for theta, kind in zip(genera._GENUS_SLOTS, genera._F_SLOTS) if kind)))
+    assert all(r.status == "fail" and r.first_deviation == expected for r in reports)
+    assert any(r.status == "fail" for r in cli._SUITES["theta"][0](data, ORDERS))
